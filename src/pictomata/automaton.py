@@ -12,7 +12,9 @@ is a single accepting state, which has no outgoing transitions; reaching
 it accepts immediately, wherever the head is.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
+from functools import cached_property
+from types import MappingProxyType
 
 from .errors import ToolkitError, VariantError
 from .picture import BOUNDARY, Alphabet
@@ -26,8 +28,16 @@ MODES = ("det", "nondet")
 Delta = dict[tuple[str, str], frozenset[tuple[str, str]]]
 
 
-@dataclass(eq=True)
+@dataclass(frozen=True)
 class Automaton2D:
+    """An immutable machine; derive variants with ``dataclasses.replace``.
+
+    ``delta`` is stored as a read-only view of a private copy, so the
+    tables compiled on first simulation can never go stale.  Nothing is
+    checked at construction: :func:`validate` must be able to report on
+    malformed machines.
+    """
+
     name: str
     variant: str
     mode: str
@@ -36,10 +46,39 @@ class Automaton2D:
     initial: str
     accept: str
     delta: Delta
-    _compiled: object = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "delta", MappingProxyType(dict(self.delta)))
 
     def image(self, state: str, sym: str) -> frozenset[tuple[str, str]]:
         return self.delta.get((state, sym), frozenset())
+
+    @cached_property
+    def compiled(self) -> "Compiled":
+        """Transition tables for the simulator; raises on invalid machines."""
+        return Compiled(self)
+
+
+class Compiled:
+    """Integer-indexed transition tables for the hot simulation loops."""
+
+    __slots__ = ("states", "index", "initial", "accept", "image", "is4w")
+
+    def __init__(self, a: Automaton2D):
+        require_valid(a)
+        self.states = a.states
+        self.index = {q: i for i, q in enumerate(a.states)}
+        self.initial = self.index[a.initial]
+        self.accept = self.index[a.accept]
+        self.is4w = a.variant == "4W"
+        self.image: dict[tuple[int, str], tuple] = {}
+        for (q, sym), img in a.delta.items():
+            # Sorted images keep run enumeration deterministic across
+            # processes regardless of set iteration order.
+            moves = tuple(
+                (self.index[q2], MOVES[d][0], MOVES[d][1], d) for q2, d in sorted(img)
+            )
+            self.image[(self.index[q], sym)] = moves
 
 
 def make_delta(entries) -> Delta:
@@ -119,20 +158,57 @@ def transpose_automaton(a: Automaton2D) -> Automaton2D:
         key: frozenset((q2, _SWAP[d]) for q2, d in image)
         for key, image in a.delta.items()
     }
-    return Automaton2D(a.name, a.variant, a.mode, a.alphabet, a.states, a.initial, a.accept, delta)
+    return replace(a, delta=delta)
+
+
+#: Header keys of the automaton file format in file order, with how many
+#: values each takes: exactly one, at least one, or any number (a one-way
+#: string machine may have no accepting state; each format checks its count).
+_HEADER = {
+    "automaton": "1", "variant": "1", "mode": "1", "alphabet": "+",
+    "states": "+", "initial": "1", "accept": "*",
+}
+
+
+def header_lines(name, variant, mode, alphabet: Alphabet, states, initial, accept_states) -> list[str]:
+    """The header of the automaton file format; shared by the 2D and 1D formats."""
+    values = ((name,), (variant,), (mode,), alphabet.symbols, states, (initial,), accept_states)
+    return [f"{key} " + " ".join(v) for key, v in zip(_HEADER, values)]
+
+
+def read_automaton_text(text: str, what: str) -> tuple[list[tuple[str, ...]], list]:
+    """Split an automaton file into its header and its transition lines.
+
+    ``;`` begins a comment.  Every header key must be present with the
+    number of values it takes; a repeated key overrides the earlier line.
+    The header comes back as one value tuple per key, in file-format
+    order.  Every other line must contain ``->`` and is returned as a
+    ``(raw line, tokens)`` pair for the format's own transition grammar.
+    """
+    header: dict[str, tuple[str, ...]] = {}
+    transitions = []
+    for raw in text.splitlines():
+        parts = raw.split(";", 1)[0].split()
+        if not parts:
+            continue
+        arity = _HEADER.get(parts[0])
+        if arity is not None:
+            if (len(parts) == 1 and arity != "*") or (len(parts) > 2 and arity == "1"):
+                raise ToolkitError(f"wrong number of values on {what} line: {raw!r}")
+            header[parts[0]] = tuple(parts[1:])
+        elif "->" in parts:
+            transitions.append((raw, parts))
+        else:
+            raise ToolkitError(f"cannot parse {what} line: {raw!r}")
+    missing = [key for key in _HEADER if key not in header]
+    if missing:
+        raise ToolkitError(f"{what} file incomplete (missing {', '.join(missing)})")
+    return [header[key] for key in _HEADER], transitions
 
 
 def serialize_automaton(a: Automaton2D) -> str:
     """Render the line-oriented automaton file format."""
-    lines = [
-        f"automaton {a.name}",
-        f"variant {a.variant}",
-        f"mode {a.mode}",
-        "alphabet " + " ".join(a.alphabet.symbols),
-        "states " + " ".join(a.states),
-        f"initial {a.initial}",
-        f"accept {a.accept}",
-    ]
+    lines = header_lines(a.name, a.variant, a.mode, a.alphabet, a.states, a.initial, (a.accept,))
     order = {q: i for i, q in enumerate(a.states)}
     for (q, sym), image in sorted(a.delta.items(), key=lambda kv: (order.get(kv[0][0], 1 << 30), kv[0][1])):
         for q2, d in sorted(image):
@@ -143,43 +219,20 @@ def serialize_automaton(a: Automaton2D) -> str:
 def parse_automaton(text: str) -> Automaton2D:
     """Parse the automaton file format; inverse of :func:`serialize_automaton`.
 
-    ``;`` begins a comment.  Duplicate transition lines for one
-    (state, symbol) pair accumulate images; that is only legal in nondet
-    mode, which :func:`validate` enforces.
+    Duplicate transition lines for one (state, symbol) pair accumulate
+    images; that is only legal in nondet mode, which :func:`validate`
+    enforces.
     """
-    name = variant = mode = initial = accept = None
-    symbols: tuple[str, ...] = ()
-    states: tuple[str, ...] = ()
+    header, transitions = read_automaton_text(text, "automaton")
     entries = []
-    for raw in text.splitlines():
-        line = raw.split(";", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        head = parts[0]
-        if head == "automaton":
-            name = parts[1]
-        elif head == "variant":
-            variant = parts[1]
-        elif head == "mode":
-            mode = parts[1]
-        elif head == "alphabet":
-            symbols = tuple(parts[1:])
-        elif head == "states":
-            states = tuple(parts[1:])
-        elif head == "initial":
-            initial = parts[1]
-        elif head == "accept":
-            accept = parts[1]
-        elif len(parts) == 5 and parts[2] == "->":
-            entries.append((parts[0], parts[1], parts[3], parts[4]))
-        else:
+    for raw, parts in transitions:
+        if len(parts) != 5 or parts[2] != "->":
             raise ToolkitError(f"cannot parse automaton line: {raw!r}")
-    missing = [k for k, v in [("automaton", name), ("variant", variant), ("mode", mode),
-                              ("initial", initial), ("accept", accept)] if v is None]
-    if missing or not symbols or not states:
-        raise ToolkitError(f"automaton file incomplete (missing {missing or 'alphabet/states'})")
-    return Automaton2D(name, variant, mode, Alphabet(symbols), states, initial, accept, make_delta(entries))
+        entries.append((parts[0], parts[1], parts[3], parts[4]))
+    (name,), (variant,), (mode,), symbols, states, (initial,), accept = header
+    if len(accept) != 1:
+        raise ToolkitError("a 2D machine has exactly one accepting state")
+    return Automaton2D(name, variant, mode, Alphabet(symbols), states, initial, accept[0], make_delta(entries))
 
 
 def load_automaton(path) -> Automaton2D:

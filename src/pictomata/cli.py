@@ -93,6 +93,19 @@ def _print_counterexample(ce: Counterexample, a, out) -> None:
         print(format_trace(a, ce.word, ce.evidence, "evidence"), end="", file=out)
 
 
+def _print_words(words: list, out) -> None:
+    print(f"count: {len(words)}", file=out)
+    for w in words:
+        print("", file=out)
+        print(format_picture(w), end="", file=out)
+
+
+def _written(out, path, count: int, unit: str = "states") -> int:
+    print(f"written: {path}", file=out)
+    print(f"{unit}: {count}", file=out)
+    return 0
+
+
 def dispatch(argv, out=None) -> int:
     out = out or sys.stdout
     try:
@@ -123,9 +136,10 @@ def _run(args, out) -> int:
             verdict = result.kind
             trace = result.trace
         else:
-            trace = first_accepting_trace(a, w)
-            verdict = "accepted" if trace else "rejected"
-            trace = trace or ()
+            # accepts() decides in polynomial time; the trace search, which
+            # can take exponential time, runs only to print an accepting run.
+            verdict = "accepted" if accepts(a, w) else "rejected"
+            trace = first_accepting_trace(a, w) if args.trace and verdict == "accepted" else ()
         if args.trace:
             print(format_trace(a, w, trace, verdict), end="", file=out)
         else:
@@ -135,11 +149,7 @@ def _run(args, out) -> int:
     if cmd == "enum":
         a = load_automaton(args.aut)
         words = language_up_to(a, DimBounds(args.max_rows, args.max_cols), args.budget)
-        ordered = sorted(words, key=lambda w: (w.m, w.n, w.rows))
-        print(f"count: {len(ordered)}", file=out)
-        for w in ordered:
-            print("", file=out)
-            print(format_picture(w), end="", file=out)
+        _print_words(sorted(words, key=lambda w: (w.m, w.n, w.rows)), out)
         return 0
 
     if cmd == "concat":
@@ -154,11 +164,7 @@ def _run(args, out) -> int:
 
             syms = sorted({ch for w in (a, b) for row in w.rows for ch in row})
             words = diag_concat_words(a, b, Alphabet(tuple(syms)), cap=args.cap)
-            ordered = sorted(words, key=lambda w: w.rows)
-            print(f"count: {len(ordered)}", file=out)
-            for w in ordered:
-                print("", file=out)
-                print(format_picture(w), end="", file=out)
+            _print_words(sorted(words, key=lambda w: w.rows), out)
         return 0
 
     if cmd == "construct":
@@ -223,17 +229,13 @@ def _run(args, out) -> int:
         m2 = load_automaton(args.aut3w)
         n1 = onedim.row_restriction(m2, args.entry_state, args.side, args.offset)
         onedim.save_automaton_1d(n1, args.output)
-        print(f"written: {args.output}", file=out)
-        print(f"states: {len(n1.states)}", file=out)
-        return 0
+        return _written(out, args.output, len(n1.states))
 
     if cmd == "to-oneway":
         a1 = onedim.load_automaton_1d(args.aut1d)
         converted = onedim.two_way_to_one_way(a1)
         onedim.save_automaton_1d(converted, args.output)
-        print(f"written: {args.output}", file=out)
-        print(f"states: {len(converted.states)}", file=out)
-        return 0
+        return _written(out, args.output, len(converted.states))
 
     if cmd == "bound":
         bv = onedim.kapoutsis_bound(args.n)
@@ -254,13 +256,9 @@ def _run_construct(args, out) -> int:
                 fh.write(f"; family {name}: {len(built)} words\n")
                 for w in built:
                     fh.write("\n" + format_picture(w))
-            print(f"written: {args.output}", file=out)
-            print(f"words: {len(built)}", file=out)
-            return 0
+            return _written(out, args.output, len(built), "words")
         save_automaton(built, args.output)
-        print(f"written: {args.output}", file=out)
-        print(f"states: {len(built.states)}", file=out)
-        return 0
+        return _written(out, args.output, len(built.states))
     builders = {
         "ibr": (1, lambda ms: construct.to_ibr(ms[0])),
         "unary-row": (2, lambda ms: construct.unary_row_concat(ms[0], ms[1])),
@@ -274,9 +272,7 @@ def _run_construct(args, out) -> int:
     machines = [load_automaton(p) for p in args.inputs]
     result = builder(machines)
     save_automaton(result, args.output)
-    print(f"written: {args.output}", file=out)
-    print(f"states: {len(result.states)}", file=out)
-    return 0
+    return _written(out, args.output, len(result.states))
 
 
 def main() -> None:

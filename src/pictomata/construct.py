@@ -23,7 +23,7 @@ Conventions used by the product constructions below:
 
 import enum
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
 
 from .automaton import Automaton2D, make_delta, transpose_automaton
@@ -34,6 +34,15 @@ from .picture import BOUNDARY, Alphabet, Picture
 def _require_2w(a: Automaton2D) -> None:
     if a.variant != "2W":
         raise VariantError(f"{a.name!r}: operation defined for two-way machines only")
+
+
+def _require_pair(a: Automaton2D, b: Automaton2D) -> None:
+    """Precondition of the product constructions: two two-way factors
+    over one alphabet."""
+    _require_2w(a)
+    _require_2w(b)
+    if a.alphabet.symbols != b.alphabet.symbols:
+        raise AlphabetError("factor machines must share one alphabet")
 
 
 def boundary_reach_set(a: Automaton2D) -> set[str]:
@@ -144,15 +153,14 @@ class _CaseCfg:
     guesser: str | None  # machine whose bottom border is guessed mid-word
     phase2: str | None   # machine simulated alone after the guess
     verify: str          # head direction whose border read closes the run
-    slack: bool          # consume one extra row before anything else
 
 
 _CASES: dict[str, _CaseCfg] = {
-    "c1": _CaseCfg("A", "A", "B", "R", False),
-    "c2": _CaseCfg("A", "B", "A", "R", False),
-    "c3a": _CaseCfg("B", "B", "A", "D", False),
-    "c3b": _CaseCfg("A", "A", "B", "D", False),
-    "c4": _CaseCfg("A", None, None, "R", True),
+    "c1": _CaseCfg("A", "A", "B", "R"),
+    "c2": _CaseCfg("A", "B", "A", "R"),
+    "c3a": _CaseCfg("B", "B", "A", "D"),
+    "c3b": _CaseCfg("A", "A", "B", "D"),
+    "c4": _CaseCfg("A", None, None, "R"),
 }
 
 
@@ -162,18 +170,6 @@ def _moves(m: Automaton2D, q: str, sym: str, d: str) -> list[str]:
 
 def _border_ok(m: Automaton2D, q: str) -> bool:
     return bool(m.image(q, BOUNDARY))
-
-
-class SimPhase:
-    """Structured name for one interleaving state of the row-concatenation
-    product: case tag, whose turn it is, and both component states."""
-
-    __slots__ = ()
-    TURNS = ("Ad", "Bd", "J")
-
-    @staticmethod
-    def name(case: str, turn: str, qa: str, qb: str) -> str:
-        return f"{case}|{turn}|{qa}|{qb}"
 
 
 def _turn_successors(case: str, turn: str) -> tuple[str, ...]:
@@ -209,10 +205,7 @@ def unary_row_concat(a: Automaton2D, b: Automaton2D) -> Automaton2D:
     to accept, after spending one mandatory extra downward move so that
     the word is tall enough to contain both factors.
     """
-    _require_2w(a)
-    _require_2w(b)
-    if a.alphabet.symbols != b.alphabet.symbols:
-        raise AlphabetError("factor machines must share one alphabet")
+    _require_pair(a, b)
     if not a.alphabet.unary:
         raise AlphabetError("row-concatenation closure construction needs a unary alphabet")
     sym = a.alphabet.symbols[0]
@@ -226,9 +219,6 @@ def unary_row_concat(a: Automaton2D, b: Automaton2D) -> Automaton2D:
     order: list[str] = [INIT]
     work: list[tuple] = []
 
-    def emit(src: str, on: str, dst: str, move: str) -> None:
-        delta_entries.append((src, on, dst, move))
-
     def visit(state: tuple) -> str:
         name = _name(state)
         if name not in seen:
@@ -240,7 +230,8 @@ def unary_row_concat(a: Automaton2D, b: Automaton2D) -> Automaton2D:
     def _name(state: tuple) -> str:
         kind = state[0]
         if kind == "p1":
-            return SimPhase.name(state[1], state[2], state[3], state[4])
+            # case tag, whose turn it is, and both component states
+            return f"{state[1]}|{state[2]}|{state[3]}|{state[4]}"
         if kind == "p2":
             return f"{state[1]}|p2|{state[2]}"
         return f"{state[1]}|chk"
@@ -280,21 +271,21 @@ def unary_row_concat(a: Automaton2D, b: Automaton2D) -> Automaton2D:
     for case in ("c1", "c2", "c3a", "c3b"):
         for t0 in _turn_successors(case, "J"):
             for target, move in p1_edges(case, t0, qa0, qb0):
-                emit(INIT, sym, visit(target), move)
+                delta_entries.append((INIT, sym, visit(target), move))
     for t0 in _turn_successors("c4", "J"):
-        emit(INIT, sym, visit(("p1", "c4", t0, qa0, qb0)), "D")
+        delta_entries.append((INIT, sym, visit(("p1", "c4", t0, qa0, qb0)), "D"))
 
     while work:
         state = work.pop(0)
         name = _name(state)
         if state[0] == "p1":
             for target, move in p1_edges(state[1], state[2], state[3], state[4]):
-                emit(name, sym, visit(target), move)
+                delta_entries.append((name, sym, visit(target), move))
         elif state[0] == "p2":
             for target, move in p2_edges(state[1], state[2]):
-                emit(name, sym, visit(target), move)
+                delta_entries.append((name, sym, visit(target), move))
         else:
-            emit(name, BOUNDARY, ACCEPT, "D")
+            delta_entries.append((name, BOUNDARY, ACCEPT, "D"))
 
     states = (INIT, *order[1:], ACCEPT)
     return Automaton2D(
@@ -315,8 +306,48 @@ def unary_col_concat(a: Automaton2D, b: Automaton2D) -> Automaton2D:
     out = transpose_automaton(
         unary_row_concat(transpose_automaton(a), transpose_automaton(b))
     )
-    out.name = f"{a.name}_col_{b.name}"
-    return out
+    return replace(out, name=f"{a.name}_col_{b.name}")
+
+
+_ACCEPT = "ok"
+
+
+def _diag_product(a: Automaton2D, b: Automaton2D, tag: str, mode: str, crossings) -> Automaton2D:
+    """Skeleton shared by the two diagonal products.
+
+    ``crossings(a1)`` runs the first factor ``a1`` (border-normalized,
+    immediately border-resolving) and crosses the filler; it returns the
+    product's initial state, its transitions so far, and the crossing
+    states from which the second factor starts.  The second factor then
+    runs as-is (border-normalized), since its borders are the input's,
+    and states unreachable from the initial one are dropped.
+    """
+    _require_pair(a, b)
+    a1 = to_ibr(border_normalize(a))
+    b1 = border_normalize(b)
+    initial, entries, starters = crossings(a1)
+
+    def bname(q: str) -> str:
+        return _ACCEPT if q == b1.accept else f"B|{q}"
+
+    syms = a.alphabet.symbols
+    for s in syms:
+        for q2, d in sorted(b1.image(b1.initial, s)):
+            for src in starters:
+                entries.append((src, s, bname(q2), d))
+    for q in b1.states:
+        if q == b1.accept:
+            continue
+        for s in (*syms, BOUNDARY):
+            for q2, d in sorted(b1.image(q, s)):
+                entries.append((bname(q), s, bname(q2), d))
+
+    delta = make_delta(entries)
+    reachable = _reachable_states(initial, delta, _ACCEPT)
+    delta = {k: v for k, v in delta.items() if k[0] in reachable}
+    return Automaton2D(
+        f"{a.name}_{tag}_{b.name}", "2W", mode, a.alphabet, tuple(reachable), initial, _ACCEPT, delta
+    )
 
 
 def diag_concat_nondet_2w(a: Automaton2D, b: Automaton2D) -> Automaton2D:
@@ -334,23 +365,15 @@ def diag_concat_nondet_2w(a: Automaton2D, b: Automaton2D) -> Automaton2D:
     is needed.  The filler corners are only ever crossed, never checked,
     which is exactly the freedom diagonal concatenation grants.
     """
-    _require_2w(a)
-    _require_2w(b)
-    if a.alphabet.symbols != b.alphabet.symbols:
-        raise AlphabetError("factor machines must share one alphabet")
-    a1 = to_ibr(border_normalize(a))
-    b1 = border_normalize(b)
-    ACCEPT = "ok"
+    return _diag_product(a, b, "diag", "nondet", _guessed_crossings)
 
-    def bname(q: str) -> str:
-        return ACCEPT if q == b1.accept else f"B|{q}"
 
+def _guessed_crossings(a1: Automaton2D):
     entries: list[tuple[str, str, str, str]] = []
-    syms = a.alphabet.symbols
     for q in a1.states:
         if q == a1.accept:
             continue
-        for s in syms:
+        for s in a1.alphabet.symbols:
             for q2, d in sorted(a1.image(q, s)):
                 entries.append((f"A|{q}", s, f"A|{q2}", d))
                 if _border_ok(a1, q2):
@@ -358,34 +381,12 @@ def diag_concat_nondet_2w(a: Automaton2D, b: Automaton2D) -> Automaton2D:
                         entries.append((f"A|{q}", s, "sR0", "D"))
                     else:
                         entries.append((f"A|{q}", s, "sD0", "R"))
-    for s in syms:
+    for s in a1.alphabet.symbols:
         entries.append(("sR0", s, "sR1", "R"))
         entries.append(("sD0", s, "sD1", "D"))
         entries.append(("sR1", s, "sR1", "R"))
         entries.append(("sD1", s, "sD1", "D"))
-        for q2, d in sorted(b1.image(b1.initial, s)):
-            entries.append(("sR1", s, bname(q2), d))
-            entries.append(("sD1", s, bname(q2), d))
-    for q in b1.states:
-        if q == b1.accept:
-            continue
-        for s in (*syms, BOUNDARY):
-            for q2, d in sorted(b1.image(q, s)):
-                entries.append((bname(q), s, bname(q2), d))
-
-    delta = make_delta(entries)
-    reachable = _reachable_states(f"A|{a1.initial}", delta, ACCEPT)
-    delta = {k: v for k, v in delta.items() if k[0] in reachable}
-    return Automaton2D(
-        f"{a.name}_diag_{b.name}",
-        "2W",
-        "nondet",
-        a.alphabet,
-        tuple(reachable),
-        f"A|{a1.initial}",
-        ACCEPT,
-        delta,
-    )
+    return f"A|{a1.initial}", entries, ("sR1", "sD1")
 
 
 def _reachable_states(initial: str, delta, accept: str) -> list[str]:
@@ -423,25 +424,18 @@ def diag_concat_separated(a: Automaton2D, b: Automaton2D) -> Automaton2D:
     at least one in-word symbol before and after the crossed marker.
     Determinism is preserved.
     """
-    _require_2w(a)
-    _require_2w(b)
-    if a.alphabet.symbols != b.alphabet.symbols:
-        raise AlphabetError("factor machines must share one alphabet")
-    a1 = to_ibr(border_normalize(a))
-    b1 = border_normalize(b)
-    ACCEPT = "ok"
+    mode = "det" if a.mode == b.mode == "det" else "nondet"
+    return _diag_product(a, b, "dsep", mode, _separator_crossings)
 
-    def bname(q: str) -> str:
-        return ACCEPT if q == b1.accept else f"B|{q}"
 
+def _separator_crossings(a1: Automaton2D):
     entries: list[tuple[str, str, str, str]] = []
-    syms = a.alphabet.symbols
     for q in a1.states:
         if q == a1.accept:
             continue
         for last in ("S", "D", "R"):
             src = f"A|{q}|{last}"
-            for s in syms:
+            for s in a1.alphabet.symbols:
                 for q2, d in sorted(a1.image(q, s)):
                     entries.append((src, s, f"A|{q2}|{d}", d))
             if _border_ok(a1, q):
@@ -449,37 +443,14 @@ def diag_concat_separated(a: Automaton2D, b: Automaton2D) -> Automaton2D:
                     entries.append((src, BOUNDARY, "xf", "D"))
                 elif last == "R":
                     entries.append((src, BOUNDARY, "yf", "R"))
-    for s in syms:
+    for s in a1.alphabet.symbols:
         entries.append(("xf", s, "x1", "R"))
         entries.append(("x1", s, "x1", "R"))
         entries.append(("yf", s, "y1", "D"))
         entries.append(("y1", s, "y1", "D"))
-        for q2, d in sorted(b1.image(b1.initial, s)):
-            entries.append(("Bs", s, bname(q2), d))
     entries.append(("x1", BOUNDARY, "Bs", "R"))
     entries.append(("y1", BOUNDARY, "Bs", "D"))
-    for q in b1.states:
-        if q == b1.accept:
-            continue
-        for s in (*syms, BOUNDARY):
-            for q2, d in sorted(b1.image(q, s)):
-                entries.append((bname(q), s, bname(q2), d))
-
-    delta = make_delta(entries)
-    initial = f"A|{a1.initial}|S"
-    reachable = _reachable_states(initial, delta, ACCEPT)
-    delta = {k: v for k, v in delta.items() if k[0] in reachable}
-    mode = "det" if a.mode == b.mode == "det" else "nondet"
-    return Automaton2D(
-        f"{a.name}_dsep_{b.name}",
-        "2W",
-        mode,
-        a.alphabet,
-        tuple(reachable),
-        initial,
-        ACCEPT,
-        delta,
-    )
+    return f"A|{a1.initial}|S", entries, ("Bs",)
 
 
 _X_FAMILY = re.compile(r"thm9-X\((\d+)\)")

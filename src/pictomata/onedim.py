@@ -17,7 +17,7 @@ with no automaton in between.
 
 from dataclasses import dataclass
 
-from .automaton import Automaton2D
+from .automaton import Automaton2D, header_lines, read_automaton_text, require_valid
 from .errors import ModeError, PreconditionError, ToolkitError, VariantError
 from .picture import BOUNDARY, Alphabet, Picture
 from .simulate import run_deterministic
@@ -28,14 +28,15 @@ _VARIANT_TOKEN = {TWO_WAY: "1D-2W", ONE_WAY: "1D-1W"}
 _TOKEN_VARIANT = {v: k for k, v in _VARIANT_TOKEN.items()}
 
 
-@dataclass(eq=True)
+@dataclass(frozen=True)
 class Automaton1D:
     """Deterministic string machine, two-way or one-way.
 
     delta maps (state, symbol) to (state, 'L'|'R') in the two-way kind
     and to a bare state in the one-way kind; two-way machines also see
     the frame marker ``#``.  ``accept_states`` holds exactly one state
-    for the two-way kind.
+    for the two-way kind.  The fields cannot be rebound; ``delta`` stays
+    a plain dict, read on every simulation step, and must not be mutated.
     """
 
     name: str
@@ -195,6 +196,9 @@ def row_restriction(
     within 2n+3 states.
     """
     _check_row_machine(m2, entry_state, side, offset)
+    # Validated here, once per construction; the per-row oracle repeats
+    # _check_row_machine on every call and stays cheap.
+    require_valid(m2)
     syms = (*m2.alphabet.symbols, BOUNDARY)
     ACC = "down"
 
@@ -203,28 +207,20 @@ def row_restriction(
 
     states: list[str] = []
     delta: dict = {}
-    if side == "left":
-        if offset == 1:
-            initial = sim(entry_state)
-        else:
-            initial = "w1"
-            for t in range(1, offset):
-                states.append(f"w{t}")
-                target = sim(entry_state) if t == offset - 1 else f"w{t + 1}"
-                for s in syms:
-                    delta[(f"w{t}", s)] = (target, "R")
-    else:
-        initial = "seek"
+    if side == "right":
+        # Find the right border first; the walk then steps back from it.
         states.append("seek")
-        first_back = sim(entry_state) if offset == 1 else "b1"
         for s in m2.alphabet:
             delta[("seek", s)] = ("seek", "R")
-        delta[("seek", BOUNDARY)] = (first_back, "L")
-        for t in range(1, offset):
-            states.append(f"b{t}")
-            target = sim(entry_state) if t == offset - 1 else f"b{t + 1}"
-            for s in syms:
-                delta[(f"b{t}", s)] = (target, "L")
+    prefix, move = ("w", "R") if side == "left" else ("b", "L")
+    walk = [f"{prefix}{t}" for t in range(1, offset)] + [sim(entry_state)]
+    if side == "right":
+        delta[("seek", BOUNDARY)] = (walk[0], "L")
+    for src, dst in zip(walk, walk[1:]):
+        states.append(src)
+        for s in syms:
+            delta[(src, s)] = (dst, move)
+    initial = (states or walk)[0]
     for q in m2.states:
         states.append(sim(q))
         if q == m2.accept:
@@ -294,75 +290,25 @@ def two_way_to_one_way(a: Automaton1D) -> Automaton1D:
                 return entry
             q = entry
 
-    def initial_table() -> tuple:
-        # Behaviour of the bare left frame marker.
-        out = []
-        for q in state_list:
-            if q == accept:
-                out.append(_ACC)
-                continue
-            step = a.delta.get((q, BOUNDARY))
-            if step is None:
-                out.append(_BOT)
-                continue
-            q2, d = step
-            if q2 == accept:
-                out.append(_ACC)
-            elif d == "R":
-                out.append(q2)
-            else:
-                out.append(_BOT)
-        return tuple(out)
-
-    def extend(state, x: str):
-        sigma, table = state
-        new_table = tuple(through(table, q, x) for q in state_list)
-        return (through(table, sigma, x), new_table)
-
-    def accepting(state) -> bool:
-        sigma, table = state
-        if sigma == _ACC:
-            return True
-        if sigma == _BOT:
-            return False
-        q = sigma
-        seen = set()
-        while True:
-            if q == accept:
-                return True
-            if q in seen:
-                return False
-            seen.add(q)
-            step = a.delta.get((q, BOUNDARY))
-            if step is None:
-                return False
-            q2, d = step
-            if q2 == accept:
-                return True
-            if d == "R":
-                return False
-            entry = table[state_list.index(q2)]
-            if entry == _ACC:
-                return True
-            if entry == _BOT:
-                return False
-            q = entry
-
-    start = (_ACC if a.initial == accept else a.initial, initial_table())
+    # The left frame marker has nothing behind it: a step left from it dies.
+    frame = tuple(through((_BOT,) * len(state_list), q, BOUNDARY) for q in state_list)
+    start = (_ACC if a.initial == accept else a.initial, frame)
     names = {start: "t0"}
     order = [start]
     queue = [start]
     delta: dict = {}
     while queue:
         state = queue.pop(0)
+        sigma, table = state
         for x in a.alphabet:
-            nxt = extend(state, x)
+            nxt = (through(table, sigma, x), tuple(through(table, q, x) for q in state_list))
             if nxt not in names:
                 names[nxt] = f"t{len(names)}"
                 order.append(nxt)
                 queue.append(nxt)
             delta[(names[state], x)] = names[nxt]
-    accept_states = tuple(names[s] for s in order if accepting(s))
+    # A one-way state accepts when its arrival, reading the right marker, accepts.
+    accept_states = tuple(names[s] for s in order if through(s[1], s[0], BOUNDARY) == _ACC)
     return Automaton1D(
         f"{a.name}_1w",
         ONE_WAY,
@@ -396,15 +342,7 @@ def gadget_k(n: int) -> int:
 
 
 def serialize_automaton_1d(a: Automaton1D) -> str:
-    lines = [
-        f"automaton {a.name}",
-        f"variant {_VARIANT_TOKEN[a.kind]}",
-        "mode det",
-        "alphabet " + " ".join(a.alphabet.symbols),
-        "states " + " ".join(a.states),
-        f"initial {a.initial}",
-        "accept " + " ".join(a.accept_states),
-    ]
+    lines = header_lines(a.name, _VARIANT_TOKEN[a.kind], "det", a.alphabet, a.states, a.initial, a.accept_states)
     order = {q: i for i, q in enumerate(a.states)}
     for (q, sym), step in sorted(a.delta.items(), key=lambda kv: (order[kv[0][0]], kv[0][1])):
         if a.kind == TWO_WAY:
@@ -416,53 +354,36 @@ def serialize_automaton_1d(a: Automaton1D) -> str:
 
 
 def parse_automaton_1d(text: str) -> Automaton1D:
-    name = kind = initial = None
-    symbols: tuple[str, ...] = ()
-    states: tuple[str, ...] = ()
-    accept_states: tuple[str, ...] = ()
-    delta: dict = {}
-    for raw in text.splitlines():
-        line = raw.split(";", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        head = parts[0]
-        if head == "automaton":
-            name = parts[1]
-        elif head == "variant":
-            kind = _TOKEN_VARIANT.get(parts[1])
-            if kind is None:
-                raise ToolkitError(f"unknown 1D variant {parts[1]!r}")
-        elif head == "mode":
-            if parts[1] != "det":
-                raise ToolkitError("1D machines are deterministic")
-        elif head == "alphabet":
-            symbols = tuple(parts[1:])
-        elif head == "states":
-            states = tuple(parts[1:])
-        elif head == "initial":
-            initial = parts[1]
-        elif head == "accept":
-            accept_states = tuple(parts[1:])
-        elif "->" in parts:
-            if kind == TWO_WAY and len(parts) == 5 and parts[2] == "->":
-                key = (parts[0], parts[1])
-                if key in delta:
-                    raise ToolkitError(f"duplicate transition for {key}")
-                delta[key] = (parts[3], parts[4])
-            elif kind == ONE_WAY and len(parts) == 4 and parts[2] == "->":
-                key = (parts[0], parts[1])
-                if key in delta:
-                    raise ToolkitError(f"duplicate transition for {key}")
-                delta[key] = parts[3]
-            else:
-                raise ToolkitError(f"cannot parse 1D transition line: {raw!r}")
-        else:
-            raise ToolkitError(f"cannot parse 1D automaton line: {raw!r}")
-    if name is None or kind is None or initial is None or not symbols or not states or not accept_states:
-        raise ToolkitError("1D automaton file incomplete")
+    """Parse the 1D automaton file format; inverse of
+    :func:`serialize_automaton_1d`.
+
+    Rejects what no string machine can mean: undeclared states,
+    symbols outside the alphabet and the marker, two-way moves other
+    than L and R, and a second transition for one (state, symbol) pair.
+    """
+    header, transitions = read_automaton_text(text, "1D automaton")
+    (name,), (token,), (mode,), symbols, states, (initial,), accept_states = header
+    kind = _TOKEN_VARIANT.get(token)
+    if kind is None:
+        raise ToolkitError(f"unknown 1D variant {token!r}")
+    if mode != "det":
+        raise ToolkitError("1D machines are deterministic")
     if kind == TWO_WAY and len(accept_states) != 1:
         raise ToolkitError("two-way machines have exactly one accepting state")
+    known = set(states)
+    if initial not in known or not known.issuperset(accept_states):
+        raise ToolkitError("initial and accepting states must be declared")
+    legal = {*symbols, BOUNDARY}
+    delta: dict = {}
+    for raw, parts in transitions:
+        if len(parts) != (5 if kind == TWO_WAY else 4) or parts[2] != "->":
+            raise ToolkitError(f"cannot parse 1D transition line: {raw!r}")
+        q, sym, _, q2, *move = parts
+        if q not in known or q2 not in known or sym not in legal or move not in ([], ["L"], ["R"]):
+            raise ToolkitError(f"undeclared state, unknown symbol or bad move: {raw!r}")
+        if (q, sym) in delta:
+            raise ToolkitError(f"duplicate transition for {(q, sym)}")
+        delta[(q, sym)] = (q2, *move) if move else q2
     return Automaton1D(name, kind, Alphabet(symbols), states, initial, accept_states, delta)
 
 

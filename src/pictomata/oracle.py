@@ -118,17 +118,22 @@ def flip_attack(
     if not accepts(candidate, w):
         raise PreconditionError("flip_attack needs a word the candidate accepts")
     for trace in accepting_runs(candidate, w, limit=trace_limit):
-        seen = visited_cells(trace, w)
-        for pos in w.positions():
-            if pos in seen:
-                continue
-            for sym in candidate.alphabet:
-                if sym == w.cell(*pos):
-                    continue
-                flipped = w.with_cell(pos, sym)
-                if not target(flipped):
-                    return Counterexample(flipped, expected=False, got=True, evidence=trace)
+        for flipped in _off_trace_flips(w, trace, candidate.alphabet):
+            if not target(flipped):
+                return Counterexample(flipped, expected=False, got=True, evidence=trace)
     return None
+
+
+def _off_trace_flips(w: Picture, trace: RunTrace, alphabet: Alphabet) -> Iterator[Picture]:
+    """Every word that differs from w in one cell the trace never visits,
+    in row-major order, then alphabet order."""
+    seen = visited_cells(trace, w)
+    for pos in w.positions():
+        if pos in seen:
+            continue
+        for sym in alphabet:
+            if sym != w.cell(*pos):
+                yield w.with_cell(pos, sym)
 
 
 def _rejection_flip(
@@ -144,16 +149,9 @@ def _rejection_flip(
     result = run_deterministic(candidate, w)
     if result.accepted:
         return None
-    seen = visited_cells(result.trace, w)
-    for pos in w.positions():
-        if pos in seen:
-            continue
-        for sym in candidate.alphabet:
-            if sym == w.cell(*pos):
-                continue
-            flipped = w.with_cell(pos, sym)
-            if target(flipped):
-                return Counterexample(flipped, expected=True, got=False, evidence=result.trace)
+    for flipped in _off_trace_flips(w, result.trace, candidate.alphabet):
+        if target(flipped):
+            return Counterexample(flipped, expected=True, got=False, evidence=result.trace)
     return None
 
 

@@ -17,8 +17,8 @@ elements and deterministic runs stop at the first repeated configuration.
 
 from dataclasses import dataclass
 
-from .automaton import MOVES, Automaton2D, require_valid
-from .errors import AlphabetError, ModeError, PreconditionError
+from .automaton import Automaton2D, Compiled
+from .errors import AlphabetError, ModeError
 from .picture import BOUNDARY, Picture, Position
 
 #: Trace of one run: consecutive configurations related by single steps.
@@ -51,36 +51,6 @@ class RunResult:
         return self.kind == ACCEPTED
 
 
-class _Compiled:
-    """Integer-indexed transition tables for the hot simulation loops."""
-
-    __slots__ = ("states", "index", "initial", "accept", "image", "is4w")
-
-    def __init__(self, a: Automaton2D):
-        require_valid(a)
-        self.states = a.states
-        self.index = {q: i for i, q in enumerate(a.states)}
-        self.initial = self.index[a.initial]
-        self.accept = self.index[a.accept]
-        self.is4w = a.variant == "4W"
-        self.image: dict[tuple[int, str], tuple] = {}
-        for (q, sym), img in a.delta.items():
-            # Sorted images keep run enumeration deterministic across
-            # processes regardless of set iteration order.
-            moves = tuple(
-                (self.index[q2], MOVES[d][0], MOVES[d][1], d) for q2, d in sorted(img)
-            )
-            self.image[(self.index[q], sym)] = moves
-
-
-def _compiled(a: Automaton2D) -> _Compiled:
-    comp = a._compiled
-    if comp is None:
-        comp = _Compiled(a)
-        a._compiled = comp
-    return comp
-
-
 def _band(w: Picture) -> list[str]:
     frame = BOUNDARY * (w.n + 2)
     return [frame] + [BOUNDARY + row + BOUNDARY for row in w.rows] + [frame]
@@ -96,7 +66,7 @@ def check_input(a: Automaton2D, w: Picture) -> None:
         raise AlphabetError(f"picture uses symbols {sorted(used - ok)} unknown to {a.name!r}")
 
 
-def _step(comp: _Compiled, band, m: int, n: int, si: int, r: int, c: int):
+def _step(comp: Compiled, band, m: int, n: int, si: int, r: int, c: int):
     """All successor triples of one configuration; r = -1 means escaped."""
     sym = BOUNDARY if r < 0 else band[r][c]
     out = []
@@ -112,9 +82,13 @@ def _step(comp: _Compiled, band, m: int, n: int, si: int, r: int, c: int):
     return out
 
 
-def _to_config(comp: _Compiled, triple) -> Configuration:
+def _to_config(comp: Compiled, triple) -> Configuration:
     si, r, c = triple
     return Configuration(comp.states[si], None if r < 0 else (r, c))
+
+
+def _to_triple(comp: Compiled, cfg: Configuration) -> tuple[int, int, int]:
+    return (comp.index[cfg.state], *((-1, -1) if cfg.loc is None else cfg.loc))
 
 
 def successors(a: Automaton2D, w: Picture, c: Configuration) -> set[Configuration]:
@@ -123,19 +97,16 @@ def successors(a: Automaton2D, w: Picture, c: Configuration) -> set[Configuratio
     The accepting state is terminal, and an undefined entry contributes
     nothing, so the result may be empty.
     """
-    comp = _compiled(a)
+    comp = a.compiled
     check_input(a, w)
     if c.state == a.accept:
         return set()
-    si = comp.index[c.state]
-    r, col = (-1, -1) if c.loc is None else c.loc
-    band = _band(w)
-    return {_to_config(comp, t) for t in _step(comp, band, w.m, w.n, si, r, col)}
+    return {_to_config(comp, t) for t in _step(comp, _band(w), w.m, w.n, *_to_triple(comp, c))}
 
 
 def accepts(a: Automaton2D, w: Picture) -> bool:
     """True iff some run from (initial, (1,1)) reaches the accepting state."""
-    comp = _compiled(a)
+    comp = a.compiled
     check_input(a, w)
     if comp.initial == comp.accept:
         return True
@@ -165,7 +136,7 @@ def run_deterministic(a: Automaton2D, w: Picture) -> RunResult:
     """
     if a.mode != "det":
         raise ModeError("run_deterministic requires a det-mode machine")
-    comp = _compiled(a)
+    comp = a.compiled
     check_input(a, w)
     band = _band(w)
     cur = (comp.initial, 1, 1)
@@ -190,31 +161,39 @@ def accepting_runs(a: Automaton2D, w: Picture, limit: int | None = None) -> list
 
     Depth-first, in a fixed order, so repeated calls agree; complete for
     repetition-free traces.  ``limit`` caps how many traces are returned.
+    The search keeps its own stack of successor iterators, one per
+    configuration on the current path, so run length is not bounded by
+    the interpreter's recursion limit.
     """
-    comp = _compiled(a)
+    comp = a.compiled
     check_input(a, w)
     band = _band(w)
     m, n = w.m, w.n
     found: list[RunTrace] = []
-
+    if limit is not None and limit <= 0:
+        return found
     start = (comp.initial, 1, 1)
-
-    def dfs(triple, path, on_path):
-        if limit is not None and len(found) >= limit:
-            return
-        if triple[0] == comp.accept:
-            found.append(tuple(_to_config(comp, t) for t in path))
-            return
-        for nxt in _step(comp, band, m, n, *triple):
+    if start[0] == comp.accept:
+        return [(_to_config(comp, start),)]
+    path = [start]
+    on_path = {start}
+    pending = [iter(_step(comp, band, m, n, *start))]
+    while pending:
+        for nxt in pending[-1]:
             if nxt in on_path:
                 continue
-            on_path.add(nxt)
+            if nxt[0] == comp.accept:
+                found.append(tuple(_to_config(comp, t) for t in (*path, nxt)))
+                if limit is not None and len(found) >= limit:
+                    return found
+                continue
             path.append(nxt)
-            dfs(nxt, path, on_path)
-            path.pop()
-            on_path.remove(nxt)
-
-    dfs(start, [start], {start})
+            on_path.add(nxt)
+            pending.append(iter(_step(comp, band, m, n, *nxt)))
+            break
+        else:
+            pending.pop()
+            on_path.remove(path.pop())
     return found
 
 
@@ -235,17 +214,14 @@ def replay_is_run(a: Automaton2D, w: Picture, trace: RunTrace) -> bool:
     """Check that consecutive trace entries are single delta steps on w."""
     if not trace:
         return False
-    comp = _compiled(a)
+    comp = a.compiled
     check_input(a, w)
     first = trace[0]
     if first.state != a.initial or first.loc != (1, 1):
         return False
     band = _band(w)
     for cur, nxt in zip(trace, trace[1:]):
-        si = comp.index[cur.state]
-        r, c = (-1, -1) if cur.loc is None else cur.loc
-        target = (comp.index[nxt.state], *((-1, -1) if nxt.loc is None else nxt.loc))
-        if target not in _step(comp, band, w.m, w.n, si, r, c):
+        if _to_triple(comp, nxt) not in _step(comp, band, w.m, w.n, *_to_triple(comp, cur)):
             return False
     return True
 
@@ -273,8 +249,3 @@ def format_trace(a: Automaton2D, w: Picture, trace: RunTrace, verdict: str) -> s
 def first_accepting_trace(a: Automaton2D, w: Picture) -> RunTrace | None:
     runs = accepting_runs(a, w, limit=1)
     return runs[0] if runs else None
-
-
-def require_accepts(a: Automaton2D, w: Picture) -> None:
-    if not accepts(a, w):
-        raise PreconditionError(f"{a.name!r} does not accept the given word")

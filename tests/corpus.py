@@ -1,8 +1,4 @@
-"""Hand-written machines shared across the test suite.
-
-Each builder returns fresh automata so tests cannot interfere through
-the per-object simulation caches.
-"""
+"""Hand-written machines shared across the test suite."""
 
 from pictomata import Alphabet, Automaton2D, build_witness, make_delta
 from pictomata.onedim import TWO_WAY, Automaton1D

@@ -1,7 +1,9 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from corpus import AB01, UNARY, corpus_2w, first_row_zeros, u_all_rows
+from corpus import AB01, UNARY, corpus_2w, first_row_zeros, top_left_one, u_all_rows, u_one_row
 from pictomata import (
     Automaton2D,
     DimBounds,
@@ -10,9 +12,11 @@ from pictomata import (
     enumerate_pictures,
     make_delta,
     parse_automaton,
+    picture_of,
     serialize_automaton,
     transpose,
     transpose_automaton,
+    unary_col_concat,
     validate,
 )
 
@@ -79,6 +83,31 @@ def test_transpose_duality_exhaustive():
         at = transpose_automaton(a)
         for w in enumerate_pictures(a.alphabet, bounds):
             assert accepts(a, w) == accepts(at, transpose(w)), (a.name, w.rows)
+
+
+def test_machines_are_immutable():
+    a = top_left_one()
+    zero = picture_of(["0"])
+    assert not accepts(a, zero)  # compiles and caches the tables
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.delta = make_delta([("q0", "0", "acc", "R")])
+    with pytest.raises(TypeError):
+        a.delta[("q0", "0")] = frozenset({("acc", "R")})
+    # A variant is a new machine with its own tables; the original keeps its answer.
+    b = dataclasses.replace(a, delta=make_delta([("q0", "0", "acc", "R")]))
+    assert accepts(b, zero) and not accepts(a, zero)
+    # The constructor copies the mapping it is given.
+    entries = make_delta([("q0", "1", "acc", "R")])
+    c = Automaton2D("c", "2W", "det", AB01, ("q0", "acc"), "q0", "acc", entries)
+    entries[("q0", "0")] = frozenset({("acc", "R")})
+    assert not accepts(c, zero)
+
+    x, y = u_one_row(), u_all_rows()
+    before = (serialize_automaton(x), serialize_automaton(y))
+    col = unary_col_concat(x, y)
+    assert col.name == "u_one_row_col_u_all_rows"
+    assert (serialize_automaton(x), serialize_automaton(y)) == before
+    assert (x, y) == (u_one_row(), u_all_rows())
 
 
 def test_serialize_parse_round_trip_corpus():

@@ -2,8 +2,8 @@ import io
 
 import pytest
 
-from corpus import u_all_rows, u_one_row
-from pictomata import build_witness, save_automaton
+from corpus import spray01, u_all_rows, u_one_row
+from pictomata import build_witness, cli, save_automaton
 from pictomata.cli import dispatch
 from pictomata.onedim import load_automaton_1d, save_automaton_1d, simulate_1d
 from pictomata.automaton import load_automaton
@@ -63,6 +63,58 @@ def test_run_reject_status(frz_path, tmp_path):
     status, out = run_cli(["run", frz_path, str(p)])
     assert status == 1
     assert "rejected" in out
+
+
+def test_run_nondet_verdict_without_trace_search(tmp_path, monkeypatch):
+    # The trace search enumerates simple paths, exponential on a rejected
+    # word; a verdict alone must come from accepts().
+    def no_search(a, w):
+        raise AssertionError("trace search for a bare verdict")
+
+    monkeypatch.setattr(cli, "first_accepting_trace", no_search)
+    apath, zeros, hit = tmp_path / "spray.aut", tmp_path / "z.pic", tmp_path / "h.pic"
+    save_automaton(spray01(), apath)
+    zeros.write_text("0000\n" * 4)
+    hit.write_text("01\n")
+    for extra in ([], ["--trace"]):
+        assert run_cli(["run", str(apath), str(zeros), *extra]) == (1, "verdict: rejected\n")
+    assert run_cli(["run", str(apath), str(hit)]) == (0, "verdict: accepted\n")
+
+
+_AUT_2D = "automaton m\nvariant 2W\nmode det\nalphabet 0 1\nstates q0 acc\ninitial q0\naccept acc\nq0 # -> acc R\n"
+_AUT_1D = "automaton n\nvariant 1D-2W\nmode det\nalphabet 0 1\nstates q0 acc\ninitial q0\naccept acc\n"
+_AUT_3W = "automaton h\nvariant 3W\nmode det\nalphabet 0 1\nstates q0 acc\ninitial q0\naccept acc\n"
+
+
+@pytest.mark.parametrize(
+    "verb, text",
+    [
+        pytest.param("validate", "automaton\n", id="2d-bare-key"),
+        pytest.param("validate", _AUT_2D.replace("variant 2W", "variant"), id="2d-no-variant"),
+        pytest.param("validate", _AUT_2D.replace("mode det", "mode"), id="2d-no-mode"),
+        pytest.param("validate", _AUT_2D.replace("initial q0", "initial"), id="2d-no-initial"),
+        pytest.param("validate", _AUT_2D.replace("accept acc", "accept"), id="2d-no-accept"),
+        pytest.param("to-oneway", _AUT_1D.replace("automaton n", "automaton"), id="1d-no-name"),
+        pytest.param("to-oneway", _AUT_1D.replace("variant 1D-2W", "variant"), id="1d-no-variant"),
+        pytest.param("to-oneway", _AUT_1D + "q0 0 -> ghost R\n", id="1d-undeclared-target"),
+        pytest.param("to-oneway", _AUT_1D + "ghost 0 -> q0 R\n", id="1d-undeclared-source"),
+        pytest.param("to-oneway", _AUT_1D.replace("initial q0", "initial ghost"), id="1d-undeclared-initial"),
+        pytest.param("to-oneway", _AUT_1D.replace("accept acc", "accept ghost"), id="1d-undeclared-accept"),
+        pytest.param("to-oneway", _AUT_1D + "q0 2 -> q0 R\n", id="1d-foreign-symbol"),
+        pytest.param("to-oneway", _AUT_1D + "q0 0 -> q0 X\n", id="1d-bad-move"),
+        pytest.param("rowsim", _AUT_3W + "q0 0 -> q0 R\nq0 0 -> acc D\n", id="3w-det-fan-out"),
+    ],
+)
+def test_malformed_machine_files_exit_2(tmp_path, verb, text):
+    path = tmp_path / "bad.aut"
+    path.write_text(text)
+    extra = {
+        "validate": [],
+        "to-oneway": ["-o", str(tmp_path / "o.aut")],
+        "rowsim": ["--entry-state", "q0", "--side", "left", "--offset", "1", "-o", str(tmp_path / "o.aut")],
+    }[verb]
+    status, out = run_cli([verb, str(path), *extra])
+    assert (status, out) == (2, "")
 
 
 def test_enum_report(frz_path):

@@ -183,5 +183,6 @@ def test_bound_growth():
 def test_1d_serialization_round_trip():
     for m in corpus_1d():
         assert parse_automaton_1d(serialize_automaton_1d(m)) == m
-    ow = two_way_to_one_way(corpus_1d()[0])
-    assert parse_automaton_1d(serialize_automaton_1d(ow)) == ow
+    never = Automaton1D("never", TWO_WAY, AB, ("q0", "acc"), "q0", ("acc",), {})
+    for ow in (two_way_to_one_way(corpus_1d()[0]), two_way_to_one_way(never)):
+        assert parse_automaton_1d(serialize_automaton_1d(ow)) == ow

@@ -9,6 +9,7 @@ from pictomata import (
     ModeError,
     accepting_runs,
     accepts,
+    first_accepting_trace,
     make_delta,
     picture_of,
     replay_accepts,
@@ -129,6 +130,15 @@ def test_two_way_traces_on_2x2_visit_at_most_three_cells():
 
 def test_accepting_runs_empty_when_rejected():
     assert accepting_runs(first_row_zeros(), picture_of(["1"])) == []
+
+
+def test_accepting_runs_follow_runs_deeper_than_the_recursion_limit():
+    a = first_row_zeros()
+    w = picture_of(["0" * 1500])
+    trace = first_accepting_trace(a, w)
+    assert trace is not None and len(trace) == 1502
+    assert replay_accepts(a, w, trace)
+    assert accepting_runs(a, w) == [trace]
 
 
 def test_accepting_runs_unique_for_det():
