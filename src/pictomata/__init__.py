@@ -86,6 +86,7 @@ from .simulate import (
     RunTrace,
     accepting_runs,
     accepts,
+    accepts_window,
     first_accepting_trace,
     format_trace,
     replay_accepts,

@@ -62,7 +62,7 @@ class Automaton2D:
 class Compiled:
     """Integer-indexed transition tables for the hot simulation loops."""
 
-    __slots__ = ("states", "index", "initial", "accept", "image", "is4w")
+    __slots__ = ("states", "index", "initial", "accept", "image", "is4w", "legal")
 
     def __init__(self, a: Automaton2D):
         require_valid(a)
@@ -71,14 +71,15 @@ class Compiled:
         self.initial = self.index[a.initial]
         self.accept = self.index[a.accept]
         self.is4w = a.variant == "4W"
-        self.image: dict[tuple[int, str], tuple] = {}
+        #: Symbols a picture may use, indexed by its ``allow_hash``.
+        symbols = frozenset(a.alphabet.symbols)
+        self.legal = (symbols, symbols | {BOUNDARY})
+        #: image[state index][symbol] = ((target index, row step, column step), ...)
+        self.image: list[dict[str, tuple]] = [{} for _ in a.states]
         for (q, sym), img in a.delta.items():
             # Sorted images keep run enumeration deterministic across
             # processes regardless of set iteration order.
-            moves = tuple(
-                (self.index[q2], MOVES[d][0], MOVES[d][1], d) for q2, d in sorted(img)
-            )
-            self.image[(self.index[q], sym)] = moves
+            self.image[self.index[q]][sym] = tuple((self.index[q2], *MOVES[d]) for q2, d in sorted(img))
 
 
 def make_delta(entries) -> Delta:

@@ -20,7 +20,7 @@ from itertools import product
 from .automaton import Automaton2D
 from .errors import AlphabetError, CapacityError, DimensionError
 from .picture import Alphabet, Picture, subpicture
-from .simulate import accepts
+from .simulate import accepts_window, check_input
 
 
 class ConcatKind(enum.Enum):
@@ -83,25 +83,27 @@ def concat_membership(kind: ConcatKind, a: Automaton2D, b: Automaton2D, w: Pictu
     L(b).  Col: symmetric on columns.  Diag: some interior point splits w
     into a top-left block in L(a) and a bottom-right block in L(b), with
     the other two corners unconstrained.  Words too small to split are
-    simply not members.
+    simply not members.  Each factor runs on its block of w in place
+    (:func:`~pictomata.simulate.accepts_window`); w's symbols are checked
+    against the factors' alphabet once, before any split is tried.
     """
     _check_pair(a, b)
+    check_input(a, w)
+    m, n = w.m, w.n
     if kind is ConcatKind.ROW:
         return any(
-            accepts(a, subpicture(w, 1, i, 1, w.n)) and accepts(b, subpicture(w, i + 1, w.m, 1, w.n))
-            for i in range(1, w.m)
+            accepts_window(a, w, 1, i, 1, n) and accepts_window(b, w, i + 1, m, 1, n)
+            for i in range(1, m)
         )
     if kind is ConcatKind.COL:
         return any(
-            accepts(a, subpicture(w, 1, w.m, 1, j)) and accepts(b, subpicture(w, 1, w.m, j + 1, w.n))
-            for j in range(1, w.n)
+            accepts_window(a, w, 1, m, 1, j) and accepts_window(b, w, 1, m, j + 1, n)
+            for j in range(1, n)
         )
     if kind is ConcatKind.DIAG:
-        for i in range(1, w.m):
-            for j in range(1, w.n):
-                if accepts(a, subpicture(w, 1, i, 1, j)) and accepts(
-                    b, subpicture(w, i + 1, w.m, j + 1, w.n)
-                ):
+        for i in range(1, m):
+            for j in range(1, n):
+                if accepts_window(a, w, 1, i, 1, j) and accepts_window(b, w, i + 1, m, j + 1, n):
                     return True
         return False
     raise ValueError(f"unknown concat kind {kind!r}")

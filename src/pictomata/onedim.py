@@ -17,7 +17,7 @@ with no automaton in between.
 
 from dataclasses import dataclass
 
-from .automaton import Automaton2D, header_lines, read_automaton_text, require_valid
+from .automaton import Automaton2D, header_lines, read_automaton_text
 from .errors import ModeError, PreconditionError, ToolkitError, VariantError
 from .picture import BOUNDARY, Alphabet, Picture
 from .simulate import run_deterministic
@@ -180,6 +180,9 @@ def _check_row_machine(m2: Automaton2D, entry_state: str, side: str, offset: int
     n = len(m2.states)
     if not 1 <= offset <= n + 1:
         raise PreconditionError(f"offset must lie in 1..{n + 1}")
+    # Validates the machine on first use and is cached on it, so the
+    # per-row oracle pays for validation once per machine, not per call.
+    m2.compiled
 
 
 def row_restriction(
@@ -196,9 +199,6 @@ def row_restriction(
     within 2n+3 states.
     """
     _check_row_machine(m2, entry_state, side, offset)
-    # Validated here, once per construction; the per-row oracle repeats
-    # _check_row_machine on every call and stays cheap.
-    require_valid(m2)
     syms = (*m2.alphabet.symbols, BOUNDARY)
     ACC = "down"
 

@@ -15,13 +15,7 @@ from .automaton import Automaton2D
 from .concat import ConcatKind, concat_membership
 from .errors import CapacityError, PreconditionError
 from .picture import Alphabet, Picture
-from .simulate import (
-    RunTrace,
-    accepting_runs,
-    accepts,
-    run_deterministic,
-    visited_cells,
-)
+from .simulate import RunTrace, accepting_runs, accepts, visited_cells
 
 DEFAULT_BUDGET = 10**7
 
@@ -136,25 +130,6 @@ def _off_trace_flips(w: Picture, trace: RunTrace, alphabet: Alphabet) -> Iterato
                 yield w.with_cell(pos, sym)
 
 
-def _rejection_flip(
-    candidate: Automaton2D, w: Picture, target: Callable[[Picture], bool]
-) -> Counterexample | None:
-    """Deterministic dual of the flip attack.
-
-    The unique rejecting run of a det machine reads the same cells on any
-    word that agrees with w off its path, so flipping an unvisited cell
-    into the target language exhibits a word the candidate wrongly
-    rejects.
-    """
-    result = run_deterministic(candidate, w)
-    if result.accepted:
-        return None
-    for flipped in _off_trace_flips(w, result.trace, candidate.alphabet):
-        if target(flipped):
-            return Counterexample(flipped, expected=True, got=False, evidence=result.trace)
-    return None
-
-
 def verify_counterexample(
     candidate: Automaton2D, target: Callable[[Picture], bool], ce: Counterexample
 ) -> bool:
@@ -172,28 +147,23 @@ def refute(
 ) -> Counterexample | None:
     """Search for a witness that candidate does not recognize L(a) kind L(b).
 
-    Three passes, each deterministic: exhaustive comparison against the
-    split-enumeration oracle; the flip attack seeded at every accepted
-    word; and, for det candidates, the rejection-side flip.  The first
+    One deterministic pass: exhaustive comparison against the
+    split-enumeration oracle over every picture within bounds.  The first
     counterexample found is verified and returned.
+
+    Flipping cells off a run finds nothing more within the same bounds.
+    A flip of a cell that an accepting run never visits leaves that run
+    intact, so the flipped word (same size, same alphabet) is still
+    accepted, and this pass has already compared it with the target
+    (that is :func:`flip_attack`'s premise).  Likewise the unique run of a
+    det machine reads the same cells on any word that agrees with w on
+    them, so a rejected word stays rejected under every off-run flip.
     """
 
     def target(w: Picture) -> bool:
         return concat_membership(kind, a, b, w)
 
     ce = equivalent_up_to(candidate, target, bounds, budget)
-    if ce is None:
-        for w in enumerate_pictures(candidate.alphabet, bounds, budget):
-            if accepts(candidate, w):
-                ce = flip_attack(candidate, w, target)
-                if ce:
-                    break
-    if ce is None and candidate.mode == "det":
-        for w in enumerate_pictures(candidate.alphabet, bounds, budget):
-            if not accepts(candidate, w):
-                ce = _rejection_flip(candidate, w, target)
-                if ce:
-                    break
     if ce is not None and not verify_counterexample(candidate, target, ce):
         raise AssertionError("internal error: unverifiable counterexample")
     return ce

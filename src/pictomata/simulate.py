@@ -10,6 +10,15 @@ also sent to the sink, which forgoes only the possibility of marching
 back in across the frame.  For 4W machines a band-exiting move is treated
 as undefined, keeping the configuration space finite.
 
+Cells are read where they are: one kernel, :func:`_step`, reads the word
+through a window (row and column offset plus size) into the rows of a
+picture, and answers ``#`` for every band position outside the window.
+No bordered band and no block picture is ever built.  Every entry point
+goes through that kernel; :func:`accepts_window` runs a machine on one
+block of a larger picture exactly as :func:`accepts` would run it on the
+block copied out with :func:`~pictomata.picture.subpicture`, which is
+what the split-enumeration oracles in ``concat`` do for every split.
+
 Everything here is a pure function of (automaton, picture), and every run
 terminates: the configuration space has at most |Q|*((m+2)(n+2)+1)
 elements and deterministic runs stop at the first repeated configuration.
@@ -19,7 +28,7 @@ from dataclasses import dataclass
 
 from .automaton import Automaton2D, Compiled
 from .errors import AlphabetError, ModeError
-from .picture import BOUNDARY, Picture, Position
+from .picture import BOUNDARY, Picture, Position, check_window
 
 #: Trace of one run: consecutive configurations related by single steps.
 RunTrace = tuple["Configuration", ...]
@@ -51,30 +60,42 @@ class RunResult:
         return self.kind == ACCEPTED
 
 
-def _band(w: Picture) -> list[str]:
-    frame = BOUNDARY * (w.n + 2)
-    return [frame] + [BOUNDARY + row + BOUNDARY for row in w.rows] + [frame]
+def check_input(a: Automaton2D, w: Picture, window: tuple[int, int, int, int] | None = None) -> None:
+    """Reject pictures that use symbols outside the machine's alphabet.
+
+    With ``window`` = (r1, r2, c1, c2) only that block of ``w`` must be
+    legal; the block is looked at only when ``w`` as a whole is not.
+    """
+    ok = a.compiled.legal[w.allow_hash]
+    used = set("".join(w.rows))
+    if used <= ok:
+        return
+    if window is not None:
+        r1, r2, c1, c2 = window
+        used = set("".join([row[c1 - 1 : c2] for row in w.rows[r1 - 1 : r2]]))
+        if used <= ok:
+            return
+    raise AlphabetError(f"picture uses symbols {sorted(used - ok)} unknown to {a.name!r}")
 
 
-def check_input(a: Automaton2D, w: Picture) -> None:
-    """Reject pictures that use symbols outside the machine's alphabet."""
-    ok = set(a.alphabet.symbols)
-    if w.allow_hash:
-        ok.add(BOUNDARY)
-    used = {ch for row in w.rows for ch in row}
-    if not used <= ok:
-        raise AlphabetError(f"picture uses symbols {sorted(used - ok)} unknown to {a.name!r}")
+def _step(comp: Compiled, rows, r0: int, c0: int, m: int, n: int, si: int, r: int, c: int):
+    """All successor triples of one configuration; r = -1 means escaped.
 
-
-def _step(comp: Compiled, band, m: int, n: int, si: int, r: int, c: int):
-    """All successor triples of one configuration; r = -1 means escaped."""
-    sym = BOUNDARY if r < 0 else band[r][c]
+    (r, c) is a band position of the m x n window whose cell (i, j) is
+    ``rows[r0 + i][c0 + j]`` (r0 = c0 = -1 for a whole picture); every
+    position off the window reads ``#``, whatever the rows hold there.
+    """
+    image = comp.image[si]
+    if 0 < r <= m and 0 < c <= n:
+        moves = image.get(rows[r0 + r][c0 + c], ())
+    elif r < 0:
+        return [(q2, -1, -1) for q2, _, _ in image.get(BOUNDARY, ())]
+    else:
+        moves = image.get(BOUNDARY, ())
     out = []
-    for q2, dr, dc, _ in comp.image.get((si, sym), ()):
-        if r < 0:
-            out.append((q2, -1, -1))
-            continue
-        r2, c2 = r + dr, c + dc
+    for q2, dr, dc in moves:
+        r2 = r + dr
+        c2 = c + dc
         if 0 <= r2 <= m + 1 and 0 <= c2 <= n + 1:
             out.append((q2, r2, c2))
         elif not comp.is4w:
@@ -101,30 +122,40 @@ def successors(a: Automaton2D, w: Picture, c: Configuration) -> set[Configuratio
     check_input(a, w)
     if c.state == a.accept:
         return set()
-    return {_to_config(comp, t) for t in _step(comp, _band(w), w.m, w.n, *_to_triple(comp, c))}
+    return {_to_config(comp, t) for t in _step(comp, w.rows, -1, -1, w.m, w.n, *_to_triple(comp, c))}
 
 
 def accepts(a: Automaton2D, w: Picture) -> bool:
     """True iff some run from (initial, (1,1)) reaches the accepting state."""
+    return accepts_window(a, w, 1, w.m, 1, w.n)
+
+
+def accepts_window(a: Automaton2D, w: Picture, r1: int, r2: int, c1: int, c2: int) -> bool:
+    """``accepts(a, subpicture(w, r1, r2, c1, c2))``, without the copy.
+
+    The machine runs on the block with corners (r1,c1) and (r2,c2) framed
+    by its own ``#`` border: a head that steps off the block reads ``#``,
+    never the neighbouring cell of ``w``.  A bad window raises the same
+    ``WindowError`` as :func:`~pictomata.picture.subpicture`, and only the
+    block's symbols are checked against the alphabet.
+    """
+    check_window(w, r1, r2, c1, c2)
     comp = a.compiled
-    check_input(a, w)
+    check_input(a, w, (r1, r2, c1, c2))
     if comp.initial == comp.accept:
         return True
-    band = _band(w)
-    m, n = w.m, w.n
+    rows, r0, c0, m, n = w.rows, r1 - 2, c1 - 2, r2 - r1 + 1, c2 - c1 + 1
+    accept = comp.accept
     start = (comp.initial, 1, 1)
     seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for si, r, c in frontier:
-            for t in _step(comp, band, m, n, si, r, c):
-                if t[0] == comp.accept:
-                    return True
-                if t not in seen:
-                    seen.add(t)
-                    nxt.append(t)
-        frontier = nxt
+    todo = [start]
+    while todo:
+        for t in _step(comp, rows, r0, c0, m, n, *todo.pop()):
+            if t[0] == accept:
+                return True
+            if t not in seen:
+                seen.add(t)
+                todo.append(t)
     return False
 
 
@@ -138,7 +169,6 @@ def run_deterministic(a: Automaton2D, w: Picture) -> RunResult:
         raise ModeError("run_deterministic requires a det-mode machine")
     comp = a.compiled
     check_input(a, w)
-    band = _band(w)
     cur = (comp.initial, 1, 1)
     seen = {cur}
     trace = [_to_config(comp, cur)]
@@ -146,7 +176,7 @@ def run_deterministic(a: Automaton2D, w: Picture) -> RunResult:
         si = cur[0]
         if si == comp.accept:
             return RunResult(ACCEPTED, tuple(trace))
-        succ = _step(comp, band, w.m, w.n, si, cur[1], cur[2])
+        succ = _step(comp, w.rows, -1, -1, w.m, w.n, si, cur[1], cur[2])
         if not succ:
             return RunResult(REJECTED_UNDEFINED, tuple(trace))
         cur = succ[0]
@@ -167,8 +197,7 @@ def accepting_runs(a: Automaton2D, w: Picture, limit: int | None = None) -> list
     """
     comp = a.compiled
     check_input(a, w)
-    band = _band(w)
-    m, n = w.m, w.n
+    rows, m, n = w.rows, w.m, w.n
     found: list[RunTrace] = []
     if limit is not None and limit <= 0:
         return found
@@ -177,7 +206,7 @@ def accepting_runs(a: Automaton2D, w: Picture, limit: int | None = None) -> list
         return [(_to_config(comp, start),)]
     path = [start]
     on_path = {start}
-    pending = [iter(_step(comp, band, m, n, *start))]
+    pending = [iter(_step(comp, rows, -1, -1, m, n, *start))]
     while pending:
         for nxt in pending[-1]:
             if nxt in on_path:
@@ -189,7 +218,7 @@ def accepting_runs(a: Automaton2D, w: Picture, limit: int | None = None) -> list
                 continue
             path.append(nxt)
             on_path.add(nxt)
-            pending.append(iter(_step(comp, band, m, n, *nxt)))
+            pending.append(iter(_step(comp, rows, -1, -1, m, n, *nxt)))
             break
         else:
             pending.pop()
@@ -219,9 +248,8 @@ def replay_is_run(a: Automaton2D, w: Picture, trace: RunTrace) -> bool:
     first = trace[0]
     if first.state != a.initial or first.loc != (1, 1):
         return False
-    band = _band(w)
     for cur, nxt in zip(trace, trace[1:]):
-        if _to_triple(comp, nxt) not in _step(comp, band, w.m, w.n, *_to_triple(comp, cur)):
+        if _to_triple(comp, nxt) not in _step(comp, w.rows, -1, -1, w.m, w.n, *_to_triple(comp, cur)):
             return False
     return True
 

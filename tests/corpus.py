@@ -173,6 +173,38 @@ def corpus_3w_det():
     return [t9a(), descend3w(), drift3w(), boustro3w()]
 
 
+def left_probe3w():
+    # steps left off the first cell, where only '#' lets it accept
+    return _mk("left_probe3w", ("q0", "q1", "acc"), "q0", "acc",
+               [("q0", "0", "q1", "L"), ("q0", "1", "q1", "L"), ("q1", "#", "acc", "D")],
+               variant="3W")
+
+
+def up_left_probe4w():
+    # steps up off the first cell, then left into the corner; accepts only
+    # if both reads are '#'
+    return _mk("up_left_probe4w", ("q0", "q1", "q2", "acc"), "q0", "acc",
+               [("q0", "0", "q1", "U"), ("q0", "1", "q1", "U"),
+                ("q1", "#", "q2", "L"), ("q2", "#", "acc", "D")],
+               variant="4W")
+
+
+def wander4w():
+    # nondeterministic walk in every direction; accepts on reading a '1'
+    # just after moving up or left
+    return _mk("wander4w", ("q0", "q1", "acc"), "q0", "acc",
+               [("q0", s, "q0", d) for s in "0#" for d in "DR"]
+               + [("q0", s, "q1", d) for s in "01#" for d in "UL"]
+               + [("q1", "0", "q0", "D"), ("q1", "#", "q0", "R"), ("q1", "1", "acc", "D")],
+               variant="4W", mode="nondet")
+
+
+def corpus_edge_walkers():
+    """Three-way and four-way machines whose heads step off the word
+    upward and leftward."""
+    return [left_probe3w(), up_left_probe4w(), wander4w()]
+
+
 def corpus_1d():
     """Deterministic two-way string machines, three states at most."""
     ends_zero = Automaton1D(

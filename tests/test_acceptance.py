@@ -175,6 +175,7 @@ def test_criterion_03_column_duality():
     )
 
 
+@pytest.mark.slow
 def test_criterion_04_diagonal_closure():
     pairs = diag_pairs()
     assert len(pairs) >= 4
@@ -225,6 +226,7 @@ def _separated_family(max_m: int, max_n: int, syms):
                         )
 
 
+@pytest.mark.slow
 def test_criterion_05_separated_diagonal():
     t0 = time.time()
     failures = []

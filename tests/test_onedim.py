@@ -124,6 +124,17 @@ def test_row_restriction_offset_precondition():
         row_restriction(m, "q0", "left", 0)
 
 
+def test_row_machine_with_det_fan_out_is_a_toolkit_error():
+    from corpus import _mk
+
+    m = _mk("fan3w", ("q0", "acc"), "q0", "acc",
+            [("q0", "0", "q0", "R"), ("q0", "0", "acc", "D")], variant="3W")
+    with pytest.raises(ToolkitError, match="fan-out"):
+        row_departure_oracle(m, "q0", "left", 1, "00")
+    with pytest.raises(ToolkitError, match="fan-out"):
+        row_restriction(m, "q0", "left", 1)
+
+
 def test_row_restriction_unconditional_descent():
     m = descend3w()
     n1 = row_restriction(m, "q0", "left", 1)

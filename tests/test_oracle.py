@@ -8,6 +8,7 @@ from corpus import (
     universal01,
 )
 from pictomata import (
+    AlphabetError,
     Automaton2D,
     CapacityError,
     ConcatKind,
@@ -107,6 +108,16 @@ def test_refute_wrong_candidates_for_stacked_language():
         )
 
 
+def test_refute_finds_words_the_candidate_wrongly_rejects():
+    # a det candidate with an empty language: the witness is the first
+    # member of the stacked language in enumeration order
+    L = first_row_zeros()
+    never = Automaton2D("never", "2W", "det", AB01, ("q0", "acc"), "q0", "acc", {})
+    ce = refute(never, ConcatKind.ROW, L, L, DimBounds(3, 3))
+    assert ce.word == picture_of(["0", "0"])
+    assert (ce.expected, ce.got, ce.evidence) == (True, False, None)
+
+
 def test_refute_repeatable():
     L = first_row_zeros()
     bounds = DimBounds(3, 3)
@@ -132,3 +143,15 @@ def test_refute_det_candidate_for_diagonal_language():
     assert verify_counterexample(
         tlo, lambda w: concat_membership(ConcatKind.DIAG, tlo, tlo, w), ce
     )
+
+
+def test_concat_membership_rejects_foreign_symbols_before_splitting():
+    # the factors' alphabet is checked on the whole word, so a foreign
+    # symbol raises whatever the kind, the size or the split that would
+    # be tried first (a 1 x n word has no row or diagonal split at all)
+    L = first_row_zeros()
+    words = [picture_of(["0a0"]), picture_of(["0", "a"]), picture_of(["00", "0a"]), picture_of(["a0", "00"])]
+    for kind in ConcatKind:
+        for w in words:
+            with pytest.raises(AlphabetError):
+                concat_membership(kind, L, L, w)

@@ -42,8 +42,15 @@ def test_alphabet_rejects_hash_and_duplicates():
 def test_picture_shape_checks():
     with pytest.raises(WindowError):
         picture_of(["01", "0"])
-    with pytest.raises(AlphabetError):
-        picture_of(["0#"])
+    with pytest.raises(AlphabetError, match="'#' cell needs allow_hash"):
+        picture_of(["00", "0#"])
+    # the first bad cell of a row is the one named
+    with pytest.raises(AlphabetError, match="'#' cell needs allow_hash"):
+        picture_of(["0#\t"])
+    with pytest.raises(AlphabetError, match=r"unprintable cell '\\t'"):
+        picture_of(["0\t#"])
+    with pytest.raises(AlphabetError, match=r"unprintable cell '\\n'"):
+        picture_of(["0\n#"], allow_hash=True)
     p = picture_of(["0#"], allow_hash=True)
     assert p.cell(1, 2) == "#"
 

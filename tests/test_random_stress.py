@@ -7,6 +7,8 @@ not."""
 import random
 from itertools import product
 
+import pytest
+
 from pictomata import (
     Alphabet,
     Automaton2D,
@@ -114,6 +116,7 @@ def _all_separated(max_m, max_n, syms):
                         )
 
 
+@pytest.mark.slow
 def test_diag_concat_separated_random():
     rng = random.Random(4242)
     for trial in range(40):

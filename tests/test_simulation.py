@@ -1,19 +1,38 @@
+import random
+from itertools import product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from corpus import AB01, corpus_2w, corpus_2w_det, first_row_zeros, loopy01, universal01
+from corpus import (
+    AB01,
+    corpus_2w,
+    corpus_2w_det,
+    corpus_3w_det,
+    corpus_edge_walkers,
+    first_row_zeros,
+    left_probe3w,
+    loopy01,
+    universal01,
+    up_left_probe4w,
+)
 from pictomata import (
     AlphabetError,
     Automaton2D,
     Configuration,
+    DimBounds,
     ModeError,
+    WindowError,
     accepting_runs,
     accepts,
+    accepts_window,
+    enumerate_pictures,
     first_accepting_trace,
     make_delta,
     picture_of,
     replay_accepts,
     run_deterministic,
+    subpicture,
     successors,
     visited_cells,
 )
@@ -200,3 +219,98 @@ def test_replay_soundness_after_offtrace_flip(seed):
                     continue
                 flipped = w.with_cell(pos, "1")
                 assert replay_accepts(a, flipped, t), (a.name, pos)
+
+
+def test_accepts_window_equals_accepts_on_subpicture():
+    # every window of every picture up to 3x3, for two-, three- and
+    # four-way machines; the reference copies the block out
+    machines = corpus_2w() + corpus_3w_det() + corpus_edge_walkers()
+    for a in machines:
+        blocks = {}
+        for w in enumerate_pictures(a.alphabet, DimBounds(3, 3)):
+            for r1, c1 in product(range(1, w.m + 1), range(1, w.n + 1)):
+                for r2, c2 in product(range(r1, w.m + 1), range(c1, w.n + 1)):
+                    block = subpicture(w, r1, r2, c1, c2)
+                    if block not in blocks:
+                        blocks[block] = accepts(a, block)
+                    assert accepts_window(a, w, r1, r2, c1, c2) == blocks[block], (
+                        a.name, w.rows, (r1, r2, c1, c2)
+                    )
+
+
+def test_accepts_window_reads_marker_past_every_window_edge():
+    # the probes accept only if the cells above / left of the window's
+    # first cell read '#', although the parent word has '1' there
+    w = picture_of(["111", "111", "111"])
+    for probe in (left_probe3w(), up_left_probe4w()):
+        assert accepts(probe, w)
+        assert accepts_window(probe, w, 2, 3, 2, 3)
+        assert accepts_window(probe, w, 3, 3, 3, 3)
+    # scanning right stops at the window's right edge, not the word's
+    scan = first_row_zeros()
+    assert not accepts(scan, picture_of(["001"]))
+    assert accepts_window(scan, picture_of(["001"]), 1, 1, 1, 2)
+
+
+def test_accepts_window_errors_match_subpicture():
+    a = first_row_zeros()
+    w = picture_of(["02", "00"])
+    for window in ((2, 1, 1, 2), (1, 3, 1, 2), (0, 1, 1, 1), (1, 1, 2, 3)):
+        with pytest.raises(WindowError):
+            subpicture(w, *window)
+        with pytest.raises(WindowError):
+            accepts_window(a, w, *window)
+    # only the window's symbols are checked against the alphabet
+    with pytest.raises(AlphabetError):
+        accepts_window(a, w, 1, 1, 1, 2)
+    assert accepts_window(a, w, 2, 2, 1, 2) == accepts(a, subpicture(w, 2, 2, 1, 2))
+    assert accepts_window(a, w, 1, 2, 1, 1) == accepts(a, subpicture(w, 1, 2, 1, 1))
+
+
+def _random_machine(rng, variant, mode):
+    dirs = {"2W": "DR", "3W": "DLR", "4W": "DLRU"}[variant]
+    states = ("q0", "q1", "q2", "acc")
+    entries = []
+    for q in states[:-1]:
+        for sym in "01#":
+            if rng.random() < 0.7:
+                for _ in range(2 if mode == "nondet" and rng.random() < 0.4 else 1):
+                    entries.append((q, sym, rng.choice(states), rng.choice(dirs)))
+    return Automaton2D(f"r{variant}{mode}", variant, mode, AB01, states, "q0", "acc", make_delta(entries))
+
+
+def _off_trace_flips(w, trace):
+    seen = visited_cells(trace, w)
+    for pos in w.positions():
+        if pos not in seen:
+            yield w.with_cell(pos, "1" if w.cell(*pos) == "0" else "0")
+
+
+@given(
+    st.integers(0, 2**32),
+    st.sampled_from(["2W", "3W", "4W"]),
+    st.sampled_from(["det", "nondet"]),
+    st.integers(1, 3),
+    st.integers(1, 3),
+)
+@settings(max_examples=300, deadline=None)
+def test_runs_survive_off_trace_flips(seed, variant, mode, m, n):
+    # Run preservation: a run reads only the cells it visits, so changing
+    # any other cell keeps it a run.  Accepted words stay accepted under
+    # off-trace flips of any accepting run, and a det machine's rejecting
+    # run is the same run on every off-trace flip.  This is why flipping
+    # cannot refute a candidate that exhaustive comparison within the
+    # same bounds does not already refute.
+    rng = random.Random(seed)
+    a = _random_machine(rng, variant, mode)
+    w = picture_of(["".join(rng.choice("01") for _ in range(n)) for _ in range(m)])
+    if accepts(a, w):
+        for trace in accepting_runs(a, w, limit=8):
+            for flipped in _off_trace_flips(w, trace):
+                assert replay_accepts(a, flipped, trace)
+                assert accepts(a, flipped)
+    elif mode == "det":
+        result = run_deterministic(a, w)
+        for flipped in _off_trace_flips(w, result.trace):
+            assert run_deterministic(a, flipped) == result
+            assert not accepts(a, flipped)
