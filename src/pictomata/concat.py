@@ -19,7 +19,7 @@ from itertools import product
 
 from .automaton import Automaton2D
 from .errors import AlphabetError, CapacityError, DimensionError
-from .picture import Alphabet, Picture, subpicture
+from .picture import Alphabet, Picture
 from .simulate import accepts_window, check_input
 
 
@@ -85,10 +85,13 @@ def concat_membership(kind: ConcatKind, a: Automaton2D, b: Automaton2D, w: Pictu
     the other two corners unconstrained.  Words too small to split are
     simply not members.  Each factor runs on its block of w in place
     (:func:`~pictomata.simulate.accepts_window`); w's symbols are checked
-    against the factors' alphabet once, before any split is tried.
+    against the factors' alphabet once, before any split is tried.  That
+    alphabet never holds ``#``, whatever ``w.allow_hash`` says: L(a) and
+    L(b) contain no word with a ``#`` cell, so neither does their
+    concatenation, and such a ``w`` raises ``AlphabetError``.
     """
     _check_pair(a, b)
-    check_input(a, w)
+    check_input(a, w, allow_hash=False)
     m, n = w.m, w.n
     if kind is ConcatKind.ROW:
         return any(
@@ -115,20 +118,27 @@ def split_separated(p: Picture) -> tuple[int, int, Picture, Picture] | None:
     Expects exactly one all-``#`` row and one all-``#`` column, no stray
     ``#`` cells, and four nonempty quadrants; returns (sep_row, sep_col,
     top_left, bottom_right) or None if the layout is malformed.
+
+    Only rows are inspected.  Once every row but the separator row holds
+    exactly one ``#``, all in column sc, that column is all ``#``, no
+    other column can be (it has a non-``#`` cell in the first row), and
+    no ``#`` lies off the two separators; so this equals the definition
+    that tests every row and every column.
     """
-    hash_rows = [i for i in range(1, p.m + 1) if all(ch == "#" for ch in p.rows[i - 1])]
-    hash_cols = [
-        j for j in range(1, p.n + 1) if all(row[j - 1] == "#" for row in p.rows)
-    ]
-    if len(hash_rows) != 1 or len(hash_cols) != 1:
+    rows, m, n = p.rows, p.m, p.n
+    bar = "#" * n
+    if rows.count(bar) != 1:
         return None
-    sr, sc = hash_rows[0], hash_cols[0]
-    for i, j in p.positions():
-        if p.rows[i - 1][j - 1] == "#" and i != sr and j != sc:
+    sr = rows.index(bar) + 1
+    sc = rows[0].find("#") + 1
+    if not (2 <= sr <= m - 1 and 2 <= sc <= n - 1):
+        return None
+    for i, row in enumerate(rows, 1):
+        if i != sr and (row[sc - 1] != "#" or row.count("#") != 1):
             return None
-    if not (2 <= sr <= p.m - 1 and 2 <= sc <= p.n - 1):
-        return None
-    return sr, sc, subpicture(p, 1, sr - 1, 1, sc - 1), subpicture(p, sr + 1, p.m, sc + 1, p.n)
+    top_left = Picture(tuple(row[: sc - 1] for row in rows[: sr - 1]))
+    bottom_right = Picture(tuple(row[sc:] for row in rows[sr:]))
+    return sr, sc, top_left, bottom_right
 
 
 def build_separated(w: Picture, v: Picture, fill_tr: Picture, fill_bl: Picture) -> Picture:

@@ -18,6 +18,10 @@ goes through that kernel; :func:`accepts_window` runs a machine on one
 block of a larger picture exactly as :func:`accepts` would run it on the
 block copied out with :func:`~pictomata.picture.subpicture`, which is
 what the split-enumeration oracles in ``concat`` do for every split.
+:func:`accepts` and :func:`accepts_window` share one search loop,
+:func:`_search`; they differ only in their input checks (the whole
+picture against the alphabet, or the window's bounds and then only the
+block's symbols).
 
 Everything here is a pure function of (automaton, picture), and every run
 terminates: the configuration space has at most |Q|*((m+2)(n+2)+1)
@@ -60,13 +64,21 @@ class RunResult:
         return self.kind == ACCEPTED
 
 
-def check_input(a: Automaton2D, w: Picture, window: tuple[int, int, int, int] | None = None) -> None:
+def check_input(
+    a: Automaton2D,
+    w: Picture,
+    window: tuple[int, int, int, int] | None = None,
+    *,
+    allow_hash: bool | None = None,
+) -> None:
     """Reject pictures that use symbols outside the machine's alphabet.
 
     With ``window`` = (r1, r2, c1, c2) only that block of ``w`` must be
     legal; the block is looked at only when ``w`` as a whole is not.
+    ``#`` cells are legal when ``allow_hash`` is true; it defaults to
+    ``w.allow_hash``.
     """
-    ok = a.compiled.legal[w.allow_hash]
+    ok = a.compiled.legal[w.allow_hash if allow_hash is None else allow_hash]
     used = set("".join(w.rows))
     if used <= ok:
         return
@@ -127,7 +139,8 @@ def successors(a: Automaton2D, w: Picture, c: Configuration) -> set[Configuratio
 
 def accepts(a: Automaton2D, w: Picture) -> bool:
     """True iff some run from (initial, (1,1)) reaches the accepting state."""
-    return accepts_window(a, w, 1, w.m, 1, w.n)
+    check_input(a, w)
+    return _search(a.compiled, w.rows, -1, -1, w.m, w.n)
 
 
 def accepts_window(a: Automaton2D, w: Picture, r1: int, r2: int, c1: int, c2: int) -> bool:
@@ -140,11 +153,15 @@ def accepts_window(a: Automaton2D, w: Picture, r1: int, r2: int, c1: int, c2: in
     block's symbols are checked against the alphabet.
     """
     check_window(w, r1, r2, c1, c2)
-    comp = a.compiled
     check_input(a, w, (r1, r2, c1, c2))
+    return _search(a.compiled, w.rows, r1 - 2, c1 - 2, r2 - r1 + 1, c2 - c1 + 1)
+
+
+def _search(comp: Compiled, rows, r0: int, c0: int, m: int, n: int) -> bool:
+    """Depth-first search, with a seen set, for a run of the m x n window
+    (as in :func:`_step`) that reaches the accepting state."""
     if comp.initial == comp.accept:
         return True
-    rows, r0, c0, m, n = w.rows, r1 - 2, c1 - 2, r2 - r1 + 1, c2 - c1 + 1
     accept = comp.accept
     start = (comp.initial, 1, 1)
     seen = {start}

@@ -1,6 +1,8 @@
 """Hand-written machines shared across the test suite."""
 
-from pictomata import Alphabet, Automaton2D, build_witness, make_delta
+from itertools import product
+
+from pictomata import Alphabet, Automaton2D, Picture, accepts, build_witness, make_delta, split_separated
 from pictomata.onedim import TWO_WAY, Automaton1D
 
 AB01 = Alphabet(("0", "1"))
@@ -139,6 +141,52 @@ def separated_pairs():
         (top_left_one(), top_left_one()),
         (first_row_zeros(), one_row01()),
     ]
+
+
+def separated_layouts(max_m, max_n, syms):
+    """Every picture within bounds whose markers form one full row plus
+    one full column (separator positions range over the whole band, so
+    degenerate layouts with an empty quadrant are included).
+
+    Order: by rows m, columns n, separator row sr, separator column sc,
+    then the free cells (all but row sr and column sc) in row-major order
+    as ``itertools.product`` over ``syms`` counts them.
+    """
+    for m in range(1, max_m + 1):
+        for n in range(1, max_n + 1):
+            bar, w = "#" * n, n - 1
+            starts = [k * w for k in range(m - 1)]  # where each non-separator row begins in the fill
+            for sr in range(1, m + 1):
+                for sc in range(1, n + 1):
+                    for fill in product(syms, repeat=(m - 1) * w):
+                        s = "".join(fill)
+                        rows = [s[i : i + sc - 1] + "#" + s[i + sc - 1 : i + w] for i in starts]
+                        rows.insert(sr - 1, bar)
+                        yield Picture(tuple(rows), allow_hash=True)
+
+
+def separated_member(a, b):
+    """Layout oracle for the separated diagonal product of a and b.
+
+    The returned predicate splits a layout with ``split_separated`` and
+    runs a on the top-left and b on the bottom-right quadrant; malformed
+    layouts are not members.  Verdicts are cached per quadrant.
+    """
+    cache = {}
+
+    def member(p):
+        parts = split_separated(p)
+        if parts is None:
+            return False
+        _, _, tl, br = parts
+        ka, kb = ("A", tl.rows), ("B", br.rows)
+        if ka not in cache:
+            cache[ka] = accepts(a, tl)
+        if kb not in cache:
+            cache[kb] = accepts(b, br)
+        return cache[ka] and cache[kb]
+
+    return member
 
 
 def t9a():

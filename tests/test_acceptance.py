@@ -22,6 +22,8 @@ from corpus import (
     diag_pairs,
     first_row_zeros,
     rowzeros_tall01,
+    separated_layouts,
+    separated_member,
     separated_pairs,
     top_left_one,
     unary_pairs,
@@ -53,7 +55,6 @@ from pictomata import (
     row_restriction,
     run_deterministic,
     simulate_1d,
-    split_separated,
     gadget_k,
     thm9_x_family,
     to_ibr,
@@ -198,34 +199,6 @@ def test_criterion_04_diagonal_closure():
     )
 
 
-def _separated_family(max_m: int, max_n: int, syms):
-    """Every picture within bounds whose markers form one full row plus
-    one full column (separator positions range over the whole band, so
-    degenerate layouts with an empty quadrant are included)."""
-    for m in range(1, max_m + 1):
-        for n in range(1, max_n + 1):
-            for sr in range(1, m + 1):
-                for sc in range(1, n + 1):
-                    free = [
-                        (i, j)
-                        for i in range(1, m + 1)
-                        for j in range(1, n + 1)
-                        if i != sr and j != sc
-                    ]
-                    for fill in product(syms, repeat=len(free)):
-                        cells = dict(zip(free, fill))
-                        yield Picture(
-                            tuple(
-                                "".join(
-                                    "#" if (i == sr or j == sc) else cells[(i, j)]
-                                    for j in range(1, n + 1)
-                                )
-                                for i in range(1, m + 1)
-                            ),
-                            allow_hash=True,
-                        )
-
-
 @pytest.mark.slow
 def test_criterion_05_separated_diagonal():
     t0 = time.time()
@@ -237,21 +210,8 @@ def test_criterion_05_separated_diagonal():
         if validate(c):
             failures.append((a.name, b.name, "invalid"))
             continue
-        block_cache: dict = {}
-
-        def member(p, a=a, b=b, cache=block_cache):
-            parts = split_separated(p)
-            if parts is None:
-                return False
-            _, _, tl, br = parts
-            ka, kb = ("A", tl.rows), ("B", br.rows)
-            if ka not in cache:
-                cache[ka] = accepts(a, tl)
-            if kb not in cache:
-                cache[kb] = accepts(b, br)
-            return cache[ka] and cache[kb]
-
-        for p in _separated_family(mm, nn, a.alphabet.symbols):
+        member = separated_member(a, b)
+        for p in separated_layouts(mm, nn, a.alphabet.symbols):
             if accepts(c, p) != member(p):
                 failures.append((a.name, b.name, p.rows))
                 break

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from corpus import (
@@ -5,6 +7,8 @@ from corpus import (
     UNARY,
     corpus_2w,
     diag_pairs,
+    separated_layouts,
+    separated_member,
     separated_pairs,
     u_all_rows,
     u_all_right,
@@ -36,6 +40,7 @@ from pictomata import (
     picture_of,
     run_deterministic,
     split_separated,
+    subpicture,
     thm9_x_family,
     to_ibr,
     unary_col_concat,
@@ -239,19 +244,66 @@ def test_split_separated_rejects_malformed():
     ) is None
 
 
-def test_diag_concat_separated_accepts_unary_example():
-    a = _mk("ua", ("q0", "acc"), "q0", "acc",
-            [("q0", "a", "q0", "R"), ("q0", "#", "acc", "R")], ab=UNARY)
-    c = diag_concat_separated(a, a)
-    assert validate(c) == []
-    p = picture_of(["a#a", "###", "a#a"], allow_hash=True)
-    assert accepts(c, p)
+def _split_separated_spec(p):
+    # the definition: every row and every column is tested for all '#',
+    # then every cell for a stray marker, and the quadrants are copied out
+    hash_rows = [i for i in range(1, p.m + 1) if all(ch == "#" for ch in p.rows[i - 1])]
+    hash_cols = [
+        j for j in range(1, p.n + 1) if all(row[j - 1] == "#" for row in p.rows)
+    ]
+    if len(hash_rows) != 1 or len(hash_cols) != 1:
+        return None
+    sr, sc = hash_rows[0], hash_cols[0]
+    for i, j in p.positions():
+        if p.rows[i - 1][j - 1] == "#" and i != sr and j != sc:
+            return None
+    if not (2 <= sr <= p.m - 1 and 2 <= sc <= p.n - 1):
+        return None
+    return sr, sc, subpicture(p, 1, sr - 1, 1, sc - 1), subpicture(p, sr + 1, p.m, sc + 1, p.n)
 
 
-def test_diag_concat_separated_matches_oracle_4x4():
-    from itertools import product
+def _all_pictures(syms, max_cells):
+    for m in range(1, max_cells + 1):
+        for n in range(1, max_cells // m + 1):
+            for cells in product(syms, repeat=m * n):
+                s = "".join(cells)
+                yield picture_of([s[i * n : (i + 1) * n] for i in range(m)], allow_hash=True)
 
-    def all_separated(max_m, max_n, syms):
+
+def test_split_separated_equals_its_definition():
+    # every picture over {0,1,#} up to 9 cells and over {0,#} up to 12
+    # (1 x n and m x 1 words, separators on an edge, two full '#' rows or
+    # columns, stray '#' cells), then layouts and near-misses up to 4x4
+    def view(parts):
+        if parts is None:
+            return None
+        sr, sc, tl, br = parts
+        return sr, sc, tl.rows, br.rows, tl.allow_hash, br.allow_hash
+
+    def near_layouts():
+        # every layout up to 4x4 and every copy of it with one cell changed
+        for p in separated_layouts(4, 4, ("0", "1")):
+            yield p
+            for i, j in p.positions():
+                for sym in "01#":
+                    if sym != p.rows[i - 1][j - 1]:
+                        yield p.with_cell((i, j), sym)
+
+    seen = {True: 0, False: 0}
+    for pictures in (
+        _all_pictures(("0", "1", "#"), 9),
+        _all_pictures(("0", "#"), 12),
+        near_layouts(),
+    ):
+        for p in pictures:
+            want = view(_split_separated_spec(p))
+            assert view(split_separated(p)) == want, p.rows
+            seen[want is not None] += 1
+    assert seen[True] > 1000 and seen[False] > 100_000
+
+
+def test_separated_layouts_order_matches_definition():
+    def spec(max_m, max_n, syms):
         for m in range(1, max_m + 1):
             for n in range(1, max_n + 1):
                 for sr in range(1, m + 1):
@@ -273,25 +325,28 @@ def test_diag_concat_separated_matches_oracle_4x4():
                             )
                             yield picture_of(rows, allow_hash=True)
 
+    want = [(p.rows, p.allow_hash) for p in spec(3, 4, ("0", "1"))]
+    got = [(p.rows, p.allow_hash) for p in separated_layouts(3, 4, ("0", "1"))]
+    assert len(want) > 1000
+    assert got == want
+
+
+def test_diag_concat_separated_accepts_unary_example():
+    a = _mk("ua", ("q0", "acc"), "q0", "acc",
+            [("q0", "a", "q0", "R"), ("q0", "#", "acc", "R")], ab=UNARY)
+    c = diag_concat_separated(a, a)
+    assert validate(c) == []
+    p = picture_of(["a#a", "###", "a#a"], allow_hash=True)
+    assert accepts(c, p)
+
+
+def test_diag_concat_separated_matches_oracle_4x4():
     for a, b in separated_pairs():
         c = diag_concat_separated(a, b)
         assert validate(c) == []
         assert c.mode == "det"
-        cache = {}
-
-        def member(p):
-            parts = split_separated(p)
-            if parts is None:
-                return False
-            _, _, tl, br = parts
-            ka, kb = ("A", tl.rows), ("B", br.rows)
-            if ka not in cache:
-                cache[ka] = accepts(a, tl)
-            if kb not in cache:
-                cache[kb] = accepts(b, br)
-            return cache[ka] and cache[kb]
-
-        for p in all_separated(4, 4, a.alphabet.symbols):
+        member = separated_member(a, b)
+        for p in separated_layouts(4, 4, a.alphabet.symbols):
             assert run_deterministic(c, p).accepted == member(p), (a.name, b.name, p.rows)
 
 

@@ -155,3 +155,26 @@ def test_concat_membership_rejects_foreign_symbols_before_splitting():
         for w in words:
             with pytest.raises(AlphabetError):
                 concat_membership(kind, L, L, w)
+
+
+def test_concat_membership_rejects_hash_words_whatever_allow_hash_says():
+    # reads '#' at (1,1) and accepts, rejects every word over {0,1}: L(a) is
+    # empty, so no word is in L(a)L(a); a word of '#' cells must not be let
+    # in through allow_hash, it raises like any other foreign symbol
+    a = Automaton2D("hash_first", "2W", "det", AB01, ("q0", "acc"), "q0", "acc",
+                    make_delta([("q0", "#", "acc", "R")]))
+    words = {
+        ConcatKind.ROW: picture_of(["#", "#"], allow_hash=True),
+        ConcatKind.COL: picture_of(["##"], allow_hash=True),
+        ConcatKind.DIAG: picture_of(["##", "##"], allow_hash=True),
+    }
+    for kind, w in words.items():
+        with pytest.raises(AlphabetError, match=r"picture uses symbols \['#'\] unknown to 'hash_first'"):
+            concat_membership(kind, a, a, w)
+        with pytest.raises(AlphabetError, match=r"\['#'\]"):
+            concat_membership(kind, a, a, picture_of(["0#", "00"], allow_hash=True))
+        # the permission alone changes nothing on a word without '#' cells
+        L = first_row_zeros()
+        for rows in (["00", "00"], ["00", "10"]):
+            assert concat_membership(kind, L, L, picture_of(rows, allow_hash=True)) == \
+                concat_membership(kind, L, L, picture_of(rows))

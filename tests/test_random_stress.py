@@ -5,16 +5,13 @@ whose initial state accepts), which covers shapes the hand corpus does
 not."""
 
 import random
-from itertools import product
 
-import pytest
-
+from corpus import separated_layouts, separated_member
 from pictomata import (
     Alphabet,
     Automaton2D,
     ConcatKind,
     DimBounds,
-    Picture,
     accepts,
     border_normalize,
     concat_membership,
@@ -22,7 +19,6 @@ from pictomata import (
     diag_concat_separated,
     equivalent_up_to,
     make_delta,
-    split_separated,
     to_ibr,
     unary_col_concat,
     unary_row_concat,
@@ -91,32 +87,6 @@ def test_diag_concat_random():
         assert ce is None, (trial, ce.word.rows, ce.expected, ce.got)
 
 
-def _all_separated(max_m, max_n, syms):
-    for m in range(1, max_m + 1):
-        for n in range(1, max_n + 1):
-            for sr in range(1, m + 1):
-                for sc in range(1, n + 1):
-                    free = [
-                        (i, j)
-                        for i in range(1, m + 1)
-                        for j in range(1, n + 1)
-                        if i != sr and j != sc
-                    ]
-                    for fill in product(syms, repeat=len(free)):
-                        cells = dict(zip(free, fill))
-                        yield Picture(
-                            tuple(
-                                "".join(
-                                    "#" if (i == sr or j == sc) else cells[(i, j)]
-                                    for j in range(1, n + 1)
-                                )
-                                for i in range(1, m + 1)
-                            ),
-                            allow_hash=True,
-                        )
-
-
-@pytest.mark.slow
 def test_diag_concat_separated_random():
     rng = random.Random(4242)
     for trial in range(40):
@@ -124,19 +94,6 @@ def test_diag_concat_separated_random():
         b = random_machine(rng, f"B{trial}", ("0", "1"))
         c = diag_concat_separated(a, b)
         assert validate(c) == [], trial
-        cache = {}
-
-        def member(p):
-            parts = split_separated(p)
-            if parts is None:
-                return False
-            _, _, tl, br = parts
-            ka, kb = ("A", tl.rows), ("B", br.rows)
-            if ka not in cache:
-                cache[ka] = accepts(a, tl)
-            if kb not in cache:
-                cache[kb] = accepts(b, br)
-            return cache[ka] and cache[kb]
-
-        for p in _all_separated(4, 4, ("0", "1")):
+        member = separated_member(a, b)
+        for p in separated_layouts(4, 4, ("0", "1")):
             assert accepts(c, p) == member(p), (trial, p.rows)
