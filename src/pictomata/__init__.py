@@ -82,6 +82,7 @@ from .picture import (
 )
 from .simulate import (
     Configuration,
+    RowTransfer,
     RunResult,
     RunTrace,
     accepting_runs,

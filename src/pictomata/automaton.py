@@ -136,6 +136,23 @@ def validate(a: Automaton2D) -> list[str]:
     return bad
 
 
+def boundary_reach(a: Automaton2D) -> set[str]:
+    """States from which the accepting state is reachable by reading only
+    boundary markers: the closure of {accept} backwards over ``#``
+    transitions, whatever the variant."""
+    reach = {a.accept}
+    changed = True
+    while changed:
+        changed = False
+        for (q, sym), image in a.delta.items():
+            if sym != BOUNDARY or q in reach:
+                continue
+            if any(q2 in reach for q2, _ in image):
+                reach.add(q)
+                changed = True
+    return reach
+
+
 def require_valid(a: Automaton2D) -> None:
     problems = validate(a)
     if problems:

@@ -136,8 +136,8 @@ def _run(args, out) -> int:
             verdict = result.kind
             trace = result.trace
         else:
-            # accepts() decides in polynomial time; the trace search, which
-            # can take exponential time, runs only to print an accepting run.
+            # accepts() decides; the trace search runs only to print an
+            # accepting run.
             verdict = "accepted" if accepts(a, w) else "rejected"
             trace = first_accepting_trace(a, w) if args.trace and verdict == "accepted" else ()
         if args.trace:

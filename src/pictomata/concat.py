@@ -20,7 +20,7 @@ from itertools import product
 from .automaton import Automaton2D
 from .errors import AlphabetError, CapacityError, DimensionError
 from .picture import Alphabet, Picture
-from .simulate import accepts_window, check_input
+from .simulate import _search, check_input
 
 
 class ConcatKind(enum.Enum):
@@ -83,30 +83,39 @@ def concat_membership(kind: ConcatKind, a: Automaton2D, b: Automaton2D, w: Pictu
     L(b).  Col: symmetric on columns.  Diag: some interior point splits w
     into a top-left block in L(a) and a bottom-right block in L(b), with
     the other two corners unconstrained.  Words too small to split are
-    simply not members.  Each factor runs on its block of w in place
-    (:func:`~pictomata.simulate.accepts_window`); w's symbols are checked
-    against the factors' alphabet once, before any split is tried.  That
-    alphabet never holds ``#``, whatever ``w.allow_hash`` says: L(a) and
-    L(b) contain no word with a ``#`` cell, so neither does their
-    concatenation, and such a ``w`` raises ``AlphabetError``.
+    simply not members.  w's symbols are checked against the factors'
+    alphabet once, before any split is tried.  That alphabet never holds
+    ``#``, whatever ``w.allow_hash`` says: L(a) and L(b) contain no word
+    with a ``#`` cell, so neither does their concatenation, and such a
+    ``w`` raises ``AlphabetError``.
+
+    Each factor then runs on its block of w in place, by the same search
+    as :func:`~pictomata.simulate.accepts_window` but without its checks:
+    every block lies inside w by construction, and its symbols are among
+    w's, which have just been checked.  Nothing is remembered across
+    calls, so each call simulates every block it needs afresh.
     """
     _check_pair(a, b)
     check_input(a, w, allow_hash=False)
-    m, n = w.m, w.n
+    rows, m, n = w.rows, w.m, w.n
+    # Block rows r1..r2 x columns c1..c2 of w is the window
+    # (r1 - 2, c1 - 2, r2 - r1 + 1, c2 - c1 + 1) of _search.
     if kind is ConcatKind.ROW:
         return any(
-            accepts_window(a, w, 1, i, 1, n) and accepts_window(b, w, i + 1, m, 1, n)
+            _search(a.compiled, rows, -1, -1, i, n) and _search(b.compiled, rows, i - 1, -1, m - i, n)
             for i in range(1, m)
         )
     if kind is ConcatKind.COL:
         return any(
-            accepts_window(a, w, 1, m, 1, j) and accepts_window(b, w, 1, m, j + 1, n)
+            _search(a.compiled, rows, -1, -1, m, j) and _search(b.compiled, rows, -1, j - 1, m, n - j)
             for j in range(1, n)
         )
     if kind is ConcatKind.DIAG:
         for i in range(1, m):
             for j in range(1, n):
-                if accepts_window(a, w, 1, i, 1, j) and accepts_window(b, w, i + 1, m, j + 1, n):
+                if _search(a.compiled, rows, -1, -1, i, j) and _search(
+                    b.compiled, rows, i - 1, j - 1, m - i, n - j
+                ):
                     return True
         return False
     raise ValueError(f"unknown concat kind {kind!r}")

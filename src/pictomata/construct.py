@@ -26,7 +26,7 @@ import re
 from dataclasses import dataclass, replace
 from itertools import product
 
-from .automaton import Automaton2D, make_delta, transpose_automaton
+from .automaton import Automaton2D, boundary_reach, make_delta, transpose_automaton
 from .errors import AlphabetError, ToolkitError, VariantError
 from .picture import BOUNDARY, Alphabet, Picture
 
@@ -54,17 +54,7 @@ def boundary_reach_set(a: Automaton2D) -> set[str]:
     state-reachability question over the ``#`` transitions.
     """
     _require_2w(a)
-    reach = {a.accept}
-    changed = True
-    while changed:
-        changed = False
-        for (q, sym), image in a.delta.items():
-            if sym != BOUNDARY or q in reach:
-                continue
-            if any(q2 in reach for q2, _ in image):
-                reach.add(q)
-                changed = True
-    return reach
+    return boundary_reach(a)
 
 
 def is_ibr(a: Automaton2D) -> bool:

@@ -5,6 +5,18 @@ Enumeration order is total and fixed: row counts ascend, then column
 counts, then cell assignments lexicographically in alphabet order.  Every
 search in this module returns the first hit in that order, so repeated
 runs produce identical reports.
+
+A sweep (:func:`language_up_to`, :func:`equivalent_up_to`) still visits
+every enumerated picture, but decides a 2W or 3W candidate without a
+configuration search per picture: it folds the picture's rows through a
+:class:`~pictomata.simulate.RowTransfer` of its width, whose steps one
+sweep call remembers in a memo shared by all widths.  Pictures of one
+size come in row-lexicographic order, so consecutive pictures share
+their leading rows and most steps are memo hits.  The memo starts over
+once it holds ``_MEMO_CAP`` steps, which bounds a sweep's memory however
+many distinct rows it meets.  A 4W candidate can move up, so rows do not
+cut its runs; it is decided by :func:`~pictomata.simulate.accepts` on
+each picture.
 """
 
 from collections.abc import Callable, Iterator
@@ -15,9 +27,20 @@ from .automaton import Automaton2D
 from .concat import ConcatKind, concat_membership
 from .errors import CapacityError, PreconditionError
 from .picture import Alphabet, Picture
-from .simulate import RunTrace, accepting_runs, accepts, visited_cells
+from .simulate import (
+    ACCEPTED,
+    RowTransfer,
+    RunTrace,
+    accepting_runs,
+    accepts,
+    first_accepting_trace,
+    visited_cells,
+)
 
 DEFAULT_BUDGET = 10**7
+
+#: Row-transfer steps one sweep remembers before its memo starts over.
+_MEMO_CAP = 4096
 
 
 @dataclass(frozen=True)
@@ -65,15 +88,59 @@ def enumerate_pictures(
     syms = alphabet.symbols
     for m in range(1, bounds.max_rows + 1):
         for n in range(1, bounds.max_cols + 1):
-            for cells in product(syms, repeat=m * n):
-                yield Picture(tuple("".join(cells[i * n : (i + 1) * n]) for i in range(m)))
+            if m == 1:
+                for cells in product(syms, repeat=n):
+                    yield Picture(("".join(cells),))
+                continue
+            # Row-major cell order is row-lexicographic order over the
+            # |alphabet|**n row strings, which are built once per size.
+            pool = ["".join(cells) for cells in product(syms, repeat=n)]
+            for rows in product(pool, repeat=m):
+                yield Picture(rows)
+
+
+def _verdict(a: Automaton2D) -> Callable[[Picture], bool]:
+    """The acceptance test one sweep applies to every picture it visits.
+
+    For a 2W or 3W machine: a fold through the row transfer of the
+    picture's width, built on first use, with one step memo for all
+    widths, which the returned function exposes as its ``memo``.  For
+    any other machine: :func:`accepts`.  Building nothing before the
+    first picture keeps errors in their old order: the enumeration budget
+    first, then an invalid machine.
+    """
+    if a.variant not in ("2W", "3W"):
+        return lambda w: accepts(a, w)
+    transfers: dict[int, RowTransfer] = {}
+    memo: dict = {}
+
+    def decide(w: Picture) -> bool:
+        t = transfers.get(w.n)
+        if t is None:
+            t = transfers[w.n] = RowTransfer(a, w.n)
+        state = t.start
+        for row in w.rows:
+            if state is ACCEPTED:
+                return True
+            key = (state, row)
+            nxt = memo.get(key)
+            if nxt is None:
+                if len(memo) >= _MEMO_CAP:
+                    memo.clear()
+                nxt = memo[key] = t.step(state, row)
+            state = nxt
+        return t.final(state)
+
+    decide.memo = memo
+    return decide
 
 
 def language_up_to(
     a: Automaton2D, bounds: DimBounds, budget: int | None = DEFAULT_BUDGET
 ) -> set[Picture]:
     """Exactly the pictures within bounds that the machine accepts."""
-    return {w for w in enumerate_pictures(a.alphabet, bounds, budget) if accepts(a, w)}
+    decide = _verdict(a)
+    return {w for w in enumerate_pictures(a.alphabet, bounds, budget) if decide(w)}
 
 
 def equivalent_up_to(
@@ -86,11 +153,12 @@ def equivalent_up_to(
 
     Returns None when they agree on every picture within bounds.
     """
+    decide = _verdict(candidate)
     for w in enumerate_pictures(candidate.alphabet, bounds, budget):
-        got = accepts(candidate, w)
+        got = decide(w)
         expected = bool(target(w))
         if got != expected:
-            evidence = accepting_runs(candidate, w, limit=1)[0] if got else None
+            evidence = first_accepting_trace(candidate, w) if got else None
             return Counterexample(w, expected=expected, got=got, evidence=evidence)
     return None
 

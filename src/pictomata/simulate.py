@@ -23,6 +23,16 @@ what the split-enumeration oracles in ``concat`` do for every split.
 picture against the alphabet, or the window's bounds and then only the
 block's symbols).
 
+:class:`RowTransfer` is the kernel's other user.  A 2W or 3W head never
+moves up, so a run cuts exactly at each row boundary: what rows 1..i
+hand on to row i+1 is the set of (state, column) pairs stepping down
+into it, and the transfer closes such a set under :func:`_step` on a
+one-row window.  The cut stays exact below the last row, because the
+bottom frame row and the escape sink read only ``#``, so what is left
+there is the ``#``-reachability of
+:func:`~pictomata.automaton.boundary_reach`.  4W machines have no such
+cut.
+
 Everything here is a pure function of (automaton, picture), and every run
 terminates: the configuration space has at most |Q|*((m+2)(n+2)+1)
 elements and deterministic runs stop at the first repeated configuration.
@@ -30,8 +40,8 @@ elements and deterministic runs stop at the first repeated configuration.
 
 from dataclasses import dataclass
 
-from .automaton import Automaton2D, Compiled
-from .errors import AlphabetError, ModeError
+from .automaton import Automaton2D, Compiled, boundary_reach
+from .errors import AlphabetError, ModeError, VariantError
 from .picture import BOUNDARY, Picture, Position, check_window
 
 #: Trace of one run: consecutive configurations related by single steps.
@@ -292,5 +302,111 @@ def format_trace(a: Automaton2D, w: Picture, trace: RunTrace, verdict: str) -> s
 
 
 def first_accepting_trace(a: Automaton2D, w: Picture) -> RunTrace | None:
-    runs = accepting_runs(a, w, limit=1)
-    return runs[0] if runs else None
+    """The trace ``accepting_runs(a, w, limit=1)`` returns, in polynomial time.
+
+    That depth-first search descends into the first successor, in
+    :func:`_step` order, that accepts or lies off the current path and can
+    still reach acceptance without touching the path; every subtree it
+    tries before that one it leaves empty-handed.  So this walk extends
+    the path by that successor directly, deciding "can still reach" with
+    one search per candidate, or with none when no later successor is
+    left to choose instead (the path's end can reach acceptance, so its
+    last candidate must).  The path only grows, so a configuration whose
+    search fails stays unable to reach acceptance and is never searched
+    again.
+    """
+    comp = a.compiled
+    check_input(a, w)
+    rows, m, n = w.rows, w.m, w.n
+    if not _search(comp, rows, -1, -1, m, n):
+        return None
+    accept = comp.accept
+    path = [(comp.initial, 1, 1)]
+    on_path = set(path)
+    dead = set()
+
+    def blocked(t):
+        return t in on_path or t in dead
+
+    def reaches(s) -> bool:
+        seen = {s}
+        todo = [s]
+        while todo:
+            for t in _step(comp, rows, -1, -1, m, n, *todo.pop()):
+                if t[0] == accept:
+                    return True
+                if t not in seen and not blocked(t):
+                    seen.add(t)
+                    todo.append(t)
+        dead.update(seen)
+        return False
+
+    while path[-1][0] != accept:
+        succ = _step(comp, rows, -1, -1, m, n, *path[-1])
+        for k, t in enumerate(succ):
+            if t[0] != accept:
+                if blocked(t):
+                    continue
+                rivals = any(u[0] == accept or (u != t and not blocked(u)) for u in succ[k + 1 :])
+                if rivals and not reaches(t):
+                    continue
+            path.append(t)
+            on_path.add(t)
+            break
+        else:
+            raise AssertionError("internal error: the path lost its way to acceptance")
+    return tuple(_to_config(comp, t) for t in path)
+
+
+class RowTransfer:
+    """A 2W or 3W machine at width n as a deterministic automaton over rows.
+
+    Such a head never moves up, so all that rows 1..i pass on to row i+1
+    is which states step down into which band column.  A transfer state
+    is that set of (state index, column 0..n+1) pairs, or the sticky
+    ``ACCEPTED`` once some run has accepted.  :meth:`step` closes the
+    pairs entering a row under :func:`_step` on a 1 x n window holding
+    that row: a successor in row 2 of the window has moved down, and an
+    escaped one reads ``#`` forever.  Below the last row a head reads
+    only ``#`` too, in the frame row or in the escape sink, so
+    :meth:`final` asks whether a surviving state can reach acceptance on
+    ``#`` reads alone.  Folding a picture's rows from :attr:`start` and
+    applying :meth:`final` therefore gives :func:`accepts` exactly.
+    """
+
+    __slots__ = ("n", "start", "_comp", "_reach")
+
+    def __init__(self, a: Automaton2D, n: int):
+        comp = a.compiled
+        if a.variant not in ("2W", "3W"):
+            raise VariantError(f"{a.name!r}: row transfer needs a head that never moves up")
+        self.n = n
+        self._comp = comp
+        self._reach = frozenset(comp.index[q] for q in boundary_reach(a))
+        self.start = ACCEPTED if comp.initial == comp.accept else frozenset({(comp.initial, 1)})
+
+    def step(self, state, row: str):
+        """The transfer state below ``row`` (a string of n cells)."""
+        if state is ACCEPTED:
+            return ACCEPTED
+        comp, n, reach = self._comp, self.n, self._reach
+        accept = comp.accept
+        rows = (row,)
+        below = set()
+        todo = [(si, 1, c) for si, c in state]
+        seen = set(todo)
+        while todo:
+            for t in _step(comp, rows, -1, -1, 1, n, *todo.pop()):
+                si, r, c = t
+                if si == accept or (r < 0 and si in reach):
+                    return ACCEPTED
+                if r == 2:
+                    below.add((si, c))
+                elif r == 1 and t not in seen:
+                    seen.add(t)
+                    todo.append(t)
+        return frozenset(below)
+
+    def final(self, state) -> bool:
+        """Whether a picture that left the fold in ``state`` is accepted."""
+        return state is ACCEPTED or any(si in self._reach for si, _ in state)

@@ -176,7 +176,6 @@ def test_criterion_03_column_duality():
     )
 
 
-@pytest.mark.slow
 def test_criterion_04_diagonal_closure():
     pairs = diag_pairs()
     assert len(pairs) >= 4

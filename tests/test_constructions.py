@@ -47,6 +47,7 @@ from pictomata import (
     unary_row_concat,
     validate,
 )
+from pictomata.automaton import boundary_reach
 
 
 def _mk(name, states, init, acc, trans, mode="det", ab=AB01, variant="2W"):
@@ -71,6 +72,18 @@ def test_boundary_reach_requires_two_way():
     a = _mk("r3", ("q0", "acc"), "q0", "acc", [], variant="3W")
     with pytest.raises(VariantError):
         boundary_reach_set(a)
+
+
+def test_boundary_reach_closure_ignores_the_variant():
+    # the closure itself reads only '#' transitions; the 2W precondition
+    # belongs to boundary_reach_set alone
+    trans = [("q0", "#", "q1", "L"), ("q1", "#", "acc", "D"), ("q2", "0", "acc", "R")]
+    for variant in ("2W", "3W", "4W"):
+        a = _mk("r4", ("q0", "q1", "q2", "acc"), "q0", "acc",
+                [t if variant != "2W" else (*t[:3], "R") for t in trans], variant=variant)
+        assert boundary_reach(a) == {"q0", "q1", "acc"}
+    for a in corpus_2w():
+        assert boundary_reach(a) == boundary_reach_set(a)
 
 
 def test_to_ibr_language_preserved_on_corpus():

@@ -1,19 +1,30 @@
+from itertools import product
+
 import pytest
 
 from corpus import (
     AB01,
+    corpus_2w,
+    corpus_3w_det,
+    corpus_edge_walkers,
     first_row_zeros,
     rowzeros_tall01,
+    spray01,
     top_left_one,
     universal01,
 )
 from pictomata import (
+    Alphabet,
     AlphabetError,
     Automaton2D,
     CapacityError,
     ConcatKind,
+    Counterexample,
     DimBounds,
+    Picture,
     PreconditionError,
+    ToolkitError,
+    accepting_runs,
     accepts,
     concat_membership,
     enumerate_pictures,
@@ -27,6 +38,7 @@ from pictomata import (
     to_ibr,
     verify_counterexample,
 )
+from pictomata import oracle
 
 
 def test_enumeration_order_is_total_and_deterministic():
@@ -178,3 +190,88 @@ def test_concat_membership_rejects_hash_words_whatever_allow_hash_says():
         for rows in (["00", "00"], ["00", "10"]):
             assert concat_membership(kind, L, L, picture_of(rows, allow_hash=True)) == \
                 concat_membership(kind, L, L, picture_of(rows))
+
+
+# The bodies below are the sweeps as they were before 2W/3W candidates
+# were decided by row transfer: one `accepts` and, for evidence, one
+# depth-first trace per picture.  They are the specification the sweeps
+# are pinned to.
+
+
+def _old_enumerate_pictures(alphabet, bounds):
+    syms = alphabet.symbols
+    for m in range(1, bounds.max_rows + 1):
+        for n in range(1, bounds.max_cols + 1):
+            for cells in product(syms, repeat=m * n):
+                yield Picture(tuple("".join(cells[i * n : (i + 1) * n]) for i in range(m)))
+
+
+def _old_language_up_to(a, bounds):
+    return {w for w in _old_enumerate_pictures(a.alphabet, bounds) if accepts(a, w)}
+
+
+def _old_equivalent_up_to(candidate, target, bounds):
+    for w in _old_enumerate_pictures(candidate.alphabet, bounds):
+        got = accepts(candidate, w)
+        expected = bool(target(w))
+        if got != expected:
+            evidence = accepting_runs(candidate, w, limit=1)[0] if got else None
+            return Counterexample(w, expected=expected, got=got, evidence=evidence)
+    return None
+
+
+def _sweep_machines():
+    return corpus_2w() + corpus_3w_det() + corpus_edge_walkers()
+
+
+def test_enumeration_order_equals_the_cell_product_order():
+    for alphabet, bounds in ((AB01, DimBounds(3, 3)), (Alphabet(("a", "b", "c")), DimBounds(2, 3))):
+        got = [w.rows for w in enumerate_pictures(alphabet, bounds)]
+        assert got == [w.rows for w in _old_enumerate_pictures(alphabet, bounds)]
+
+
+def test_language_up_to_equals_the_per_picture_sweep():
+    machines = _sweep_machines()
+    assert {a.variant for a in machines} == {"2W", "3W", "4W"}
+    for a in machines:
+        assert language_up_to(a, DimBounds(3, 3)) == _old_language_up_to(a, DimBounds(3, 3)), a.name
+
+
+def test_equivalent_up_to_equals_the_per_picture_sweep():
+    # every candidate against every target machine over its alphabet and
+    # against the empty and the full language, so that counterexamples of
+    # both polarities, with and without evidence, are compared
+    machines = _sweep_machines()
+    bounds = DimBounds(3, 3)
+    for cand in machines:
+        targets = [lambda w: False, lambda w: True]
+        targets += [lambda w, t=t: accepts(t, w) for t in machines if t.alphabet == cand.alphabet]
+        for target in targets:
+            ce = equivalent_up_to(cand, target, bounds)
+            old = _old_equivalent_up_to(cand, target, bounds)
+            assert ce == old, cand.name
+
+
+def test_sweep_memo_stays_within_its_cap():
+    # a 1 x 12 sweep meets 8,190 distinct (state, row) steps, one per
+    # picture, so the memo must start over at least once
+    decide = oracle._verdict(spray01())
+    peak = 0
+    for w in enumerate_pictures(AB01, DimBounds(1, 12)):
+        assert decide(w) == accepts(spray01(), w)
+        peak = max(peak, len(decide.memo))
+    assert peak == oracle._MEMO_CAP
+
+
+def test_sweeps_keep_their_error_order():
+    # the budget is checked before any work, then the candidate
+    broken = Automaton2D("broken", "2W", "det", AB01, ("q0", "acc"), "q0", "acc",
+                         make_delta([("q0", "0", "q0", "U")]))
+    with pytest.raises(CapacityError):
+        language_up_to(broken, DimBounds(4, 4), budget=100)
+    with pytest.raises(CapacityError):
+        equivalent_up_to(broken, lambda w: True, DimBounds(4, 4), budget=100)
+    for sweep in (lambda: language_up_to(broken, DimBounds(2, 2)),
+                  lambda: equivalent_up_to(broken, lambda w: True, DimBounds(2, 2))):
+        with pytest.raises(ToolkitError, match="illegal direction"):
+            sweep()

@@ -13,6 +13,7 @@ from corpus import (
     first_row_zeros,
     left_probe3w,
     loopy01,
+    spray01,
     universal01,
     up_left_probe4w,
 )
@@ -22,6 +23,8 @@ from pictomata import (
     Configuration,
     DimBounds,
     ModeError,
+    RowTransfer,
+    VariantError,
     WindowError,
     accepting_runs,
     accepts,
@@ -314,3 +317,83 @@ def test_runs_survive_off_trace_flips(seed, variant, mode, m, n):
         for flipped in _off_trace_flips(w, result.trace):
             assert run_deterministic(a, flipped) == result
             assert not accepts(a, flipped)
+
+
+def _transfer_accepts(a, w):
+    t = RowTransfer(a, w.n)
+    state = t.start
+    for row in w.rows:
+        state = t.step(state, row)
+    return t.final(state)
+
+
+def test_row_transfer_equals_accepts_on_small_pictures():
+    # every picture up to 4x3; left_probe3w accepts only through the
+    # left-escape sink, boustro3w only through the bottom frame row
+    machines = [a for a in corpus_2w() + corpus_3w_det() if a.variant != "4W"] + [left_probe3w()]
+    for a in machines:
+        for w in enumerate_pictures(a.alphabet, DimBounds(4, 3)):
+            assert _transfer_accepts(a, w) == accepts(a, w), (a.name, w.rows)
+
+
+@given(
+    st.integers(0, 2**32),
+    st.sampled_from(["2W", "3W"]),
+    st.sampled_from(["det", "nondet"]),
+)
+@settings(max_examples=200, deadline=None)
+def test_row_transfer_equals_accepts_on_random_machines(seed, variant, mode):
+    rng = random.Random(seed)
+    a = _random_machine(rng, variant, mode)
+    for _ in range(10):
+        m, n = rng.randint(1, 4), rng.randint(1, 4)
+        w = picture_of(["".join(rng.choice("01") for _ in range(n)) for _ in range(m)])
+        assert _transfer_accepts(a, w) == accepts(a, w), w.rows
+
+
+def test_row_transfer_start_state_and_variants():
+    assert RowTransfer(universal01(), 3).start == ACCEPTED
+    t = RowTransfer(first_row_zeros(), 2)
+    assert t.start == frozenset({(0, 1)})
+    assert t.step(t.start, "01") == frozenset()
+    assert t.step(ACCEPTED, "11") == ACCEPTED
+    with pytest.raises(VariantError):
+        RowTransfer(up_left_probe4w(), 2)
+
+
+def _first_dfs_trace(a, w):
+    runs = accepting_runs(a, w, limit=1)
+    return runs[0] if runs else None
+
+
+def test_first_accepting_trace_is_the_first_depth_first_trace():
+    for a in corpus_2w() + corpus_3w_det() + corpus_edge_walkers():
+        for w in enumerate_pictures(a.alphabet, DimBounds(3, 3)):
+            assert first_accepting_trace(a, w) == _first_dfs_trace(a, w), (a.name, w.rows)
+
+
+@given(
+    st.integers(0, 2**32),
+    st.sampled_from(["2W", "3W", "4W"]),
+    st.integers(1, 4),
+    st.integers(1, 4),
+)
+@settings(max_examples=300, deadline=None)
+def test_first_accepting_trace_matches_depth_first_search_on_random_machines(seed, variant, m, n):
+    rng = random.Random(seed)
+    a = _random_machine(rng, variant, "nondet")
+    w = picture_of(["".join(rng.choice("01") for _ in range(n)) for _ in range(m)])
+    assert first_accepting_trace(a, w) == _first_dfs_trace(a, w)
+
+
+def test_first_accepting_trace_is_polynomial_on_spray_words():
+    # spray01 branches down or right on every '0'; on k x k zeros with a
+    # '1' at the top right the depth-first search would try every
+    # monotone path below the first row, C(2k-2, k-1) of them
+    a = spray01()
+    k = 30
+    w = picture_of(["0" * (k - 1) + "1"] + ["0" * k] * (k - 1))
+    trace = first_accepting_trace(a, w)
+    assert trace is not None and replay_accepts(a, w, trace)
+    assert [c.loc for c in trace[:-2]] == [(1, c) for c in range(1, k + 1)]
+    assert first_accepting_trace(a, picture_of(["0" * k] * k)) is None

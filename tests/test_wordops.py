@@ -1,18 +1,30 @@
 import pytest
 
-from corpus import AB01, first_row_zeros, top_left_one, u_all_rows, u_one_row
+from corpus import (
+    AB01,
+    corpus_2w,
+    corpus_3w_det,
+    corpus_edge_walkers,
+    first_row_zeros,
+    top_left_one,
+    u_all_rows,
+    u_one_row,
+)
 from pictomata import (
     Alphabet,
     CapacityError,
     ConcatKind,
     DimBounds,
     DimensionError,
+    accepts,
     col_concat,
     concat_membership,
     diag_concat_words,
+    enumerate_pictures,
     language_up_to,
     picture_of,
     row_concat,
+    subpicture,
     transpose,
     transpose_automaton,
 )
@@ -132,3 +144,28 @@ def test_membership_transpose_duality():
         assert concat_membership(ConcatKind.COL, a, b, w) == concat_membership(
             ConcatKind.ROW, at, bt, transpose(w)
         )
+
+
+def _split_member(kind, a, b, w):
+    # the split definition, on blocks copied out of w
+    m, n = w.m, w.n
+    if kind is ConcatKind.ROW:
+        splits = [((1, i, 1, n), (i + 1, m, 1, n)) for i in range(1, m)]
+    elif kind is ConcatKind.COL:
+        splits = [((1, m, 1, j), (1, m, j + 1, n)) for j in range(1, n)]
+    else:
+        splits = [((1, i, 1, j), (i + 1, m, j + 1, n)) for i in range(1, m) for j in range(1, n)]
+    return any(accepts(a, subpicture(w, *ta)) and accepts(b, subpicture(w, *tb)) for ta, tb in splits)
+
+
+def test_membership_equals_the_split_definition_on_copied_blocks():
+    # pins the in-place block arithmetic of every kind, for two-, three-
+    # and four-way factors whose heads step off their block on every side
+    machines = [a for a in corpus_2w() + corpus_3w_det() + corpus_edge_walkers() if a.alphabet == AB01]
+    pairs = list(zip(machines, machines[5:] + machines[:5]))
+    words = list(enumerate_pictures(AB01, DimBounds(3, 3)))
+    for kind in ConcatKind:
+        for a, b in pairs:
+            for w in words:
+                expected = _split_member(kind, a, b, w)
+                assert concat_membership(kind, a, b, w) == expected, (kind, a.name, b.name, w.rows)
