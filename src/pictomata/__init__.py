@@ -87,7 +87,6 @@ from .simulate import (
     RunTrace,
     accepting_runs,
     accepts,
-    accepts_window,
     first_accepting_trace,
     format_trace,
     replay_accepts,

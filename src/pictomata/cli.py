@@ -10,11 +10,11 @@ import argparse
 import sys
 
 from . import construct, onedim
-from .automaton import load_automaton, save_automaton, serialize_automaton, validate
+from .automaton import load_automaton, save_automaton, validate
 from .concat import ConcatKind, col_concat, concat_membership, diag_concat_words, row_concat
 from .errors import ToolkitError
 from .oracle import DEFAULT_BUDGET, Counterexample, DimBounds, equivalent_up_to, language_up_to, refute
-from .picture import Picture, format_picture, load_picture
+from .picture import Alphabet, format_picture, load_picture
 from .simulate import accepts, first_accepting_trace, format_trace, run_deterministic
 
 _KINDS = {"row": ConcatKind.ROW, "col": ConcatKind.COL, "diag": ConcatKind.DIAG}
@@ -160,8 +160,6 @@ def _run(args, out) -> int:
         elif args.kind == "col":
             print(format_picture(col_concat(a, b)), end="", file=out)
         else:
-            from .picture import Alphabet
-
             syms = sorted({ch for w in (a, b) for row in w.rows for ch in row})
             words = diag_concat_words(a, b, Alphabet(tuple(syms)), cap=args.cap)
             _print_words(sorted(words, key=lambda w: w.rows), out)

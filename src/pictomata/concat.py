@@ -89,11 +89,13 @@ def concat_membership(kind: ConcatKind, a: Automaton2D, b: Automaton2D, w: Pictu
     with a ``#`` cell, so neither does their concatenation, and such a
     ``w`` raises ``AlphabetError``.
 
-    Each factor then runs on its block of w in place, by the same search
-    as :func:`~pictomata.simulate.accepts_window` but without its checks:
-    every block lies inside w by construction, and its symbols are among
-    w's, which have just been checked.  Nothing is remembered across
-    calls, so each call simulates every block it needs afresh.
+    Each factor then runs on its block of w in place, by the search of
+    :func:`~pictomata.simulate.accepts` on a window of w, as if on the
+    block copied out with :func:`~pictomata.picture.subpicture`.  No
+    check is repeated: every block lies inside w by construction, and
+    its symbols are among w's, which have just been checked.  Nothing is
+    remembered across calls, so each call simulates every block it needs
+    afresh.
     """
     _check_pair(a, b)
     check_input(a, w, allow_hash=False)

@@ -27,15 +27,7 @@ from .automaton import Automaton2D
 from .concat import ConcatKind, concat_membership
 from .errors import CapacityError, PreconditionError
 from .picture import Alphabet, Picture
-from .simulate import (
-    ACCEPTED,
-    RowTransfer,
-    RunTrace,
-    accepting_runs,
-    accepts,
-    first_accepting_trace,
-    visited_cells,
-)
+from .simulate import ACCEPTED, RowTransfer, RunTrace, _first_trace, accepts, first_accepting_trace
 
 DEFAULT_BUDGET = 10**7
 
@@ -164,38 +156,33 @@ def equivalent_up_to(
 
 
 def flip_attack(
-    candidate: Automaton2D,
-    w: Picture,
-    target: Callable[[Picture], bool],
-    trace_limit: int | None = None,
+    candidate: Automaton2D, w: Picture, target: Callable[[Picture], bool]
 ) -> Counterexample | None:
-    """Turn an accepted word into a counterexample by editing unread cells.
+    """Turn an accepted word into a counterexample by editing an unread cell.
 
     Any accepting run that misses a cell keeps accepting after that cell
-    is changed, since every read it makes is unaffected.  So for each
-    accepting trace, each unvisited cell, and each alternative symbol, the
-    flipped word is still accepted; if the target rejects it, that word is
-    a counterexample and the trace is its evidence.
+    is changed, since every read it makes is unaffected.  So for each cell
+    in row-major order that some accepting run avoids, and each
+    alternative symbol in alphabet order, the flipped word is still
+    accepted; if the target rejects it, that word is a counterexample.
+    Whether a run avoids the cell is one polynomial search with the
+    cell's configurations blocked, and the first run it finds is the
+    evidence.
     """
     if not accepts(candidate, w):
         raise PreconditionError("flip_attack needs a word the candidate accepts")
-    for trace in accepting_runs(candidate, w, limit=trace_limit):
-        for flipped in _off_trace_flips(w, trace, candidate.alphabet):
-            if not target(flipped):
-                return Counterexample(flipped, expected=False, got=True, evidence=trace)
-    return None
-
-
-def _off_trace_flips(w: Picture, trace: RunTrace, alphabet: Alphabet) -> Iterator[Picture]:
-    """Every word that differs from w in one cell the trace never visits,
-    in row-major order, then alphabet order."""
-    seen = visited_cells(trace, w)
+    comp = candidate.compiled
     for pos in w.positions():
-        if pos in seen:
+        cell = {(si, *pos) for si in range(len(comp.states))}
+        evidence = _first_trace(comp, w.rows, w.m, w.n, cell)
+        if evidence is None:
             continue
-        for sym in alphabet:
+        for sym in candidate.alphabet:
             if sym != w.cell(*pos):
-                yield w.with_cell(pos, sym)
+                flipped = w.with_cell(pos, sym)
+                if not target(flipped):
+                    return Counterexample(flipped, expected=False, got=True, evidence=evidence)
+    return None
 
 
 def verify_counterexample(

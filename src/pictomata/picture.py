@@ -151,15 +151,10 @@ def transpose(w: Picture) -> Picture:
     )
 
 
-def check_window(w: Picture, r1: int, r2: int, c1: int, c2: int) -> None:
-    """Reject a window that is empty or reaches outside the word."""
-    if not (1 <= r1 <= r2 <= len(w.rows) and 1 <= c1 <= c2 <= len(w.rows[0])):
-        raise WindowError(f"window {r1}..{r2} x {c1}..{c2} invalid for {w.m}x{w.n} word")
-
-
 def subpicture(w: Picture, r1: int, r2: int, c1: int, c2: int) -> Picture:
     """The (r2-r1+1) x (c2-c1+1) block of w with corners (r1,c1), (r2,c2)."""
-    check_window(w, r1, r2, c1, c2)
+    if not (1 <= r1 <= r2 <= w.m and 1 <= c1 <= c2 <= w.n):
+        raise WindowError(f"window {r1}..{r2} x {c1}..{c2} invalid for {w.m}x{w.n} word")
     rows = tuple(w.rows[r][c1 - 1 : c2] for r in range(r1 - 1, r2))
     return Picture(rows, allow_hash=any(BOUNDARY in r for r in rows))
 

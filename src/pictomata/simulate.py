@@ -14,14 +14,12 @@ Cells are read where they are: one kernel, :func:`_step`, reads the word
 through a window (row and column offset plus size) into the rows of a
 picture, and answers ``#`` for every band position outside the window.
 No bordered band and no block picture is ever built.  Every entry point
-goes through that kernel; :func:`accepts_window` runs a machine on one
-block of a larger picture exactly as :func:`accepts` would run it on the
-block copied out with :func:`~pictomata.picture.subpicture`, which is
-what the split-enumeration oracles in ``concat`` do for every split.
-:func:`accepts` and :func:`accepts_window` share one search loop,
-:func:`_search`; they differ only in their input checks (the whole
-picture against the alphabet, or the window's bounds and then only the
-block's symbols).
+goes through that kernel, and every reachability question goes through
+one depth-first loop, :func:`_search`: :func:`accepts` on the whole
+picture, the split oracles in ``concat`` on each block in place, and the
+trace walk of :func:`first_accepting_trace` (also behind
+:func:`~pictomata.oracle.flip_attack`) from a configuration on its path
+with a set of configurations it must not enter.
 
 :class:`RowTransfer` is the kernel's other user.  A 2W or 3W head never
 moves up, so a run cuts exactly at each row boundary: what rows 1..i
@@ -42,7 +40,7 @@ from dataclasses import dataclass
 
 from .automaton import Automaton2D, Compiled, boundary_reach
 from .errors import AlphabetError, ModeError, VariantError
-from .picture import BOUNDARY, Picture, Position, check_window
+from .picture import BOUNDARY, Picture, Position
 
 #: Trace of one run: consecutive configurations related by single steps.
 RunTrace = tuple["Configuration", ...]
@@ -74,30 +72,16 @@ class RunResult:
         return self.kind == ACCEPTED
 
 
-def check_input(
-    a: Automaton2D,
-    w: Picture,
-    window: tuple[int, int, int, int] | None = None,
-    *,
-    allow_hash: bool | None = None,
-) -> None:
+def check_input(a: Automaton2D, w: Picture, *, allow_hash: bool | None = None) -> None:
     """Reject pictures that use symbols outside the machine's alphabet.
 
-    With ``window`` = (r1, r2, c1, c2) only that block of ``w`` must be
-    legal; the block is looked at only when ``w`` as a whole is not.
     ``#`` cells are legal when ``allow_hash`` is true; it defaults to
     ``w.allow_hash``.
     """
     ok = a.compiled.legal[w.allow_hash if allow_hash is None else allow_hash]
     used = set("".join(w.rows))
-    if used <= ok:
-        return
-    if window is not None:
-        r1, r2, c1, c2 = window
-        used = set("".join([row[c1 - 1 : c2] for row in w.rows[r1 - 1 : r2]]))
-        if used <= ok:
-            return
-    raise AlphabetError(f"picture uses symbols {sorted(used - ok)} unknown to {a.name!r}")
+    if not used <= ok:
+        raise AlphabetError(f"picture uses symbols {sorted(used - ok)} unknown to {a.name!r}")
 
 
 def _step(comp: Compiled, rows, r0: int, c0: int, m: int, n: int, si: int, r: int, c: int):
@@ -153,34 +137,30 @@ def accepts(a: Automaton2D, w: Picture) -> bool:
     return _search(a.compiled, w.rows, -1, -1, w.m, w.n)
 
 
-def accepts_window(a: Automaton2D, w: Picture, r1: int, r2: int, c1: int, c2: int) -> bool:
-    """``accepts(a, subpicture(w, r1, r2, c1, c2))``, without the copy.
+def _search(comp: Compiled, rows, r0: int, c0: int, m: int, n: int, start=None, seen=None) -> bool:
+    """Depth-first search for a run of the m x n window (as in :func:`_step`)
+    from ``start`` that reaches the accepting state.
 
-    The machine runs on the block with corners (r1,c1) and (r2,c2) framed
-    by its own ``#`` border: a head that steps off the block reads ``#``,
-    never the neighbouring cell of ``w``.  A bad window raises the same
-    ``WindowError`` as :func:`~pictomata.picture.subpicture`, and only the
-    block's symbols are checked against the alphabet.
+    ``start`` defaults to the initial configuration.  A caller's ``seen``
+    set holds configurations the run must not enter (``start`` must not be
+    among them), accepting ones included; the search adds every
+    configuration it enters.
     """
-    check_window(w, r1, r2, c1, c2)
-    check_input(a, w, (r1, r2, c1, c2))
-    return _search(a.compiled, w.rows, r1 - 2, c1 - 2, r2 - r1 + 1, c2 - c1 + 1)
-
-
-def _search(comp: Compiled, rows, r0: int, c0: int, m: int, n: int) -> bool:
-    """Depth-first search, with a seen set, for a run of the m x n window
-    (as in :func:`_step`) that reaches the accepting state."""
-    if comp.initial == comp.accept:
-        return True
+    if start is None:
+        start = (comp.initial, 1, 1)
     accept = comp.accept
-    start = (comp.initial, 1, 1)
-    seen = {start}
+    if start[0] == accept:
+        return True
+    if seen is None:
+        seen = {start}
+    else:
+        seen.add(start)
     todo = [start]
     while todo:
         for t in _step(comp, rows, r0, c0, m, n, *todo.pop()):
-            if t[0] == accept:
-                return True
             if t not in seen:
+                if t[0] == accept:
+                    return True
                 seen.add(t)
                 todo.append(t)
     return False
@@ -302,56 +282,52 @@ def format_trace(a: Automaton2D, w: Picture, trace: RunTrace, verdict: str) -> s
 
 
 def first_accepting_trace(a: Automaton2D, w: Picture) -> RunTrace | None:
-    """The trace ``accepting_runs(a, w, limit=1)`` returns, in polynomial time.
-
-    That depth-first search descends into the first successor, in
-    :func:`_step` order, that accepts or lies off the current path and can
-    still reach acceptance without touching the path; every subtree it
-    tries before that one it leaves empty-handed.  So this walk extends
-    the path by that successor directly, deciding "can still reach" with
-    one search per candidate, or with none when no later successor is
-    left to choose instead (the path's end can reach acceptance, so its
-    last candidate must).  The path only grows, so a configuration whose
-    search fails stays unable to reach acceptance and is never searched
-    again.
-    """
-    comp = a.compiled
+    """The trace ``accepting_runs(a, w, limit=1)`` returns, in polynomial time."""
     check_input(a, w)
-    rows, m, n = w.rows, w.m, w.n
-    if not _search(comp, rows, -1, -1, m, n):
-        return None
-    accept = comp.accept
-    path = [(comp.initial, 1, 1)]
-    on_path = set(path)
-    dead = set()
+    return _first_trace(a.compiled, w.rows, w.m, w.n, set())
 
-    def blocked(t):
-        return t in on_path or t in dead
+
+def _first_trace(comp: Compiled, rows, m: int, n: int, blocked: set) -> RunTrace | None:
+    """The first trace of the depth-first search of :func:`accepting_runs`
+    on the m x n picture ``rows``, among the runs that enter no
+    configuration of ``blocked``; None if there is no such run.
+
+    That search descends into the first successor, in :func:`_step`
+    order, that is not on the current path and accepts or can still reach
+    acceptance without touching the path; every subtree it tries before
+    that one it leaves empty-handed.  So this walk extends the path by
+    that successor directly, deciding "can still reach" with one
+    :func:`_search` per candidate, or with none when no later successor is
+    left to choose instead (the path's end can reach acceptance, so its
+    last candidate must).  The path joins ``blocked``, and so does every
+    configuration a failed search entered: the path only grows, so such a
+    configuration stays unable to reach acceptance.  ``blocked`` is the
+    caller's and grows accordingly.
+    """
+    start = (comp.initial, 1, 1)
+    if start in blocked or not _search(comp, rows, -1, -1, m, n, start, set(blocked)):
+        return None
 
     def reaches(s) -> bool:
-        seen = {s}
-        todo = [s]
-        while todo:
-            for t in _step(comp, rows, -1, -1, m, n, *todo.pop()):
-                if t[0] == accept:
-                    return True
-                if t not in seen and not blocked(t):
-                    seen.add(t)
-                    todo.append(t)
-        dead.update(seen)
+        seen = set(blocked)
+        if _search(comp, rows, -1, -1, m, n, s, seen):
+            return True
+        blocked.update(seen)
         return False
 
-    while path[-1][0] != accept:
+    path = [start]
+    blocked.add(start)
+    while path[-1][0] != comp.accept:
         succ = _step(comp, rows, -1, -1, m, n, *path[-1])
         for k, t in enumerate(succ):
-            if t[0] != accept:
-                if blocked(t):
-                    continue
-                rivals = any(u[0] == accept or (u != t and not blocked(u)) for u in succ[k + 1 :])
+            if t in blocked:
+                continue
+            if t[0] != comp.accept:
+                rivals = any(u != t and u not in blocked for u in succ[k + 1 :])
                 if rivals and not reaches(t):
                     continue
             path.append(t)
-            on_path.add(t)
+            blocked.add(t)
             break
         else:
             raise AssertionError("internal error: the path lost its way to acceptance")

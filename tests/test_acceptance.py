@@ -44,13 +44,10 @@ from pictomata import (
     downward_departures,
     enumerate_pictures,
     equivalent_up_to,
-    flip_attack,
     kapoutsis_bound,
-    language_up_to,
     make_delta,
     picture_of,
     refute,
-    replay_accepts,
     row_departure_oracle,
     row_restriction,
     run_deterministic,

@@ -32,7 +32,6 @@ from pictomata import (
     concat_membership,
     diag_concat_nondet_2w,
     diag_concat_separated,
-    enumerate_pictures,
     equivalent_up_to,
     is_ibr,
     language_up_to,

@@ -12,6 +12,7 @@ from corpus import (
     spray01,
     top_left_one,
     universal01,
+    wander4w,
 )
 from pictomata import (
     Alphabet,
@@ -37,6 +38,7 @@ from pictomata import (
     replay_accepts,
     to_ibr,
     verify_counterexample,
+    visited_cells,
 )
 from pictomata import oracle
 
@@ -107,6 +109,54 @@ def test_flip_attack_none_when_all_cells_visited():
         make_delta([("q0", "0", "q0", "R"), ("q0", "1", "q0", "R"), ("q0", "#", "acc", "R")]),
     )
     assert flip_attack(sweep, picture_of(["010"]), lambda w: True) is None
+
+
+def _flippable_cells(a, w):
+    """Cells of w that flip_attack flips, each found with a target that
+    rejects only one flip of that cell."""
+    found = set()
+    for pos in w.positions():
+        bad = w.with_cell(pos, next(s for s in a.alphabet if s != w.cell(*pos)))
+        ce = flip_attack(a, w, lambda v: v != bad)
+        if ce is not None:
+            assert ce.word == bad and replay_accepts(a, bad, ce.evidence), (a.name, w.rows, pos)
+            found.add(pos)
+    return found
+
+
+def test_flip_attack_flips_exactly_the_cells_some_accepting_run_avoids():
+    # a unary machine has no flip to make
+    machines = [a for a in _sweep_machines() if len(a.alphabet) > 1]
+    for a in machines:
+        for w in enumerate_pictures(a.alphabet, DimBounds(3, 3)):
+            if not accepts(a, w):
+                continue
+            cells = set(w.positions())
+            expected = set().union(*(cells - visited_cells(t, w) for t in accepting_runs(a, w)))
+            assert _flippable_cells(a, w) == expected, (a.name, w.rows)
+    # the only configuration on (1,2) is the accepting one, and it counts
+    # as a read of that cell
+    assert _flippable_cells(top_left_one(), picture_of(["10"])) == set()
+
+
+def test_flip_attack_reports_the_first_flippable_cell_in_row_major_order():
+    # the first depth-first accepting run reads (1,2) but not (1,3), so
+    # the old trace-by-trace order reported 100; some other run avoids
+    # (1,2), which comes first
+    ce = flip_attack(wander4w(), picture_of(["101"]), lambda w: False)
+    assert ce.word == picture_of(["111"])
+    assert replay_accepts(wander4w(), ce.word, ce.evidence)
+
+
+def test_flip_attack_is_polynomial_on_spray_words():
+    # C(38, 19) simple accepting paths; the accepting runs all share the
+    # first row, and every other cell is flippable
+    k = 20
+    w = picture_of(["0" * (k - 1) + "1"] + ["0" * k] * (k - 1))
+    bad = w.with_cell((k, k), "1")
+    ce = flip_attack(spray01(), w, lambda v: v != bad)
+    assert ce.word == bad
+    assert replay_accepts(spray01(), bad, ce.evidence)
 
 
 def test_refute_wrong_candidates_for_stacked_language():

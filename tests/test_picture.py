@@ -5,7 +5,6 @@ from pictomata import (
     Alphabet,
     AlphabetError,
     OutOfBandError,
-    Picture,
     WindowError,
     format_picture,
     parse_picture,
@@ -105,8 +104,9 @@ def test_subpicture_windows():
     assert subpicture(w, 1, 1, 1, 1).rows == ("0",)
     with pytest.raises(WindowError):
         subpicture(w, 2, 1, 1, 3)
-    with pytest.raises(WindowError):
-        subpicture(w, 1, 4, 1, 3)
+    for window in ((1, 4, 1, 3), (0, 1, 1, 1), (1, 1, 3, 4)):
+        with pytest.raises(WindowError):
+            subpicture(w, *window)
 
 
 @given(pictures(max_dim=3))
