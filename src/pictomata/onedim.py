@@ -7,6 +7,18 @@ so does an undefined transition or a repeated configuration.  A one-way
 machine consumes its input left to right, no endmarkers, and accepts iff
 it ends in an accepting state.
 
+Every run ends.  A two-way run is deterministic, so it either halts or
+repeats a configuration (state, position), and from a repeated
+configuration it repeats forever: a loop rejects.  There are only
+|Q|·(n+2) configurations, so a run halts or repeats one within that many
+steps.  :func:`simulate_1d` finds the repeat in constant memory with
+Brent's power-of-two checkpoints, within about twice the loop's length
+of entering it.
+
+Both kinds are compiled on first use into integer-indexed tables
+(:class:`Compiled1D`), which also check the machine: a malformed machine
+built in code raises ``ToolkitError`` there, never a wrong verdict.
+
 The row-restriction construction turns one row's worth of a deterministic
 three-way picture machine into a two-way string machine: walk the head to
 the recorded entry column, then mirror the in-row moves, turning any
@@ -16,6 +28,8 @@ with no automaton in between.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 
 from .automaton import Automaton2D, header_lines, read_automaton_text
 from .errors import ModeError, PreconditionError, ToolkitError, VariantError
@@ -28,6 +42,15 @@ _VARIANT_TOKEN = {TWO_WAY: "1D-2W", ONE_WAY: "1D-1W"}
 _TOKEN_VARIANT = {v: k for k, v in _VARIANT_TOKEN.items()}
 
 
+#: Head step of each two-way move.
+_STEP = {"L": -1, "R": 1}
+#: Written after the right frame marker of a compiled tape.  It is not
+#: printable, so no alphabet has it and no table has a transition for it:
+#: a head that leaves the frame reads it, at position n+2 or at position
+#: -1 (which indexes the tape from its end), and halts.
+_OFF = "\x00"
+
+
 @dataclass(frozen=True)
 class Automaton1D:
     """Deterministic string machine, two-way or one-way.
@@ -35,8 +58,10 @@ class Automaton1D:
     delta maps (state, symbol) to (state, 'L'|'R') in the two-way kind
     and to a bare state in the one-way kind; two-way machines also see
     the frame marker ``#``.  ``accept_states`` holds exactly one state
-    for the two-way kind.  The fields cannot be rebound; ``delta`` stays
-    a plain dict, read on every simulation step, and must not be mutated.
+    for the two-way kind.  ``delta`` is stored as a read-only view of a
+    private copy, so the tables compiled on first simulation can never
+    go stale.  Nothing is checked at construction; :attr:`compiled`
+    checks the machine.
     """
 
     name: str
@@ -47,47 +72,130 @@ class Automaton1D:
     accept_states: tuple[str, ...]
     delta: dict
 
+    def __post_init__(self):
+        object.__setattr__(self, "delta", MappingProxyType(dict(self.delta)))
+
     @property
     def accept(self) -> str:
         if self.kind != TWO_WAY:
             raise ModeError("single accepting state is a two-way notion")
         return self.accept_states[0]
 
+    @cached_property
+    def compiled(self) -> "Compiled1D":
+        """Transition tables for the simulator; raises ``ToolkitError`` on
+        a malformed machine."""
+        return Compiled1D(self)
+
+
+class Compiled1D:
+    """Integer-indexed transition tables of a string machine; state i is
+    ``states[i]`` of the machine.
+
+    ``step[i]`` maps a symbol to the target's index in the one-way kind,
+    and to the pair (target index, head step -1 or +1) in the two-way
+    kind.  ``final[i]`` tells whether state i accepts; ``accept`` is the
+    two-way kind's accepting index and ``None`` in the one-way kind.
+    ``legal`` is the set of symbols an input string may use.
+    """
+
+    __slots__ = ("initial", "accept", "final", "step", "legal")
+
+    def __init__(self, a: Automaton1D):
+        problems = _problems(a)
+        if problems:
+            raise ToolkitError(f"invalid 1D automaton {a.name!r}: " + "; ".join(problems))
+        index = {q: i for i, q in enumerate(a.states)}
+        self.initial = index[a.initial]
+        self.final = tuple(q in a.accept_states for q in a.states)
+        self.accept = index[a.accept] if a.kind == TWO_WAY else None
+        self.legal = frozenset(a.alphabet.symbols)
+        self.step: list[dict] = [{} for _ in a.states]
+        for (q, sym), target in a.delta.items():
+            if a.kind == TWO_WAY:
+                q2, d = target
+                self.step[index[q]][sym] = (index[q2], _STEP[d])
+            else:
+                self.step[index[q]][sym] = index[target]
+
+
+def _problems(a: Automaton1D) -> list[str]:
+    """Everything that makes a machine meaningless, as messages: what the
+    parser rejects in a file, plus repeated state names and entries of
+    the wrong shape, which only code can build."""
+    if a.kind not in (TWO_WAY, ONE_WAY):
+        return [f"unknown kind {a.kind!r}"]
+    bad = []
+    states = tuple(a.states)
+    if len(set(states)) != len(states):
+        bad.append("duplicate state identifiers")
+    if a.initial not in states:
+        bad.append(f"initial state {a.initial!r} not declared")
+    if not all(q in states for q in a.accept_states):
+        bad.append("undeclared accepting state")
+    if a.kind == TWO_WAY and len(a.accept_states) != 1:
+        bad.append("a two-way machine has exactly one accepting state")
+    symbols = (*a.alphabet.symbols, BOUNDARY)
+    for key, target in a.delta.items():
+        if not (isinstance(key, tuple) and len(key) == 2 and key[0] in states and key[1] in symbols):
+            bad.append(f"undeclared state or unknown symbol at {key!r}")
+        elif a.kind == ONE_WAY and target not in states:
+            bad.append(f"unknown target {target!r} at {key!r}")
+        elif a.kind == TWO_WAY and not (
+            isinstance(target, tuple) and len(target) == 2 and target[0] in states and target[1] in ("L", "R")
+        ):
+            bad.append(f"unknown target state or a move other than L and R: {target!r} at {key!r}")
+    return bad
+
 
 def simulate_1d(a: Automaton1D, s: str) -> bool:
-    """Run a string machine; always terminates."""
-    bad = set(s) - set(a.alphabet.symbols)
-    if bad:
-        raise ToolkitError(f"string uses symbols {sorted(bad)} outside the alphabet")
-    if a.kind == ONE_WAY:
-        q = a.initial
+    """Run a string machine on s.
+
+    A one-way run ends with the input.  A two-way run ends too: it is
+    deterministic, so it either halts or repeats a configuration (state,
+    head position), and a repeated configuration means it loops forever,
+    which rejects.  With |Q|·(n+2) configurations, one repeats within that
+    many steps.  The repeat is found in constant memory by comparing each
+    configuration with a checkpoint that moves to the current one after
+    1, 2, 4, ... steps (Brent, BIT 1980): once the checkpoint lies on the
+    loop and the interval covers the loop's length, the run meets it
+    again, within about twice the loop's length of entering it.
+
+    Raises ``ToolkitError`` on a malformed machine or on a symbol outside
+    the alphabet.
+    """
+    c = a.compiled
+    if not c.legal.issuperset(s):
+        raise ToolkitError(f"string uses symbols {sorted(set(s) - c.legal)} outside the alphabet")
+    step = c.step
+    q = c.initial
+    accept = c.accept
+    if accept is None:
         for ch in s:
-            step = a.delta.get((q, ch))
-            if step is None:
+            q = step[q].get(ch)
+            if q is None:
                 return False
-            q = step
-        return q in a.accept_states
-    accept = a.accept
-    if a.initial == accept:
+        return c.final[q]
+    if q == accept:
         return True
-    n = len(s)
-    q, pos = a.initial, 1
-    seen = {(q, pos)}
+    tape = BOUNDARY + s + BOUNDARY + _OFF
+    pos = 1
+    mark_q, mark_pos = q, pos
+    interval = left = 1
     while True:
-        sym = s[pos - 1] if 1 <= pos <= n else BOUNDARY
-        step = a.delta.get((q, sym))
-        if step is None:
+        move = step[q].get(tape[pos])
+        if move is None:
             return False
-        q2, d = step
-        if q2 == accept:
+        q, d = move
+        if q == accept:
             return True
-        pos2 = pos + (1 if d == "R" else -1)
-        if pos2 < 0 or pos2 > n + 1:
+        pos += d
+        if pos == mark_pos and q == mark_q:
             return False
-        if (q2, pos2) in seen:
-            return False
-        seen.add((q2, pos2))
-        q, pos = q2, pos2
+        left -= 1
+        if not left:
+            interval = left = 2 * interval
+            mark_q, mark_pos = q, pos
 
 
 @dataclass(frozen=True)
@@ -149,25 +257,25 @@ def row_departure_oracle(
     pos = _entry_column(side, offset, n)
     if pos < 0 or pos > n + 1:
         return False
-    q = entry_state
-    seen = {(q, pos)}
-    while True:
-        if q == m2.accept:
+    c = m2.compiled
+    image, accept = c.image, c.accept
+    tape = BOUNDARY + row + BOUNDARY
+    q = c.index[entry_state]
+    # There are |Q|·(n+2) configurations (state, column); a run that makes
+    # that many steps without halting has repeated one, and so loops.
+    for _ in range(len(c.states) * (n + 2)):
+        if q == accept:
             return False
-        sym = row[pos - 1] if 1 <= pos <= n else BOUNDARY
-        image = m2.image(q, sym)
-        if not image:
+        moves = image[q].get(tape[pos])
+        if moves is None:
             return False
-        ((q2, d),) = image
-        if d == "D":
+        ((q, down, d),) = moves
+        if down:
             return True
-        pos2 = pos + (1 if d == "R" else -1)
-        if pos2 < 0 or pos2 > n + 1:
+        pos += d
+        if pos < 0 or pos > n + 1:
             return False
-        if (q2, pos2) in seen:
-            return False
-        seen.add((q2, pos2))
-        q, pos = q2, pos2
+    return False
 
 
 def _check_row_machine(m2: Automaton2D, entry_state: str, side: str, offset: int) -> None:
@@ -261,8 +369,9 @@ def two_way_to_one_way(a: Automaton1D) -> Automaton1D:
     """
     if a.kind != TWO_WAY:
         raise ModeError("conversion starts from a two-way machine")
-    accept = a.accept
-    state_list = a.states
+    c = a.compiled
+    step, accept = c.step, c.accept
+    state_range = range(len(a.states))
 
     def through(table: tuple, start, x: str):
         """Outcome of arriving at a fresh cell x in state start, with the
@@ -277,35 +386,33 @@ def two_way_to_one_way(a: Automaton1D) -> Automaton1D:
             if q in seen:
                 return _BOT
             seen.add(q)
-            step = a.delta.get((q, x))
-            if step is None:
+            move = step[q].get(x)
+            if move is None:
                 return _BOT
-            q2, d = step
+            q2, d = move
             if q2 == accept:
                 return _ACC
-            if d == "R":
+            if d == 1:
                 return q2
-            entry = table[state_list.index(q2)]
+            entry = table[q2]
             if entry in (_BOT, _ACC):
                 return entry
             q = entry
 
     # The left frame marker has nothing behind it: a step left from it dies.
-    frame = tuple(through((_BOT,) * len(state_list), q, BOUNDARY) for q in state_list)
-    start = (_ACC if a.initial == accept else a.initial, frame)
+    frame = tuple(through((_BOT,) * len(state_range), q, BOUNDARY) for q in state_range)
+    start = (_ACC if c.initial == accept else c.initial, frame)
     names = {start: "t0"}
     order = [start]
-    queue = [start]
     delta: dict = {}
-    while queue:
-        state = queue.pop(0)
+    # Breadth first: the loop reaches each state appended to order.
+    for state in order:
         sigma, table = state
         for x in a.alphabet:
-            nxt = (through(table, sigma, x), tuple(through(table, q, x) for q in state_list))
+            nxt = (through(table, sigma, x), tuple(through(table, q, x) for q in state_range))
             if nxt not in names:
                 names[nxt] = f"t{len(names)}"
                 order.append(nxt)
-                queue.append(nxt)
             delta[(names[state], x)] = names[nxt]
     # A one-way state accepts when its arrival, reading the right marker, accepts.
     accept_states = tuple(names[s] for s in order if through(s[1], s[0], BOUNDARY) == _ACC)

@@ -1,6 +1,7 @@
 """Hypothesis fuzzing of the three file parsers and of the CLI verbs that
 read them.  Any text either parses and survives a serialize/parse round
-trip, or is rejected with ``ToolkitError``; the CLI answers 0, 1 or 2 and
+trip, or is rejected with ``ToolkitError``; a parsed string machine runs
+and converts or raises ``ToolkitError``; the CLI answers 0, 1 or 2 and
 never lets another exception escape."""
 
 import io
@@ -11,7 +12,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from pictomata import ToolkitError, format_picture, parse_automaton, parse_picture, serialize_automaton
 from pictomata.cli import dispatch
-from pictomata.onedim import parse_automaton_1d, serialize_automaton_1d
+from pictomata.onedim import TWO_WAY, parse_automaton_1d, serialize_automaton_1d, simulate_1d, two_way_to_one_way
 
 STATES = ["q0", "q1", "acc", "zz"]
 _VALUES = {
@@ -56,10 +57,40 @@ def machine_texts(draw, variants):
     return "\n".join(draw(st.permutations(lines))) + "\n"
 
 
+@st.composite
+def onedim_texts(draw):
+    """1D files that mostly parse, so that the machines reach the
+    simulator: a well-formed header, now and then a repeated state, and
+    transitions over declared states with moves of the file's kind."""
+    two_way = draw(st.booleans())
+    states = draw(st.lists(st.sampled_from(STATES), min_size=1, max_size=4, unique=True))
+    if not draw(st.integers(0, 5)):
+        states.append(states[0])
+    accept = draw(st.lists(st.sampled_from(states), min_size=two_way, max_size=1 if two_way else 3))
+    lines = [
+        "automaton m",
+        f"variant {'1D-2W' if two_way else '1D-1W'}",
+        "mode det",
+        "alphabet 0 1",
+        "states " + " ".join(states),
+        f"initial {draw(st.sampled_from(states))}",
+        "accept " + " ".join(accept),
+    ]
+    keys = st.tuples(st.sampled_from(states), st.sampled_from(["0", "1", "#"]))
+    for q, sym in draw(st.lists(keys, max_size=12, unique=True)):
+        move = draw(st.sampled_from(["L", "R"])) if two_way else ""
+        lines.append(f"{q} {sym} -> {draw(st.sampled_from(states))} {move}")
+    return "\n".join(lines) + "\n"
+
+
+#: Raw near-format text, which the 1D parser almost always rejects, and
+#: files that mostly parse.
+texts_1d = st.one_of(machine_texts(VARIANTS_1D), onedim_texts())
+
 picture_texts = st.lists(st.text("01a#; ", max_size=3), max_size=3).map("\n".join)
 
 
-@given(machine_texts(VARIANTS_2D), machine_texts(VARIANTS_1D), picture_texts, st.booleans())
+@given(machine_texts(VARIANTS_2D), texts_1d, picture_texts, st.booleans())
 @settings(max_examples=200, deadline=None)
 def test_parsers_round_trip_or_reject(text2d, text1d, text_pic, allow_hash):
     for parse, serialize, text in (
@@ -74,7 +105,27 @@ def test_parsers_round_trip_or_reject(text2d, text1d, text_pic, allow_hash):
         assert parse(serialize(parsed)) == parsed
 
 
-@given(machine_texts(VARIANTS_2D), machine_texts(VARIANTS_1D), picture_texts, st.booleans())
+def _verdict(a, s):
+    try:
+        return simulate_1d(a, s)
+    except ToolkitError as exc:
+        return str(exc)
+
+
+@given(onedim_texts(), st.lists(st.text("01#", max_size=4), min_size=1, max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_parsed_1d_machines_run_and_convert_or_raise_toolkit_error(text, words):
+    try:
+        a = parse_automaton_1d(text)
+        verdicts = [_verdict(a, s) for s in words]
+        if a.kind == TWO_WAY:
+            one = two_way_to_one_way(a)
+            assert [_verdict(one, s) for s in words] == verdicts
+    except ToolkitError:
+        pass
+
+
+@given(machine_texts(VARIANTS_2D), texts_1d, picture_texts, st.booleans())
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_cli_exit_status_on_fuzzed_files(text2d, text1d, text_pic, allow_hash):
     with tempfile.TemporaryDirectory() as tmp:

@@ -1,8 +1,10 @@
+import dataclasses
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from corpus import boustro3w, corpus_1d, corpus_3w_det, descend3w, drift3w, t9a
+from corpus import _mk, boustro3w, corpus_1d, corpus_3w_det, descend3w, drift3w, left_probe3w, t9a
 from pictomata import (
     Alphabet,
     Departure,
@@ -22,9 +24,12 @@ from pictomata.onedim import (
     ONE_WAY,
     TWO_WAY,
     Automaton1D,
+    _check_row_machine,
+    _entry_column,
     parse_automaton_1d,
     serialize_automaton_1d,
 )
+from pictomata.picture import BOUNDARY
 
 AB = Alphabet(("0", "1"))
 
@@ -197,3 +202,171 @@ def test_1d_serialization_round_trip():
     never = Automaton1D("never", TWO_WAY, AB, ("q0", "acc"), "q0", ("acc",), {})
     for ow in (two_way_to_one_way(corpus_1d()[0]), two_way_to_one_way(never)):
         assert parse_automaton_1d(serialize_automaton_1d(ow)) == ow
+
+
+def test_1d_machines_are_immutable():
+    a = corpus_1d()[0]  # ends_zero
+    assert not simulate_1d(a, "01")  # compiles and caches the tables
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.delta = {}
+    with pytest.raises(TypeError):
+        a.delta[("q1", "1")] = ("acc", "R")
+    # A variant is a new machine with its own tables; the original keeps its answer.
+    b = dataclasses.replace(a, delta={**a.delta, ("q1", "1"): ("acc", "R")})
+    assert simulate_1d(b, "01") and not simulate_1d(a, "01")
+    # The constructor copies the mapping it is given.
+    entries = dict(a.delta)
+    c = Automaton1D("c", TWO_WAY, AB, a.states, a.initial, a.accept_states, entries)
+    entries[("q1", "1")] = ("acc", "R")
+    assert not simulate_1d(c, "01")
+    assert c == dataclasses.replace(a, name="c")
+
+
+MALFORMED = [
+    Automaton1D("no_accept", TWO_WAY, AB, ("q0",), "q0", (), {("q0", "0"): ("q0", "R")}),
+    Automaton1D("undeclared_target", TWO_WAY, AB, ("q0", "acc"), "q0", ("acc",), {("q0", "0"): ("zz", "R")}),
+    Automaton1D("down_move", TWO_WAY, AB, ("q0", "acc"), "q0", ("acc",), {("q0", "0"): ("q0", "D")}),
+    Automaton1D("duplicate_states", TWO_WAY, AB, ("q0", "q0", "acc"), "q0", ("acc",), {}),
+    Automaton1D("one_way_undeclared", ONE_WAY, AB, ("q0",), "q0", ("q0",), {("q0", "0"): "zz"}),
+]
+
+
+@pytest.mark.parametrize("a", MALFORMED, ids=lambda a: a.name)
+def test_malformed_machines_built_in_code_raise_toolkit_errors(a):
+    with pytest.raises(ToolkitError, match="invalid 1D automaton"):
+        simulate_1d(a, "0")
+    if a.kind == TWO_WAY:
+        with pytest.raises(ToolkitError, match="invalid 1D automaton"):
+            two_way_to_one_way(a)
+
+
+# -- the seen-set simulators that the compiled ones replaced, kept as specs --
+
+
+def _spec_simulate_1d(a: Automaton1D, s: str) -> bool:
+    """Run a string machine; always terminates."""
+    bad = set(s) - set(a.alphabet.symbols)
+    if bad:
+        raise ToolkitError(f"string uses symbols {sorted(bad)} outside the alphabet")
+    if a.kind == ONE_WAY:
+        q = a.initial
+        for ch in s:
+            step = a.delta.get((q, ch))
+            if step is None:
+                return False
+            q = step
+        return q in a.accept_states
+    accept = a.accept
+    if a.initial == accept:
+        return True
+    n = len(s)
+    q, pos = a.initial, 1
+    seen = {(q, pos)}
+    while True:
+        sym = s[pos - 1] if 1 <= pos <= n else BOUNDARY
+        step = a.delta.get((q, sym))
+        if step is None:
+            return False
+        q2, d = step
+        if q2 == accept:
+            return True
+        pos2 = pos + (1 if d == "R" else -1)
+        if pos2 < 0 or pos2 > n + 1:
+            return False
+        if (q2, pos2) in seen:
+            return False
+        seen.add((q2, pos2))
+        q, pos = q2, pos2
+
+
+def _spec_row_departure_oracle(m2, entry_state: str, side: str, offset: int, row: str) -> bool:
+    _check_row_machine(m2, entry_state, side, offset)
+    n = len(row)
+    pos = _entry_column(side, offset, n)
+    if pos < 0 or pos > n + 1:
+        return False
+    q = entry_state
+    seen = {(q, pos)}
+    while True:
+        if q == m2.accept:
+            return False
+        sym = row[pos - 1] if 1 <= pos <= n else BOUNDARY
+        image = m2.image(q, sym)
+        if not image:
+            return False
+        ((q2, d),) = image
+        if d == "D":
+            return True
+        pos2 = pos + (1 if d == "R" else -1)
+        if pos2 < 0 or pos2 > n + 1:
+            return False
+        if (q2, pos2) in seen:
+            return False
+        seen.add((q2, pos2))
+        q, pos = q2, pos2
+
+
+def _assert_simulators_agree(m, max_len):
+    one = two_way_to_one_way(m)
+    for s in strings(max_len):
+        verdict = _spec_simulate_1d(m, s)
+        assert simulate_1d(m, s) == verdict, (m.name, m.delta, s)
+        assert simulate_1d(one, s) == _spec_simulate_1d(one, s) == verdict, (m.name, m.delta, s)
+
+
+def _assert_oracles_agree(m2, max_len):
+    for q in m2.states:
+        for side in ("left", "right"):
+            for off in range(1, len(m2.states) + 2):
+                for s in strings(max_len):
+                    assert row_departure_oracle(m2, q, side, off, s) == _spec_row_departure_oracle(
+                        m2, q, side, off, s
+                    ), (m2.name, q, side, off, s)
+
+
+def test_simulate_1d_equals_its_spec_on_the_corpus():
+    for m in corpus_1d():
+        _assert_simulators_agree(m, 8)
+
+
+def test_row_departure_oracle_equals_its_spec_on_the_corpus():
+    for m2 in (*corpus_3w_det(), left_probe3w()):
+        _assert_oracles_agree(m2, 8)
+
+
+@st.composite
+def two_way_machines(draw):
+    """Two-way machines with 2-5 states; in about half of them every
+    transition is defined, so that most runs loop."""
+    names = tuple(f"s{i}" for i in range(draw(st.integers(1, 4)))) + ("acc",)
+    total = draw(st.booleans())
+    delta = {}
+    for q in names:
+        for sym in ("0", "1", BOUNDARY):
+            if total or draw(st.booleans()):
+                delta[(q, sym)] = (draw(st.sampled_from(names)), draw(st.sampled_from("LR")))
+    return Automaton1D("h", TWO_WAY, AB, names, draw(st.sampled_from(names)), ("acc",), delta)
+
+
+@st.composite
+def three_way_machines(draw):
+    """Deterministic three-way machines with 1-3 working states."""
+    names = tuple(f"q{i}" for i in range(draw(st.integers(1, 3)))) + ("acc",)
+    entries = []
+    for q in names[:-1]:
+        for sym in ("0", "1", BOUNDARY):
+            if draw(st.integers(0, 4)):
+                entries.append((q, sym, draw(st.sampled_from(names)), draw(st.sampled_from("DLR"))))
+    return _mk("h3w", names, "q0", "acc", entries, variant="3W")
+
+
+@given(two_way_machines())
+@settings(max_examples=300, deadline=None)
+def test_simulate_1d_equals_its_spec_on_random_machines(m):
+    _assert_simulators_agree(m, 8)
+
+
+@given(three_way_machines())
+@settings(max_examples=60, deadline=None)
+def test_row_departure_oracle_equals_its_spec_on_random_machines(m2):
+    _assert_oracles_agree(m2, 8)
