@@ -14,6 +14,7 @@ from .automaton import (
 )
 from .concat import (
     ConcatKind,
+    ConcatOracle,
     build_separated,
     col_concat,
     concat_membership,

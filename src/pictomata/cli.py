@@ -11,13 +11,19 @@ import sys
 
 from . import construct, onedim
 from .automaton import load_automaton, save_automaton, validate
-from .concat import ConcatKind, col_concat, concat_membership, diag_concat_words, row_concat
+from .concat import ConcatKind, ConcatOracle, col_concat, diag_concat_words, row_concat
 from .errors import ToolkitError
 from .oracle import DEFAULT_BUDGET, Counterexample, DimBounds, equivalent_up_to, language_up_to, refute
 from .picture import Alphabet, format_picture, load_picture
 from .simulate import accepts, first_accepting_trace, format_trace, run_deterministic
 
 _KINDS = {"row": ConcatKind.ROW, "col": ConcatKind.COL, "diag": ConcatKind.DIAG}
+
+
+def _kind(name: str) -> ConcatKind:
+    if name not in _KINDS:
+        raise ToolkitError(f"unknown concat kind {name!r}; one of {', '.join(_KINDS)}")
+    return _KINDS[name]
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -179,7 +185,7 @@ def _run(args, out) -> int:
             kind, pa, pb = args.against_concat
             a = load_automaton(pa)
             b = load_automaton(pb)
-            target = lambda w: concat_membership(_KINDS[kind], a, b, w)
+            target = ConcatOracle(_kind(kind), a, b)
         ce = equivalent_up_to(cand, target, DimBounds(args.max_rows, args.max_cols))
         if ce is None:
             print("verdict: ok", file=out)
@@ -192,7 +198,7 @@ def _run(args, out) -> int:
         kind, pa, pb = args.target_concat
         ce = refute(
             cand,
-            _KINDS[kind],
+            _kind(kind),
             load_automaton(pa),
             load_automaton(pb),
             DimBounds(args.max_rows, args.max_cols),

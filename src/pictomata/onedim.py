@@ -79,6 +79,8 @@ class Automaton1D:
     def accept(self) -> str:
         if self.kind != TWO_WAY:
             raise ModeError("single accepting state is a two-way notion")
+        if len(self.accept_states) != 1:
+            raise ToolkitError(f"{self.name!r}: a two-way machine has exactly one accepting state")
         return self.accept_states[0]
 
     @cached_property
@@ -464,9 +466,10 @@ def parse_automaton_1d(text: str) -> Automaton1D:
     """Parse the 1D automaton file format; inverse of
     :func:`serialize_automaton_1d`.
 
-    Rejects what no string machine can mean: undeclared states,
-    symbols outside the alphabet and the marker, two-way moves other
-    than L and R, and a second transition for one (state, symbol) pair.
+    Rejects what no string machine can mean: repeated state names,
+    undeclared states, symbols outside the alphabet and the marker,
+    two-way moves other than L and R, and a second transition for one
+    (state, symbol) pair.
     """
     header, transitions = read_automaton_text(text, "1D automaton")
     (name,), (token,), (mode,), symbols, states, (initial,), accept_states = header
@@ -478,6 +481,8 @@ def parse_automaton_1d(text: str) -> Automaton1D:
     if kind == TWO_WAY and len(accept_states) != 1:
         raise ToolkitError("two-way machines have exactly one accepting state")
     known = set(states)
+    if len(known) != len(states):
+        raise ToolkitError("duplicate state identifiers")
     if initial not in known or not known.issuperset(accept_states):
         raise ToolkitError("initial and accepting states must be declared")
     legal = {*symbols, BOUNDARY}

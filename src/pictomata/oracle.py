@@ -24,9 +24,9 @@ from dataclasses import dataclass
 from itertools import product
 
 from .automaton import Automaton2D
-from .concat import ConcatKind, concat_membership
+from .concat import ConcatKind, ConcatOracle
 from .errors import CapacityError, PreconditionError
-from .picture import Alphabet, Picture
+from .picture import Alphabet, Picture, _trusted_picture
 from .simulate import ACCEPTED, RowTransfer, RunTrace, _first_trace, accepts, first_accepting_trace
 
 DEFAULT_BUDGET = 10**7
@@ -72,7 +72,11 @@ def count_pictures(alphabet: Alphabet, bounds: DimBounds) -> int:
 def enumerate_pictures(
     alphabet: Alphabet, bounds: DimBounds, budget: int | None = DEFAULT_BUDGET
 ) -> Iterator[Picture]:
-    """Yield every picture within bounds, in the fixed total order."""
+    """Yield every picture within bounds, in the fixed total order.
+
+    The rows are joined from the alphabet's symbols, which are printable
+    and never ``#``, so each picture is built without re-checking them.
+    """
     if budget is not None:
         total = count_pictures(alphabet, bounds)
         if total > budget:
@@ -82,13 +86,13 @@ def enumerate_pictures(
         for n in range(1, bounds.max_cols + 1):
             if m == 1:
                 for cells in product(syms, repeat=n):
-                    yield Picture(("".join(cells),))
+                    yield _trusted_picture(("".join(cells),))
                 continue
             # Row-major cell order is row-lexicographic order over the
             # |alphabet|**n row strings, which are built once per size.
             pool = ["".join(cells) for cells in product(syms, repeat=n)]
             for rows in product(pool, repeat=m):
-                yield Picture(rows)
+                yield _trusted_picture(rows)
 
 
 def _verdict(a: Automaton2D) -> Callable[[Picture], bool]:
@@ -204,7 +208,11 @@ def refute(
 
     One deterministic pass: exhaustive comparison against the
     split-enumeration oracle over every picture within bounds.  The first
-    counterexample found is verified and returned.
+    counterexample found is verified and returned.  The pass, its
+    verification included, asks one :class:`~pictomata.concat.ConcatOracle`,
+    so each factor is simulated once per distinct block of the sweep
+    rather than once per word containing it; the oracle goes with the
+    call.
 
     Flipping cells off a run finds nothing more within the same bounds.
     A flip of a cell that an accepting run never visits leaves that run
@@ -214,10 +222,7 @@ def refute(
     det machine reads the same cells on any word that agrees with w on
     them, so a rejected word stays rejected under every off-run flip.
     """
-
-    def target(w: Picture) -> bool:
-        return concat_membership(kind, a, b, w)
-
+    target = ConcatOracle(kind, a, b)
     ce = equivalent_up_to(candidate, target, bounds, budget)
     if ce is not None and not verify_counterexample(candidate, target, ce):
         raise AssertionError("internal error: unverifiable counterexample")

@@ -118,6 +118,17 @@ class Picture:
         return "\n".join(self.rows)
 
 
+def _trusted_picture(rows: tuple[str, ...]) -> Picture:
+    """``Picture(rows)`` without the checks, for rows already known to be
+    nonempty, of one nonzero length and free of ``#`` and unprintable
+    cells (rows joined from an :class:`Alphabet`'s symbols are)."""
+    p = object.__new__(Picture)
+    fields = p.__dict__
+    fields["rows"] = rows
+    fields["allow_hash"] = False
+    return p
+
+
 def picture_of(rows, allow_hash: bool = False) -> Picture:
     """Build a picture from any iterable of row strings."""
     return Picture(tuple(rows), allow_hash=allow_hash)

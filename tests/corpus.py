@@ -253,6 +253,19 @@ def corpus_edge_walkers():
     return [left_probe3w(), up_left_probe4w(), wander4w()]
 
 
+def random_2d(rng, variant, mode):
+    """A random machine over {0,1} with three working states, drawn from ``rng``."""
+    dirs = {"2W": "DR", "3W": "DLR", "4W": "DLRU"}[variant]
+    states = ("q0", "q1", "q2", "acc")
+    entries = []
+    for q in states[:-1]:
+        for sym in "01#":
+            if rng.random() < 0.7:
+                for _ in range(2 if mode == "nondet" and rng.random() < 0.4 else 1):
+                    entries.append((q, sym, rng.choice(states), rng.choice(dirs)))
+    return _mk(f"r{variant}{mode}", states, "q0", "acc", entries, variant, mode)
+
+
 def corpus_1d():
     """Deterministic two-way string machines, three states at most."""
     ends_zero = Automaton1D(

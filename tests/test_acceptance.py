@@ -33,6 +33,7 @@ from pictomata import (
     Automaton2D,
     CaseTag,
     ConcatKind,
+    ConcatOracle,
     DimBounds,
     Picture,
     accepting_runs,
@@ -74,18 +75,6 @@ def _report(num: int, desc: str, ok: bool, note: str = "") -> None:
     assert ok, line
 
 
-def _cached_membership(kind, a, b):
-    cache = {}
-
-    def member(w):
-        key = w.rows
-        if key not in cache:
-            cache[key] = concat_membership(kind, a, b, w)
-        return cache[key]
-
-    return member
-
-
 def test_criterion_01_ibr_equivalence():
     t0 = time.time()
     machines = corpus_2w()
@@ -120,7 +109,7 @@ def test_criterion_02_unary_row_concatenation():
         if validate(m):
             failures.append((a.name, b.name, "invalid"))
             continue
-        ce = equivalent_up_to(m, _cached_membership(ConcatKind.ROW, a, b), bounds)
+        ce = equivalent_up_to(m, ConcatOracle(ConcatKind.ROW, a, b), bounds)
         if ce is not None:
             failures.append((a.name, b.name, ce.word.rows))
         worst = max(worst, time.time() - t0)
@@ -154,7 +143,7 @@ def test_criterion_03_column_duality():
         if validate(m):
             failures.append((a.name, b.name, "invalid"))
             continue
-        ce = equivalent_up_to(m, _cached_membership(ConcatKind.COL, a, b), bounds)
+        ce = equivalent_up_to(m, ConcatOracle(ConcatKind.COL, a, b), bounds)
         if ce is not None:
             failures.append((a.name, b.name, ce.word.rows))
     duality_bad = []
@@ -184,7 +173,7 @@ def test_criterion_04_diagonal_closure():
         if validate(m):
             failures.append((a.name, b.name, "invalid"))
             continue
-        ce = equivalent_up_to(m, _cached_membership(ConcatKind.DIAG, a, b), bounds)
+        ce = equivalent_up_to(m, ConcatOracle(ConcatKind.DIAG, a, b), bounds)
         if ce is not None:
             failures.append((a.name, b.name, ce.word.rows))
     _report(
@@ -223,7 +212,7 @@ def test_criterion_05_separated_diagonal():
 def test_criterion_06_row_nonclosure_mechanized():
     L = first_row_zeros()
     bounds = DimBounds(3, 3)
-    target = _cached_membership(ConcatKind.ROW, L, L)
+    target = ConcatOracle(ConcatKind.ROW, L, L)
     wrong = [first_row_zeros(), universal01(), rowzeros_tall01()]
     refuted = []
     for cand in wrong:
@@ -268,7 +257,7 @@ def test_criterion_07_det_diagonal_gadget():
         if bottom_right <= seen:
             unvisited_ok = False
     L = top_left_one()
-    target = _cached_membership(ConcatKind.DIAG, L, L)
+    target = ConcatOracle(ConcatKind.DIAG, L, L)
     sweeper = Automaton2D(
         "det_sweeper", "2W", "det", AB01, ("q0", "acc"), "q0", "acc",
         make_delta([("q0", "0", "q0", "R"), ("q0", "1", "q0", "R"), ("q0", "#", "acc", "R")]),

@@ -213,6 +213,14 @@ def test_refute_ok_for_correct_construction(tmp_path):
     assert out == "verdict: no-counterexample\n"
 
 
+def test_unknown_concat_kind_is_a_usage_error(tmp_path, frz_path, capsys):
+    for argv in (["equiv", frz_path, "--against-concat", "stack", frz_path, frz_path],
+                 ["refute", frz_path, "--target-concat", "stack", frz_path, frz_path]):
+        status, out = run_cli([*argv, "--max-rows", "2", "--max-cols", "2"])
+        assert (status, out) == (2, "")
+        assert capsys.readouterr().err == "error: unknown concat kind 'stack'; one of row, col, diag\n"
+
+
 def test_lemma2_check(tmp_path):
     from corpus import boustro3w
 

@@ -1,4 +1,5 @@
 import dataclasses
+import io
 from itertools import product
 
 import pytest
@@ -20,6 +21,7 @@ from pictomata import (
     gadget_k,
     two_way_to_one_way,
 )
+from pictomata.cli import dispatch
 from pictomata.onedim import (
     ONE_WAY,
     TWO_WAY,
@@ -238,6 +240,26 @@ def test_malformed_machines_built_in_code_raise_toolkit_errors(a):
     if a.kind == TWO_WAY:
         with pytest.raises(ToolkitError, match="invalid 1D automaton"):
             two_way_to_one_way(a)
+
+
+def test_parser_rejects_repeated_state_names(tmp_path, capsys):
+    text = serialize_automaton_1d(corpus_1d()[0]).replace("states q0 q1 acc", "states q0 q0 q1 acc")
+    assert "states q0 q0 q1 acc" in text
+    with pytest.raises(ToolkitError, match="duplicate state identifiers"):
+        parse_automaton_1d(text)
+    # so a CLI verb stops at parse time, before it writes anything
+    path, out = tmp_path / "dup.aut", tmp_path / "out.aut"
+    path.write_text(text, encoding="utf-8")
+    assert dispatch(["to-oneway", str(path), "-o", str(out)], out=io.StringIO()) == 2
+    assert capsys.readouterr().err == "error: duplicate state identifiers\n"
+    assert not out.exists()
+
+
+def test_two_way_accept_of_a_machine_without_one_is_a_toolkit_error():
+    for accept_states in ((), ("q0", "acc")):
+        a = Automaton1D("n", TWO_WAY, AB, ("q0", "acc"), "q0", accept_states, {})
+        with pytest.raises(ToolkitError, match="exactly one accepting state"):
+            a.accept
 
 
 # -- the seen-set simulators that the compiled ones replaced, kept as specs --

@@ -1,16 +1,22 @@
+import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from corpus import (
     AB01,
     corpus_2w,
     corpus_3w_det,
     corpus_edge_walkers,
+    diag_pairs,
     first_row_zeros,
+    random_2d,
     rowzeros_tall01,
     spray01,
     top_left_one,
+    u_one_row,
+    unary_pairs,
     universal01,
     wander4w,
 )
@@ -20,6 +26,7 @@ from pictomata import (
     Automaton2D,
     CapacityError,
     ConcatKind,
+    ConcatOracle,
     Counterexample,
     DimBounds,
     Picture,
@@ -325,3 +332,101 @@ def test_sweeps_keep_their_error_order():
                   lambda: equivalent_up_to(broken, lambda w: True, DimBounds(2, 2))):
         with pytest.raises(ToolkitError, match="illegal direction"):
             sweep()
+
+
+def test_enumerated_pictures_equal_checked_pictures():
+    # enumerate_pictures builds its pictures without Picture's checks
+    for alphabet, bounds in ((AB01, DimBounds(3, 3)), (Alphabet(("a", "b", "c")), DimBounds(2, 3))):
+        for w in enumerate_pictures(alphabet, bounds):
+            checked = Picture(w.rows)
+            assert type(w) is Picture and vars(w) == vars(checked)
+            assert w == checked and hash(w) == hash(checked) and w.allow_hash is False
+
+
+# ConcatOracle against concat_membership, its memo-free definition.  The
+# words come in a shuffled order, so that the memos are filled and read
+# across sizes, and each memo must stay within the pictures strictly
+# smaller than the bounds in the split dimension.
+
+_SHRINK = {ConcatKind.ROW: (1, 0), ConcatKind.COL: (0, 1), ConcatKind.DIAG: (1, 1)}
+
+
+def _shuffled(alphabet, bounds, seed=0):
+    words = list(enumerate_pictures(alphabet, bounds))
+    random.Random(seed).shuffle(words)
+    return words
+
+
+def _assert_oracle_is_membership(kind, a, b, words, bounds):
+    member = ConcatOracle(kind, a, b)
+    for w in words:
+        assert member(w) == concat_membership(kind, a, b, w), (kind, a.name, b.name, w.rows)
+    dr, dc = _SHRINK[kind]
+    cap = oracle.count_pictures(a.alphabet, DimBounds(bounds.max_rows - dr, bounds.max_cols - dc))
+    assert all(len(memo) <= cap for memo in member.memos)
+    return member
+
+
+def test_concat_oracle_equals_membership_on_the_criterion_universes():
+    unary = DimBounds(6, 6)
+    words = _shuffled(u_one_row().alphabet, unary)
+    for a, b in unary_pairs():
+        for kind in (ConcatKind.ROW, ConcatKind.COL):
+            _assert_oracle_is_membership(kind, a, b, words, unary)
+    diag = DimBounds(4, 4)
+    words = _shuffled(AB01, diag)
+    for a, b in diag_pairs():
+        member = _assert_oracle_is_membership(ConcatKind.DIAG, a, b, words, diag)
+        assert min(len(memo) for memo in member.memos) > 0
+
+
+def test_concat_oracle_equals_membership_on_corpus_pairs():
+    # every ordered pair of two-way corpus machines over one alphabet,
+    # every kind, every picture up to 3x3
+    bounds = DimBounds(3, 3)
+    machines = corpus_2w()
+    for alphabet in {a.alphabet for a in machines}:
+        words = _shuffled(alphabet, bounds)
+        pairs = [(a, b) for a in machines for b in machines if a.alphabet == b.alphabet == alphabet]
+        for a, b in pairs:
+            for kind in ConcatKind:
+                _assert_oracle_is_membership(kind, a, b, words, bounds)
+
+
+@given(
+    st.integers(0, 2**32),
+    st.sampled_from(list(ConcatKind)),
+    st.sampled_from(["2W", "3W", "4W"]),
+    st.sampled_from(["2W", "3W", "4W"]),
+    st.sampled_from(["det", "nondet"]),
+    st.sampled_from(["det", "nondet"]),
+)
+@settings(max_examples=60, deadline=None)
+def test_concat_oracle_equals_membership_on_random_factors(seed, kind, va, vb, ma, mb):
+    rng = random.Random(seed)
+    a, b = random_2d(rng, va, ma), random_2d(rng, vb, mb)
+    bounds = DimBounds(3, 3)
+    _assert_oracle_is_membership(kind, a, b, _shuffled(AB01, bounds, seed), bounds)
+
+
+def test_concat_oracle_raises_what_concat_membership_raises():
+    # the same type and message, in the same order: the pair, then the
+    # word's alphabet, then the kind, then a factor that fails to compile
+    L, U = first_row_zeros(), u_one_row()
+    broken = Automaton2D("broken", "2W", "det", AB01, ("q0", "acc"), "q0", "acc",
+                         make_delta([("q0", "0", "q0", "U")]))
+    hashes = picture_of(["##", "##"], allow_hash=True)
+    word, foreign = picture_of(["00", "00"]), picture_of(["00", "0a"])
+    cases = []
+    for kind in (*ConcatKind, "diag"):
+        cases += [(kind, L, U, foreign), (kind, U, L, word), (kind, L, L, foreign), (kind, L, L, hashes)]
+        cases += [(kind, broken, L, word), (kind, L, broken, word)]
+    cases.append(("diag", L, L, word))
+    for kind, a, b, w in cases:
+        with pytest.raises(Exception) as want:
+            concat_membership(kind, a, b, w)
+        member = ConcatOracle(kind, a, b)
+        for _ in range(2):
+            with pytest.raises(Exception) as got:
+                member(w)
+            assert (type(got.value), str(got.value)) == (type(want.value), str(want.value)), (kind, a.name, b.name)

@@ -12,6 +12,7 @@ from corpus import (
     first_row_zeros,
     left_probe3w,
     loopy01,
+    random_2d,
     spray01,
     universal01,
     up_left_probe4w,
@@ -220,18 +221,6 @@ def test_replay_soundness_after_offtrace_flip(seed):
                 assert replay_accepts(a, flipped, t), (a.name, pos)
 
 
-def _random_machine(rng, variant, mode):
-    dirs = {"2W": "DR", "3W": "DLR", "4W": "DLRU"}[variant]
-    states = ("q0", "q1", "q2", "acc")
-    entries = []
-    for q in states[:-1]:
-        for sym in "01#":
-            if rng.random() < 0.7:
-                for _ in range(2 if mode == "nondet" and rng.random() < 0.4 else 1):
-                    entries.append((q, sym, rng.choice(states), rng.choice(dirs)))
-    return Automaton2D(f"r{variant}{mode}", variant, mode, AB01, states, "q0", "acc", make_delta(entries))
-
-
 def _off_trace_flips(w, trace):
     seen = visited_cells(trace, w)
     for pos in w.positions():
@@ -255,7 +244,7 @@ def test_runs_survive_off_trace_flips(seed, variant, mode, m, n):
     # cannot refute a candidate that exhaustive comparison within the
     # same bounds does not already refute.
     rng = random.Random(seed)
-    a = _random_machine(rng, variant, mode)
+    a = random_2d(rng, variant, mode)
     w = picture_of(["".join(rng.choice("01") for _ in range(n)) for _ in range(m)])
     if accepts(a, w):
         for trace in accepting_runs(a, w, limit=8):
@@ -294,7 +283,7 @@ def test_row_transfer_equals_accepts_on_small_pictures():
 @settings(max_examples=200, deadline=None)
 def test_row_transfer_equals_accepts_on_random_machines(seed, variant, mode):
     rng = random.Random(seed)
-    a = _random_machine(rng, variant, mode)
+    a = random_2d(rng, variant, mode)
     for _ in range(10):
         m, n = rng.randint(1, 4), rng.randint(1, 4)
         w = picture_of(["".join(rng.choice("01") for _ in range(n)) for _ in range(m)])
@@ -331,7 +320,7 @@ def test_first_accepting_trace_is_the_first_depth_first_trace():
 @settings(max_examples=300, deadline=None)
 def test_first_accepting_trace_matches_depth_first_search_on_random_machines(seed, variant, m, n):
     rng = random.Random(seed)
-    a = _random_machine(rng, variant, "nondet")
+    a = random_2d(rng, variant, "nondet")
     w = picture_of(["".join(rng.choice("01") for _ in range(n)) for _ in range(m)])
     assert first_accepting_trace(a, w) == _first_dfs_trace(a, w)
 

@@ -1,11 +1,14 @@
-"""Checks on the benchmark's view of the package, read from ``bench/``
-without importing the benchmark runner."""
+"""Checks on the package's structure: the benchmark's view of it, read
+from ``bench/`` without importing the benchmark runner, and the
+separation of the split oracles from what they check."""
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+ROOT = Path(__file__).resolve().parent.parent
+SPANS = ROOT / "bench" / "spans.py"
 
 
 def _traced():
@@ -27,3 +30,18 @@ def test_every_traced_name_resolves_on_its_module():
             holder = getattr(module, owner) if owner else module
             assert attr in vars(holder), f"pictomata.{layer}.{name}"
             assert callable(vars(holder)[attr]), f"pictomata.{layer}.{name}"
+
+
+def test_split_oracles_import_nothing_they_check():
+    # concat.py is the ground truth for the constructions and the row
+    # transfer sweeps, so it may not reach them
+    tree = ast.parse((ROOT / "src" / "pictomata" / "concat.py").read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(part for alias in node.names for part in alias.name.split("."))
+        elif isinstance(node, ast.ImportFrom):
+            imported.update((node.module or "").split("."))
+            imported.update(alias.name for alias in node.names)
+    assert "simulate" in imported  # the walk sees the imports that are there
+    assert not imported & {"construct", "oracle", "RowTransfer"}
