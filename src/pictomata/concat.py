@@ -31,7 +31,7 @@ from itertools import product
 
 from .automaton import Automaton2D
 from .errors import AlphabetError, CapacityError, DimensionError
-from .picture import Alphabet, Picture
+from .picture import Alphabet, Picture, _trusted_picture
 from .simulate import _search, check_input
 
 
@@ -111,25 +111,24 @@ def concat_membership(kind: ConcatKind, a: Automaton2D, b: Automaton2D, w: Pictu
     """
     _check_pair(a, b)
     check_input(a, w, allow_hash=False)
-    rows, m, n = w.rows, w.m, w.n
+    # check_input has built a's tables, so reading them cannot raise; b's
+    # are read only once a's block is accepted, so a factor b that fails
+    # to compile raises only then, after the kind has been checked.
+    ca, rows, m, n = a.compiled, w.rows, w.m, w.n
     # Block rows r1..r2 x columns c1..c2 of w is the window
     # (r1 - 2, c1 - 2, r2 - r1 + 1, c2 - c1 + 1) of _search.
     if kind is ConcatKind.ROW:
         return any(
-            _search(a.compiled, rows, -1, -1, i, n) and _search(b.compiled, rows, i - 1, -1, m - i, n)
-            for i in range(1, m)
+            _search(ca, rows, -1, -1, i, n) and _search(b.compiled, rows, i - 1, -1, m - i, n) for i in range(1, m)
         )
     if kind is ConcatKind.COL:
         return any(
-            _search(a.compiled, rows, -1, -1, m, j) and _search(b.compiled, rows, -1, j - 1, m, n - j)
-            for j in range(1, n)
+            _search(ca, rows, -1, -1, m, j) and _search(b.compiled, rows, -1, j - 1, m, n - j) for j in range(1, n)
         )
     if kind is ConcatKind.DIAG:
         for i in range(1, m):
             for j in range(1, n):
-                if _search(a.compiled, rows, -1, -1, i, j) and _search(
-                    b.compiled, rows, i - 1, j - 1, m - i, n - j
-                ):
+                if _search(ca, rows, -1, -1, i, j) and _search(b.compiled, rows, i - 1, j - 1, m - i, n - j):
                     return True
         return False
     raise ValueError(f"unknown concat kind {kind!r}")
@@ -243,8 +242,9 @@ def split_separated(p: Picture) -> tuple[int, int, Picture, Picture] | None:
     for i, row in enumerate(rows, 1):
         if i != sr and (row[sc - 1] != "#" or row.count("#") != 1):
             return None
-    top_left = Picture(tuple(row[: sc - 1] for row in rows[: sr - 1]))
-    bottom_right = Picture(tuple(row[sc:] for row in rows[sr:]))
+    # #-free, nonempty slices of the rows of a checked picture
+    top_left = _trusted_picture(tuple([row[: sc - 1] for row in rows[: sr - 1]]))
+    bottom_right = _trusted_picture(tuple([row[sc:] for row in rows[sr:]]))
     return sr, sc, top_left, bottom_right
 
 

@@ -27,7 +27,15 @@ from .automaton import Automaton2D
 from .concat import ConcatKind, ConcatOracle
 from .errors import CapacityError, PreconditionError
 from .picture import Alphabet, Picture, _trusted_picture
-from .simulate import ACCEPTED, RowTransfer, RunTrace, _first_trace, accepts, first_accepting_trace
+from .simulate import (
+    ACCEPTED,
+    RowTransfer,
+    RunTrace,
+    _first_trace,
+    accepts,
+    first_accepting_trace,
+    replay_accepts,
+)
 
 DEFAULT_BUDGET = 10**7
 
@@ -192,8 +200,14 @@ def flip_attack(
 def verify_counterexample(
     candidate: Automaton2D, target: Callable[[Picture], bool], ce: Counterexample
 ) -> bool:
-    """Re-derive both verdicts; every reported counterexample must pass."""
-    return accepts(candidate, ce.word) == ce.got and bool(target(ce.word)) == ce.expected
+    """Re-derive both verdicts and replay the evidence, if any, as an
+    accepting run of the candidate on the word; every reported
+    counterexample must pass."""
+    return (
+        accepts(candidate, ce.word) == ce.got
+        and bool(target(ce.word)) == ce.expected
+        and (ce.evidence is None or replay_accepts(candidate, ce.word, ce.evidence))
+    )
 
 
 def refute(

@@ -63,11 +63,15 @@ class Picture:
     ``allow_hash`` permits ``#`` cells (used only for layouts in which the
     factors of a diagonal concatenation are separated by boundary markers);
     it is a construction-time permission, not part of picture identity, so
-    equality and hashing consider cell contents only.
+    equality and hashing consider cell contents only.  ``m`` (row count)
+    and ``n`` (column count) are derived from ``rows`` once, at
+    construction, and take no part in equality, hashing or ``repr``.
     """
 
     rows: tuple[str, ...]
     allow_hash: bool = field(default=False, compare=False)
+    m: int = field(init=False, compare=False, repr=False)
+    n: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.rows:
@@ -85,16 +89,9 @@ class Picture:
                     raise AlphabetError(f"unprintable cell {ch!r}")
                 if ch == BOUNDARY and not self.allow_hash:
                     raise AlphabetError("'#' cell needs allow_hash")
-
-    @property
-    def m(self) -> int:
-        """Row count."""
-        return len(self.rows)
-
-    @property
-    def n(self) -> int:
-        """Column count."""
-        return len(self.rows[0])
+        fields = self.__dict__
+        fields["m"] = len(self.rows)
+        fields["n"] = width
 
     def cell(self, row: int, col: int) -> str:
         """1-based access to a cell inside the word proper."""
@@ -118,14 +115,18 @@ class Picture:
         return "\n".join(self.rows)
 
 
-def _trusted_picture(rows: tuple[str, ...]) -> Picture:
-    """``Picture(rows)`` without the checks, for rows already known to be
-    nonempty, of one nonzero length and free of ``#`` and unprintable
-    cells (rows joined from an :class:`Alphabet`'s symbols are)."""
+def _trusted_picture(rows: tuple[str, ...], allow_hash: bool = False) -> Picture:
+    """``Picture(rows, allow_hash=allow_hash)`` without the checks, for
+    rows already known to be nonempty, of one nonzero length and free of
+    unprintable cells, and of ``#`` unless ``allow_hash`` is set (rows
+    joined from an :class:`Alphabet`'s symbols are, and so are slices of
+    a checked picture's rows)."""
     p = object.__new__(Picture)
     fields = p.__dict__
     fields["rows"] = rows
-    fields["allow_hash"] = False
+    fields["allow_hash"] = allow_hash
+    fields["m"] = len(rows)
+    fields["n"] = len(rows[0])
     return p
 
 

@@ -3,31 +3,40 @@
 The head lives in the bordered band ``[0..m+1] x [0..n+1]``.  For the 2W
 and 3W variants a move that leaves the band enters the *escape sink*: the
 head has permanently left the bordered array, every further read is the
-boundary marker, and only the state keeps evolving.  A 2W or 3W head that
-leaves past the bottom or right border can never re-enter the word, so
-the collapse is exact there; a 3W head walking left out of the band is
-also sent to the sink, which forgoes only the possibility of marching
-back in across the frame.  For 4W machines a band-exiting move is treated
-as undefined, keeping the configuration space finite.
+boundary marker, and only the state keeps evolving.  A 2W head moves only
+down and right, so once it leaves past the bottom or right border it can
+never re-enter the band, and the collapse is exact for 2W: it gives the
+verdicts of a head on the word embedded in a wide enough band of ``#``.
+It is not exact for 3W.  A 3W head that leaves past the right border
+could step left again, back across the frame and onto the word, which
+the sink forgoes, as it forgoes marching back in after walking left out
+of the band; so a 3W machine can reject here a picture that it accepts
+on a padded band (``tests/test_simulation.py`` pins such a machine).
+For 4W machines a band-exiting move is treated as undefined, keeping the
+configuration space finite.
 
-Cells are read where they are: one kernel, :func:`_step`, reads the word
-through a window (row and column offset plus size) into the rows of a
-picture, and answers ``#`` for every band position outside the window.
-No bordered band and no block picture is ever built.  Every entry point
-goes through that kernel, and every reachability question goes through
-one depth-first loop, :func:`_search`: :func:`accepts` on the whole
-picture, the split oracles in ``concat`` on each block in place, and the
-trace walk of :func:`first_accepting_trace` (also behind
+Cells are read where they are: one step rule reads the word through a
+window (row and column offset plus size) into the rows of a picture, and
+answers ``#`` for every band position outside the window.  No bordered
+band and no block picture is ever built.  The rule has two encodings in
+this module and none elsewhere.  :func:`_step` is its one-step
+definition, behind traces, replay, :func:`run_deterministic` and
+:class:`RowTransfer`.  :func:`_search`, the one depth-first loop behind
+every reachability question, applies it inline, since its searches are
+mostly a few steps long and a call per step would cost more than the
+step: :func:`accepts` on the whole picture, the split oracles in
+``concat`` on each block in place, and the trace walk of
+:func:`first_accepting_trace` (also behind
 :func:`~pictomata.oracle.flip_attack`) from a configuration on its path
 with a set of configurations it must not enter.
 
-:class:`RowTransfer` is the kernel's other user.  A 2W or 3W head never
-moves up, so a run cuts exactly at each row boundary: what rows 1..i
-hand on to row i+1 is the set of (state, column) pairs stepping down
-into it, and the transfer closes such a set under :func:`_step` on a
-one-row window.  The cut stays exact below the last row, because the
-bottom frame row and the escape sink read only ``#``, so what is left
-there is the ``#``-reachability of
+:class:`RowTransfer` folds a picture row by row instead.  A 2W or 3W
+head never moves up, so a run cuts exactly at each row boundary: what
+rows 1..i hand on to row i+1 is the set of (state, column) pairs
+stepping down into it, and the transfer closes such a set under
+:func:`_step` on a one-row window.  The cut stays exact below the last
+row, because the bottom frame row and the escape sink read only ``#``,
+so what is left there is the ``#``-reachability of
 :func:`~pictomata.automaton.boundary_reach`.  4W machines have no such
 cut.
 
@@ -79,9 +88,9 @@ def check_input(a: Automaton2D, w: Picture, *, allow_hash: bool | None = None) -
     ``w.allow_hash``.
     """
     ok = a.compiled.legal[w.allow_hash if allow_hash is None else allow_hash]
-    used = set("".join(w.rows))
-    if not used <= ok:
-        raise AlphabetError(f"picture uses symbols {sorted(used - ok)} unknown to {a.name!r}")
+    cells = "".join(w.rows)
+    if not ok.issuperset(cells):
+        raise AlphabetError(f"picture uses symbols {sorted(set(cells) - ok)} unknown to {a.name!r}")
 
 
 def _step(comp: Compiled, rows, r0: int, c0: int, m: int, n: int, si: int, r: int, c: int):
@@ -145,6 +154,11 @@ def _search(comp: Compiled, rows, r0: int, c0: int, m: int, n: int, start=None, 
     set holds configurations the run must not enter (``start`` must not be
     among them), accepting ones included; the search adds every
     configuration it enters.
+
+    This is the hot loop of every verdict, so it applies the rule of
+    :func:`_step` inline rather than calling it: the same successors, in
+    the same order, hence the same search.  ``tests/test_simulation.py``
+    pins the two together.
     """
     if start is None:
         start = (comp.initial, 1, 1)
@@ -155,11 +169,35 @@ def _search(comp: Compiled, rows, r0: int, c0: int, m: int, n: int, start=None, 
         seen = {start}
     else:
         seen.add(start)
+    image, sink = comp.image, not comp.is4w
+    m1, n1 = m + 1, n + 1
     todo = [start]
     while todo:
-        for t in _step(comp, rows, r0, c0, m, n, *todo.pop()):
+        si, r, c = todo.pop()
+        if r < 0:
+            for q2, _, _ in image[si].get(BOUNDARY, ()):
+                t = (q2, -1, -1)
+                if t not in seen:
+                    if q2 == accept:
+                        return True
+                    seen.add(t)
+                    todo.append(t)
+            continue
+        if 0 < r <= m and 0 < c <= n:
+            moves = image[si].get(rows[r0 + r][c0 + c], ())
+        else:
+            moves = image[si].get(BOUNDARY, ())
+        for q2, dr, dc in moves:
+            r2 = r + dr
+            c2 = c + dc
+            if 0 <= r2 <= m1 and 0 <= c2 <= n1:
+                t = (q2, r2, c2)
+            elif sink:
+                t = (q2, -1, -1)
+            else:
+                continue
             if t not in seen:
-                if t[0] == accept:
+                if q2 == accept:
                     return True
                 seen.add(t)
                 todo.append(t)

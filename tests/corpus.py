@@ -2,8 +2,9 @@
 
 from itertools import product
 
-from pictomata import Alphabet, Automaton2D, Picture, accepts, build_witness, make_delta, split_separated
+from pictomata import Alphabet, Automaton2D, accepts, build_witness, make_delta, split_separated
 from pictomata.onedim import TWO_WAY, Automaton1D
+from pictomata.picture import _trusted_picture
 
 AB01 = Alphabet(("0", "1"))
 UNARY = Alphabet(("a",))
@@ -151,6 +152,10 @@ def separated_layouts(max_m, max_n, syms):
     Order: by rows m, columns n, separator row sr, separator column sc,
     then the free cells (all but row sr and column sc) in row-major order
     as ``itertools.product`` over ``syms`` counts them.
+
+    The layouts skip ``Picture``'s checks: their rows are nonempty, of
+    one length, and hold only ``#`` and ``syms`` (single printable
+    characters), so each equals ``Picture(rows, allow_hash=True)``.
     """
     for m in range(1, max_m + 1):
         for n in range(1, max_n + 1):
@@ -162,7 +167,7 @@ def separated_layouts(max_m, max_n, syms):
                         s = "".join(fill)
                         rows = [s[i : i + sc - 1] + "#" + s[i + sc - 1 : i + w] for i in starts]
                         rows.insert(sr - 1, bar)
-                        yield Picture(tuple(rows), allow_hash=True)
+                        yield _trusted_picture(tuple(rows), allow_hash=True)
 
 
 def separated_member(a, b):
@@ -225,6 +230,16 @@ def left_probe3w():
     # steps left off the first cell, where only '#' lets it accept
     return _mk("left_probe3w", ("q0", "q1", "acc"), "q0", "acc",
                [("q0", "0", "q1", "L"), ("q0", "1", "q1", "L"), ("q1", "#", "acc", "D")],
+               variant="3W")
+
+
+def right_return3w():
+    # walks right off the word, steps back across the frame and accepts on
+    # a '1' in the last column: a head on a band padded with '#' can, but
+    # the escape sink never lets it back, so the toolkit rejects "1"
+    return _mk("right_return3w", ("q0", "p", "s", "t", "acc"), "q0", "acc",
+               [("q0", "0", "q0", "R"), ("q0", "1", "q0", "R"), ("q0", "#", "p", "R"),
+                ("p", "#", "s", "L"), ("s", "#", "t", "L"), ("t", "1", "acc", "D")],
                variant="3W")
 
 

@@ -21,6 +21,7 @@ from pictomata import (
     CaseTag,
     ConcatKind,
     DimBounds,
+    Picture,
     ToolkitError,
     VariantError,
     accepting_runs,
@@ -244,6 +245,18 @@ def test_diag_concat_separated_layout_roundtrip():
     sr, sc, tl, br = split_separated(p)
     assert (sr, sc) == (2, 3)
     assert tl == w and br == v
+
+
+def test_separated_layouts_equal_checked_pictures():
+    # the layouts skip Picture's checks, so each must be the picture the
+    # checks would build, sizes and permission included
+    count = 0
+    for p in separated_layouts(4, 5, ("0", "1")):
+        q = Picture(p.rows, allow_hash=True)
+        assert (p.rows, p.m, p.n, p.allow_hash) == (q.rows, q.m, q.n, True)
+        assert p == q
+        count += 1
+    assert count == sum(m * n * 2 ** ((m - 1) * (n - 1)) for m in range(1, 5) for n in range(1, 6))
 
 
 def test_split_separated_rejects_malformed():

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from itertools import product
 
@@ -27,6 +28,7 @@ from pictomata import (
     CapacityError,
     ConcatKind,
     ConcatOracle,
+    Configuration,
     Counterexample,
     DimBounds,
     Picture,
@@ -107,6 +109,27 @@ def test_flip_attack_finds_row_two_flip():
     # replay soundness: the evidence trace still accepts the flipped word
     assert replay_accepts(L, ce.word, ce.evidence)
     assert verify_counterexample(L, target, ce)
+
+
+def test_verify_counterexample_replays_the_evidence():
+    # both verdicts re-derive correctly, so only the replay can tell a
+    # forged accepting run from the real one
+    L = first_row_zeros()
+    target = lambda w: concat_membership(ConcatKind.ROW, L, L, w)
+    ce = refute(universal01(), ConcatKind.ROW, L, L, DimBounds(3, 3))
+    assert ce.evidence is not None and verify_counterexample(universal01(), target, ce)
+    ce = flip_attack(L, picture_of(["00", "00"]), target)
+    assert verify_counterexample(L, target, ce)
+    trace = ce.evidence
+    forged = [
+        trace[1:],  # does not start at the initial configuration
+        trace[:-1],  # stops short of acceptance
+        trace[:1] + trace[2:],  # skips a step
+        (*trace[:-1], Configuration(trace[-1].state, (9, 9))),  # accepts off the run
+        (),
+    ]
+    for evidence in forged:
+        assert not verify_counterexample(L, target, dataclasses.replace(ce, evidence=evidence)), evidence
 
 
 def test_flip_attack_none_when_all_cells_visited():

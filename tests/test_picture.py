@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -5,14 +7,18 @@ from pictomata import (
     Alphabet,
     AlphabetError,
     OutOfBandError,
+    Picture,
     WindowError,
+    build_separated,
     format_picture,
     parse_picture,
     picture_of,
     read_cell,
+    split_separated,
     subpicture,
     transpose,
 )
+from pictomata.picture import _trusted_picture
 
 
 def pictures(symbols="01", max_dim=4):
@@ -134,3 +140,38 @@ def test_parse_and_format_round_trip():
 def test_allow_hash_not_part_of_identity():
     assert picture_of(["00"]) == picture_of(["00"], allow_hash=True)
     assert len({picture_of(["00"]), picture_of(["00"], allow_hash=True)}) == 1
+
+
+@given(pictures())
+def test_sizes_are_right_on_every_construction_path(w):
+    made = [
+        w,
+        Picture(w.rows, allow_hash=True),
+        _trusted_picture(w.rows),
+        _trusted_picture(w.rows, allow_hash=True),
+        dataclasses.replace(w, rows=w.rows + w.rows[:1]),
+        dataclasses.replace(w, rows=tuple(r + "0" for r in w.rows)),
+        w.with_cell((w.m, w.n), "#"),
+        subpicture(w, 1, w.m, w.n, w.n),
+        subpicture(w, w.m, w.m, 1, w.n),
+        transpose(w),
+    ]
+    layout = build_separated(w, w, w, w)
+    made += [layout, *split_separated(layout)[2:]]
+    for p in made:
+        assert (p.m, p.n) == (len(p.rows), len(p.rows[0])), p.rows
+
+
+def test_sizes_stay_out_of_identity_and_repr():
+    w = picture_of(["010", "101"])
+    assert (w.m, w.n) == (2, 3)
+    skewed = _trusted_picture(w.rows)
+    skewed.__dict__.update(m=7, n=9)
+    assert skewed == w and hash(skewed) == hash(w)
+    assert repr(skewed) == repr(w) == "Picture(rows=('010', '101'), allow_hash=False)"
+    with pytest.raises(TypeError):
+        Picture(("0",), m=1)
+    with pytest.raises(ValueError):
+        dataclasses.replace(w, n=1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        w.m = 3

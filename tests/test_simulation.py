@@ -13,6 +13,7 @@ from corpus import (
     left_probe3w,
     loopy01,
     random_2d,
+    right_return3w,
     spray01,
     universal01,
     up_left_probe4w,
@@ -36,7 +37,7 @@ from pictomata import (
     successors,
     visited_cells,
 )
-from pictomata.simulate import ACCEPTED, REJECTED_LOOP, REJECTED_UNDEFINED
+from pictomata.simulate import ACCEPTED, REJECTED_LOOP, REJECTED_UNDEFINED, _search, _step
 
 
 def cfg(state, loc):
@@ -336,3 +337,121 @@ def test_first_accepting_trace_is_polynomial_on_spray_words():
     assert trace is not None and replay_accepts(a, w, trace)
     assert [c.loc for c in trace[:-2]] == [(1, c) for c in range(1, k + 1)]
     assert first_accepting_trace(a, picture_of(["0" * k] * k)) is None
+
+
+def _closure_search(comp, rows, r0, c0, m, n, start, seen):
+    """What :func:`_search` decides, as a plain breadth-first closure over
+    :func:`_step`: whether ``start`` reaches an accepting configuration
+    without entering ``seen``, to which it adds every configuration it
+    enters."""
+    if start[0] == comp.accept:
+        return True
+    seen.add(start)
+    layer = [start]
+    while layer:
+        below = []
+        for cfg in layer:
+            for t in _step(comp, rows, r0, c0, m, n, *cfg):
+                if t in seen:
+                    continue
+                if t[0] == comp.accept:
+                    return True
+                seen.add(t)
+                below.append(t)
+        layer = below
+    return False
+
+
+@given(
+    st.integers(0, 2**32),
+    st.sampled_from(["2W", "3W", "4W"]),
+    st.sampled_from(["det", "nondet"]),
+)
+@settings(max_examples=300, deadline=None)
+def test_search_equals_a_closure_over_step(seed, variant, mode):
+    # _search applies the step rule inline; it must decide what the rule
+    # decides, and a failed search must leave the caller's set holding
+    # exactly what the closure entered (_first_trace and flip_attack
+    # block those configurations)
+    rng = random.Random(seed)
+    a = random_2d(rng, variant, mode)
+    comp = a.compiled
+    states = range(len(comp.states))
+    for _ in range(10):
+        big_m, big_n = rng.randint(1, 4), rng.randint(1, 4)
+        rows = tuple("".join(rng.choice("01") for _ in range(big_n)) for _ in range(big_m))
+        if rng.random() < 0.5:  # the whole picture
+            r0, c0, m, n = -1, -1, big_m, big_n
+        else:  # a window, offset whenever it is smaller than the picture
+            m, n = rng.randint(1, big_m), rng.randint(1, big_n)
+            r0, c0 = rng.randint(-1, big_m - m - 1), rng.randint(-1, big_n - n - 1)
+        band = [(si, r, c) for si in states for r in range(m + 2) for c in range(n + 2)]
+        band += [(si, -1, -1) for si in states]
+        start = None if rng.random() < 0.3 else rng.choice(band)
+        begin = (comp.initial, 1, 1) if start is None else start
+        blocked = None
+        if rng.random() < 0.6:
+            blocked = {t for t in rng.sample(band, rng.randint(0, len(band) // 3)) if t != begin}
+        fused = None if blocked is None else set(blocked)
+        plain = set() if blocked is None else set(blocked)
+        verdict = _closure_search(comp, rows, r0, c0, m, n, begin, plain)
+        assert _search(comp, rows, r0, c0, m, n, start, fused) == verdict
+        if fused is not None and not verdict:
+            assert fused == plain
+
+
+# -- the escape sink against a padded band ---------------------------------
+
+_PAD_MOVES = {"U": (-1, 0), "D": (1, 0), "L": (0, -1), "R": (0, 1)}
+
+
+def _padded_accepts(a, w):
+    """Acceptance with w embedded in a field of '#' |Q| + 2 cells wide on
+    every side, where a move off the field is undefined: no escape sink,
+    and nothing shared with the toolkit's simulator but the machine's
+    ``delta``.  For 2W the pad is wide enough: once the head has left
+    the bordered band it reads only '#', so acceptance, if reachable at
+    all, is at most |Q| - 1 moves away."""
+    pad = len(a.states) + 2
+    rows, m, n = w.rows, len(w.rows), len(w.rows[0])
+    start = (a.initial, 1, 1)
+    seen, todo = {start}, [start]
+    while todo:
+        q, r, c = todo.pop()
+        if q == a.accept:
+            return True
+        sym = rows[r - 1][c - 1] if 1 <= r <= m and 1 <= c <= n else "#"
+        for q2, d in a.delta.get((q, sym), ()):
+            dr, dc = _PAD_MOVES[d]
+            nxt = (q2, r + dr, c + dc)
+            if 1 - pad <= nxt[1] <= m + pad and 1 - pad <= nxt[2] <= n + pad and nxt not in seen:
+                seen.add(nxt)
+                todo.append(nxt)
+    return False
+
+
+def test_escape_sink_equals_a_padded_band_for_two_way_corpus():
+    for a in corpus_2w():
+        for w in enumerate_pictures(a.alphabet, DimBounds(3, 3)):
+            assert accepts(a, w) == _padded_accepts(a, w), (a.name, w.rows)
+
+
+@given(st.integers(0, 2**32), st.sampled_from(["det", "nondet"]))
+@settings(max_examples=300, deadline=None)
+def test_escape_sink_equals_a_padded_band_for_random_two_way_machines(seed, mode):
+    a = random_2d(random.Random(seed), "2W", mode)
+    for w in enumerate_pictures(a.alphabet, DimBounds(3, 3)):
+        assert accepts(a, w) == _padded_accepts(a, w), w.rows
+
+
+def test_escape_sink_is_not_a_padded_band_for_three_way():
+    # a 3W head that leaves past the right border could walk back in; the
+    # sink forgoes that, so the toolkit and its row transfer reject what
+    # a padded band accepts
+    a = right_return3w()
+    for rows in (["01"], ["1"]):
+        w = picture_of(rows)
+        assert _padded_accepts(a, w)
+        assert not accepts(a, w)
+        assert not _transfer_accepts(a, w)
+    assert not _padded_accepts(a, picture_of(["10"]))

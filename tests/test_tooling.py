@@ -1,6 +1,7 @@
 """Checks on the package's structure: the benchmark's view of it, read
-from ``bench/`` without importing the benchmark runner, and the
-separation of the split oracles from what they check."""
+from ``bench/`` without importing the benchmark runner, the separation
+of the split oracles from what they check, and the one module that
+encodes the step rule."""
 
 import ast
 import importlib
@@ -9,6 +10,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SPANS = ROOT / "bench" / "spans.py"
+PACKAGE = ROOT / "src" / "pictomata"
 
 
 def _traced():
@@ -35,7 +37,7 @@ def test_every_traced_name_resolves_on_its_module():
 def test_split_oracles_import_nothing_they_check():
     # concat.py is the ground truth for the constructions and the row
     # transfer sweeps, so it may not reach them
-    tree = ast.parse((ROOT / "src" / "pictomata" / "concat.py").read_text(encoding="utf-8"))
+    tree = ast.parse((PACKAGE / "concat.py").read_text(encoding="utf-8"))
     imported = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -45,3 +47,22 @@ def test_split_oracles_import_nothing_they_check():
             imported.update(alias.name for alias in node.names)
     assert "simulate" in imported  # the walk sees the imports that are there
     assert not imported & {"construct", "oracle", "RowTransfer"}
+
+
+def test_only_simulate_encodes_the_step_rule():
+    # simulate._step defines one step and simulate._search applies the
+    # same rule inline, pinned to it by a differential test; no other
+    # module steps configurations, so the rule stays in one module
+    users = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                names = {alias.name for alias in node.names}
+            elif isinstance(node, ast.Attribute):
+                names = {node.attr}
+            else:
+                continue
+            for name in names & {"_step", "_search"}:
+                users.setdefault(name, set()).add(path.name)
+    assert "concat.py" in users["_search"]  # the walk sees the imports that are there
+    assert users.get("_step", set()) <= {"simulate.py"}
