@@ -91,7 +91,6 @@ from .simulate import (
     first_accepting_trace,
     format_trace,
     replay_accepts,
-    replay_is_run,
     run_deterministic,
     successors,
     visited_cells,

@@ -19,17 +19,19 @@ every block it needs afresh and keeps nothing, and the tests compare
 against it.  :class:`ConcatOracle` serves a sweep, many words checked
 against one (kind, a, b): it remembers each factor's verdict per
 distinct block while the object lives, so a block shared by many words
-of the sweep is simulated once.  The two loops stay apart because a
-one-shot oracle pays for block keys and memo entries it never reads
-again: routing ``concat_membership`` through a fresh ``ConcatOracle``
-made each call 1.2-1.4x slower (40 random factor pairs on every picture
-up to 3x3, Python 3.11).
+of the sweep is simulated once.  Both read what they share from one
+place.  :func:`_prologue` makes their checks, in one order, and
+compiles b before any split.  :func:`_splits` is the split geometry of
+all three kinds: for each size of word, the pair of blocks of every
+split, as windows of the word, in split order.  ``concat_membership``
+searches each window in place; ``ConcatOracle`` copies it out as the key
+of its memo.
 """
 
 import enum
 from itertools import product
 
-from .automaton import Automaton2D
+from .automaton import Automaton2D, Compiled
 from .errors import AlphabetError, CapacityError, DimensionError
 from .picture import Alphabet, Picture, _trusted_picture
 from .simulate import _search, check_input
@@ -83,9 +85,53 @@ def diag_concat_words(
     return out
 
 
-def _check_pair(a: Automaton2D, b: Automaton2D) -> None:
+def _prologue(kind: ConcatKind, a: Automaton2D, b: Automaton2D, w: Picture) -> Compiled:
+    """The checks of both oracles, in this order: the factors share one
+    alphabet, w's cells lie in it without ``#``, and the kind is a
+    :class:`ConcatKind`.  Returns b's compiled tables, so a factor b that
+    fails to compile raises here too, before any split is tried.
+
+    The alphabet never holds ``#``, whatever ``w.allow_hash`` says: L(a)
+    and L(b) contain no word with a ``#`` cell, so neither does their
+    concatenation, and such a ``w`` raises ``AlphabetError``.
+    """
     if a.alphabet.symbols != b.alphabet.symbols:
         raise AlphabetError("factor machines must share one alphabet")
+    check_input(a, w, allow_hash=False)
+    if not isinstance(kind, ConcatKind):
+        raise ValueError(f"unknown concat kind {kind!r}")
+    return b.compiled
+
+
+_TABLES: dict[ConcatKind, dict[tuple[int, int], tuple]] = {kind: {} for kind in ConcatKind}
+
+
+def _splits(kind: ConcatKind, m: int, n: int) -> tuple:
+    """The (a-window, b-window) pair of every split of an m x n word, in
+    split order: row cut outer, column cut inner.
+
+    A window is the ``(r0, c0, rows, cols)`` of :func:`_search`, whose
+    cell (i, j) is ``rows[r0 + i][c0 + j]`` of the word.  Row: the top i
+    rows go to a and the rest to b.  Col: the left j columns to a and the
+    rest to b.  Diag: the top-left i x j block to a and the bottom-right
+    (m-i) x (n-j) block to b, the other two corners unconstrained.  So
+    a's block always starts at the word's top-left cell and b's always
+    ends at its bottom-right one.  A word too small to split has no
+    entry.  Each table is built on first use and kept, one per kind and
+    size; it has fewer entries than the word has cells.
+    """
+    table = _TABLES[kind]
+    splits = table.get((m, n))
+    if splits is None:
+        # (rows, cols) of a's block, then the rows above and columns left of b's
+        if kind is ConcatKind.ROW:
+            cuts = [(i, n, i, 0) for i in range(1, m)]
+        elif kind is ConcatKind.COL:
+            cuts = [(m, j, 0, j) for j in range(1, n)]
+        else:
+            cuts = [(i, j, i, j) for i in range(1, m) for j in range(1, n)]
+        splits = table[m, n] = tuple(((-1, -1, i, j), (r - 1, c - 1, m - r, n - c)) for i, j, r, c in cuts)
+    return splits
 
 
 def concat_membership(kind: ConcatKind, a: Automaton2D, b: Automaton2D, w: Picture) -> bool:
@@ -95,57 +141,37 @@ def concat_membership(kind: ConcatKind, a: Automaton2D, b: Automaton2D, w: Pictu
     L(b).  Col: symmetric on columns.  Diag: some interior point splits w
     into a top-left block in L(a) and a bottom-right block in L(b), with
     the other two corners unconstrained.  Words too small to split are
-    simply not members.  w's symbols are checked against the factors'
-    alphabet once, before any split is tried.  That alphabet never holds
-    ``#``, whatever ``w.allow_hash`` says: L(a) and L(b) contain no word
-    with a ``#`` cell, so neither does their concatenation, and such a
-    ``w`` raises ``AlphabetError``.
+    simply not members.  The checks of :func:`_prologue` come first.
 
     Each factor then runs on its block of w in place, by the search of
-    :func:`~pictomata.simulate.accepts` on a window of w, as if on the
-    block copied out with :func:`~pictomata.picture.subpicture`.  No
-    check is repeated: every block lies inside w by construction, and
-    its symbols are among w's, which have just been checked.  Nothing is
-    remembered across calls, so each call simulates every block it needs
-    afresh; :class:`ConcatOracle` is the same predicate for a sweep.
+    :func:`~pictomata.simulate.accepts` on a window of w from
+    :func:`_splits`, as if on the block copied out with
+    :func:`~pictomata.picture.subpicture`.  No check is repeated: every
+    block lies inside w by construction, and its symbols are among w's,
+    which have just been checked.  Nothing is remembered across calls, so
+    each call simulates every block it needs afresh; :class:`ConcatOracle`
+    is the same predicate for a sweep.
     """
-    _check_pair(a, b)
-    check_input(a, w, allow_hash=False)
-    # check_input has built a's tables, so reading them cannot raise; b's
-    # are read only once a's block is accepted, so a factor b that fails
-    # to compile raises only then, after the kind has been checked.
-    ca, rows, m, n = a.compiled, w.rows, w.m, w.n
-    # Block rows r1..r2 x columns c1..c2 of w is the window
-    # (r1 - 2, c1 - 2, r2 - r1 + 1, c2 - c1 + 1) of _search.
-    if kind is ConcatKind.ROW:
-        return any(
-            _search(ca, rows, -1, -1, i, n) and _search(b.compiled, rows, i - 1, -1, m - i, n) for i in range(1, m)
-        )
-    if kind is ConcatKind.COL:
-        return any(
-            _search(ca, rows, -1, -1, m, j) and _search(b.compiled, rows, -1, j - 1, m, n - j) for j in range(1, n)
-        )
-    if kind is ConcatKind.DIAG:
-        for i in range(1, m):
-            for j in range(1, n):
-                if _search(ca, rows, -1, -1, i, j) and _search(b.compiled, rows, i - 1, j - 1, m - i, n - j):
-                    return True
-        return False
-    raise ValueError(f"unknown concat kind {kind!r}")
+    cb = _prologue(kind, a, b, w)
+    ca, rows = a.compiled, w.rows
+    for (r0, c0, m0, n0), (r1, c1, m1, n1) in _splits(kind, w.m, w.n):
+        if _search(ca, rows, r0, c0, m0, n0) and _search(cb, rows, r1, c1, m1, n1):
+            return True
+    return False
 
 
 class ConcatOracle:
     """Split-enumeration membership oracle for L(a) <kind> L(b), for a sweep.
 
     Calling it on a word gives :func:`concat_membership`'s verdict, with
-    the same checks, raised in the same order from the call: the pair
-    check, the ``#``-free alphabet check of the word, then the kind.
-    Splits are tried in the same order too, and b's block only once a's
-    is accepted.  What differs is that each factor's verdict is
-    remembered per block, keyed by the block's own rows, in one memo per
-    factor (:attr:`memos`, a's then b's).  That is exact because a factor
-    reads only the cells of its block and ``#`` around it, and the block
-    is searched as a picture of its own.
+    the same checks of :func:`_prologue`, raised from the call.  It tries
+    the same splits of :func:`_splits` in the same order, and b's block
+    only once a's is accepted.  What differs is that each block is copied
+    out of the word and each factor's verdict is remembered per block,
+    keyed by the block's own rows, in one memo per factor (:attr:`memos`,
+    a's then b's).  That is exact because a factor reads only the cells
+    of its block and ``#`` around it, and the block is searched as a
+    picture of its own.
 
     The memos live as long as the oracle object and need no cap.  Every
     block of a word within bounds of M rows and N columns is a picture
@@ -156,66 +182,33 @@ class ConcatOracle:
     sweep and let it go with the sweep.
     """
 
-    __slots__ = ("kind", "a", "b", "memos", "_splits")
+    __slots__ = ("kind", "a", "b", "memos")
 
     def __init__(self, kind: ConcatKind, a: Automaton2D, b: Automaton2D):
         self.kind = kind
         self.a = a
         self.b = b
         self.memos: tuple[dict, dict] = ({}, {})
-        # chosen once per sweep; an unknown kind raises from the call
-        self._splits = _SPLITS.get(kind)
 
     def __call__(self, w: Picture) -> bool:
-        a, b = self.a, self.b
-        _check_pair(a, b)
-        check_input(a, w, allow_hash=False)
-        if self._splits is None:
-            raise ValueError(f"unknown concat kind {self.kind!r}")
-        return self._splits(a, b, *self.memos, w.rows)
+        cb = _prologue(self.kind, self.a, self.b, w)
+        ca, rows = self.a.compiled, w.rows
+        memo_a, memo_b = self.memos
+        # a's block starts at w's top-left cell, b's ends at its bottom-right
+        for (_, _, m0, n0), (r1, c1, m1, n1) in _splits(self.kind, w.m, w.n):
+            if _remembered(memo_a, ca, tuple([r[:n0] for r in rows[:m0]]), m0, n0) and _remembered(
+                memo_b, cb, tuple([r[c1 + 1 :] for r in rows[r1 + 1 :]]), m1, n1
+            ):
+                return True
+        return False
 
 
-def _remembered(memo: dict, factor: Automaton2D, block: tuple[str, ...], m: int, n: int) -> bool:
+def _remembered(memo: dict, comp: Compiled, block: tuple[str, ...], m: int, n: int) -> bool:
     """The factor's verdict on the m x n ``block``, searched on a miss."""
     verdict = memo.get(block)
     if verdict is None:
-        verdict = memo[block] = _search(factor.compiled, block, -1, -1, m, n)
+        verdict = memo[block] = _search(comp, block, -1, -1, m, n)
     return verdict
-
-
-# The split loops of ConcatOracle, one per kind, in concat_membership's
-# split order, on blocks copied out of w's rows.
-
-
-def _row_splits(a, b, memo_a, memo_b, rows) -> bool:
-    m, n = len(rows), len(rows[0])
-    return any(
-        _remembered(memo_a, a, rows[:i], i, n) and _remembered(memo_b, b, rows[i:], m - i, n) for i in range(1, m)
-    )
-
-
-def _col_splits(a, b, memo_a, memo_b, rows) -> bool:
-    m, n = len(rows), len(rows[0])
-    return any(
-        _remembered(memo_a, a, tuple([r[:j] for r in rows]), m, j)
-        and _remembered(memo_b, b, tuple([r[j:] for r in rows]), m, n - j)
-        for j in range(1, n)
-    )
-
-
-def _diag_splits(a, b, memo_a, memo_b, rows) -> bool:
-    m, n = len(rows), len(rows[0])
-    for i in range(1, m):
-        top, bottom = rows[:i], rows[i:]
-        for j in range(1, n):
-            if _remembered(memo_a, a, tuple([r[:j] for r in top]), i, j) and _remembered(
-                memo_b, b, tuple([r[j:] for r in bottom]), m - i, n - j
-            ):
-                return True
-    return False
-
-
-_SPLITS = {ConcatKind.ROW: _row_splits, ConcatKind.COL: _col_splits, ConcatKind.DIAG: _diag_splits}
 
 
 def split_separated(p: Picture) -> tuple[int, int, Picture, Picture] | None:

@@ -139,18 +139,22 @@ class CaseTag(enum.Enum):
 
 @dataclass(frozen=True)
 class _CaseCfg:
+    tag: str            # the CaseTag value that opens the case's state names
     first: str          # which machine's down-phase opens a round
     guesser: str | None  # machine whose bottom border is guessed mid-word
     phase2: str | None   # machine simulated alone after the guess
     verify: str          # head direction whose border read closes the run
 
 
-_CASES: dict[str, _CaseCfg] = {
-    "c1": _CaseCfg("A", "A", "B", "R"),
-    "c2": _CaseCfg("A", "B", "A", "R"),
-    "c3a": _CaseCfg("B", "B", "A", "D"),
-    "c3b": _CaseCfg("A", "A", "B", "D"),
-    "c4": _CaseCfg("A", None, None, "R"),
+_CASES: dict[CaseTag, _CaseCfg] = {
+    tag: _CaseCfg(tag.value, *fields)
+    for tag, fields in (
+        (CaseTag.BOTTOM_RIGHT, ("A", "A", "B", "R")),
+        (CaseTag.RIGHT_BOTTOM, ("A", "B", "A", "R")),
+        (CaseTag.BOTTOM_BOTTOM_BEFORE, ("B", "B", "A", "D")),
+        (CaseTag.BOTTOM_BOTTOM_AFTER, ("A", "A", "B", "D")),
+        (CaseTag.RIGHT_RIGHT, ("A", None, None, "R")),
+    )
 }
 
 
@@ -162,8 +166,8 @@ def _border_ok(m: Automaton2D, q: str) -> bool:
     return bool(m.image(q, BOUNDARY))
 
 
-def _turn_successors(case: str, turn: str) -> tuple[str, ...]:
-    first = _CASES[case].first + "d"
+def _turn_successors(cfg: _CaseCfg, turn: str) -> tuple[str, ...]:
+    first = cfg.first + "d"
     second = ("Bd" if first == "Ad" else "Ad")
     if turn == first:
         return (first, second, "J")
@@ -202,6 +206,7 @@ def unary_row_concat(a: Automaton2D, b: Automaton2D) -> Automaton2D:
     a1 = to_ibr(border_normalize(a))
     b1 = to_ibr(border_normalize(b))
     comp = {"A": a1, "B": b1}
+    right_right = _CASES[CaseTag.RIGHT_RIGHT]
 
     INIT, ACCEPT = "go", "ok"
     delta_entries: list[tuple[str, str, str, str]] = []
@@ -221,49 +226,48 @@ def unary_row_concat(a: Automaton2D, b: Automaton2D) -> Automaton2D:
         kind = state[0]
         if kind == "p1":
             # case tag, whose turn it is, and both component states
-            return f"{state[1]}|{state[2]}|{state[3]}|{state[4]}"
+            return f"{state[1].tag}|{state[2]}|{state[3]}|{state[4]}"
         if kind == "p2":
-            return f"{state[1]}|p2|{state[2]}"
-        return f"{state[1]}|chk"
+            return f"{state[1].tag}|p2|{state[2]}"
+        return f"{state[1].tag}|chk"
 
-    def p1_edges(case: str, turn: str, qa: str, qb: str):
-        cfg = _CASES[case]
+    def p1_edges(cfg: _CaseCfg, turn: str, qa: str, qb: str):
         if turn in ("Ad", "Bd"):
             x = turn[0]
             mx, qx = comp[x], (qa if x == "A" else qb)
             for q2 in _moves(mx, qx, sym, "D"):
                 na, nb = (q2, qb) if x == "A" else (qa, q2)
-                for t2 in _turn_successors(case, turn):
-                    yield ("p1", case, t2, na, nb), "D"
+                for t2 in _turn_successors(cfg, turn):
+                    yield ("p1", cfg, t2, na, nb), "D"
                 if cfg.guesser == x and _border_ok(mx, q2):
                     other = qb if x == "A" else qa
-                    yield ("p2", case, other), "D"
+                    yield ("p2", cfg, other), "D"
         else:
             for qa2 in _moves(a1, qa, sym, "R"):
                 for qb2 in _moves(b1, qb, sym, "R"):
-                    for t2 in _turn_successors(case, "J"):
-                        yield ("p1", case, t2, qa2, qb2), "R"
-                    if case == "c4" and _border_ok(a1, qa2) and _border_ok(b1, qb2):
-                        yield ("chk", case), "R"
+                    for t2 in _turn_successors(cfg, "J"):
+                        yield ("p1", cfg, t2, qa2, qb2), "R"
+                    if cfg is right_right and _border_ok(a1, qa2) and _border_ok(b1, qb2):
+                        yield ("chk", cfg), "R"
 
-    def p2_edges(case: str, q: str):
-        cfg = _CASES[case]
+    def p2_edges(cfg: _CaseCfg, q: str):
         mz = comp[cfg.phase2]
         for q2, d in sorted(mz.image(q, sym)):
-            yield ("p2", case, q2), d
+            yield ("p2", cfg, q2), d
             if d == cfg.verify and _border_ok(mz, q2):
-                yield ("chk", case), d
+                yield ("chk", cfg), d
 
     # The initial state carries the first move of every case, with any of
     # the three turn positions as the starting point (down-phases may be
     # empty); the right-right case instead opens with its slack row.
     qa0, qb0 = a1.initial, b1.initial
-    for case in ("c1", "c2", "c3a", "c3b"):
-        for t0 in _turn_successors(case, "J"):
-            for target, move in p1_edges(case, t0, qa0, qb0):
-                delta_entries.append((INIT, sym, visit(target), move))
-    for t0 in _turn_successors("c4", "J"):
-        delta_entries.append((INIT, sym, visit(("p1", "c4", t0, qa0, qb0)), "D"))
+    for cfg in _CASES.values():
+        for t0 in _turn_successors(cfg, "J"):
+            if cfg is right_right:
+                delta_entries.append((INIT, sym, visit(("p1", cfg, t0, qa0, qb0)), "D"))
+            else:
+                for target, move in p1_edges(cfg, t0, qa0, qb0):
+                    delta_entries.append((INIT, sym, visit(target), move))
 
     while work:
         state = work.pop(0)

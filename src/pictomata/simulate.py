@@ -66,10 +66,6 @@ class Configuration:
     state: str
     loc: Position | None
 
-    @property
-    def escaped(self) -> bool:
-        return self.loc is None
-
 
 @dataclass(frozen=True)
 class RunResult:
@@ -284,8 +280,10 @@ def visited_cells(trace: RunTrace, w: Picture) -> set[Position]:
     }
 
 
-def replay_is_run(a: Automaton2D, w: Picture, trace: RunTrace) -> bool:
-    """Check that consecutive trace entries are single delta steps on w."""
+def replay_accepts(a: Automaton2D, w: Picture, trace: RunTrace) -> bool:
+    """Check that the trace is an accepting run on w: it starts at
+    (initial, (1,1)), each entry is a single delta step from the one
+    before, and the last is in the accepting state."""
     if not trace:
         return False
     comp = a.compiled
@@ -296,11 +294,7 @@ def replay_is_run(a: Automaton2D, w: Picture, trace: RunTrace) -> bool:
     for cur, nxt in zip(trace, trace[1:]):
         if _to_triple(comp, nxt) not in _step(comp, w.rows, -1, -1, w.m, w.n, *_to_triple(comp, cur)):
             return False
-    return True
-
-
-def replay_accepts(a: Automaton2D, w: Picture, trace: RunTrace) -> bool:
-    return replay_is_run(a, w, trace) and trace[-1].state == a.accept
+    return trace[-1].state == a.accept
 
 
 def format_trace(a: Automaton2D, w: Picture, trace: RunTrace, verdict: str) -> str:

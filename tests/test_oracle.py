@@ -45,11 +45,12 @@ from pictomata import (
     picture_of,
     refute,
     replay_accepts,
+    subpicture,
     to_ibr,
     verify_counterexample,
     visited_cells,
 )
-from pictomata import oracle
+from pictomata import concat, oracle
 
 
 def test_enumeration_order_is_total_and_deterministic():
@@ -434,22 +435,72 @@ def test_concat_oracle_equals_membership_on_random_factors(seed, kind, va, vb, m
 
 def test_concat_oracle_raises_what_concat_membership_raises():
     # the same type and message, in the same order: the pair, then the
-    # word's alphabet, then the kind, then a factor that fails to compile
+    # word's alphabet, then the kind, then a factor that fails to compile,
+    # b included, before any split: on 11/11 no block of L is accepted,
+    # and a 1x1 word has no split at all
     L, U = first_row_zeros(), u_one_row()
     broken = Automaton2D("broken", "2W", "det", AB01, ("q0", "acc"), "q0", "acc",
                          make_delta([("q0", "0", "q0", "U")]))
     hashes = picture_of(["##", "##"], allow_hash=True)
     word, foreign = picture_of(["00", "00"]), picture_of(["00", "0a"])
+    unsplit = (picture_of(["11", "11"]), picture_of(["1"]))
     cases = []
     for kind in (*ConcatKind, "diag"):
         cases += [(kind, L, U, foreign), (kind, U, L, word), (kind, L, L, foreign), (kind, L, L, hashes)]
         cases += [(kind, broken, L, word), (kind, L, broken, word)]
+        cases += [(kind, L, broken, w) for w in unsplit]
     cases.append(("diag", L, L, word))
     for kind, a, b, w in cases:
         with pytest.raises(Exception) as want:
             concat_membership(kind, a, b, w)
+        if isinstance(kind, ConcatKind):
+            assert isinstance(want.value, ToolkitError), (kind, a.name, b.name, w.rows)
         member = ConcatOracle(kind, a, b)
         for _ in range(2):
             with pytest.raises(Exception) as got:
                 member(w)
             assert (type(got.value), str(got.value)) == (type(want.value), str(want.value)), (kind, a.name, b.name)
+
+
+def test_unknown_kinds_raise_one_value_error_from_both_oracles():
+    # hashable or not, a kind that is no ConcatKind fails the kind check
+    L, word = first_row_zeros(), picture_of(["00", "00"])
+    for kind in ("diag", None, [ConcatKind.DIAG]):
+        with pytest.raises(ValueError, match="unknown concat kind") as want:
+            concat_membership(kind, L, L, word)
+        with pytest.raises(ValueError) as got:
+            ConcatOracle(kind, L, L)(word)
+        assert str(got.value) == str(want.value)
+
+
+def _split_definition(kind, w):
+    """The (a-block, b-block) pairs of every split of w, by subpicture."""
+    m, n = w.m, w.n
+    if kind is ConcatKind.ROW:
+        return [(subpicture(w, 1, i, 1, n), subpicture(w, i + 1, m, 1, n)) for i in range(1, m)]
+    if kind is ConcatKind.COL:
+        return [(subpicture(w, 1, m, 1, j), subpicture(w, 1, m, j + 1, n)) for j in range(1, n)]
+    return [
+        (subpicture(w, 1, i, 1, j), subpicture(w, i + 1, m, j + 1, n)) for i in range(1, m) for j in range(1, n)
+    ]
+
+
+def test_split_table_is_the_definition():
+    # every window of the table, copied out of a word whose cells are all
+    # distinct, is the block the definition names, in split order
+    def copied(rows, m, n, window):
+        r0, c0, nr, nc = window
+        assert nr >= 1 and nc >= 1 and r0 + 1 >= 0 and r0 + nr <= m - 1
+        assert c0 + 1 >= 0 and c0 + nc <= n - 1
+        return tuple(r[c0 + 1 : c0 + 1 + nc] for r in rows[r0 + 1 : r0 + 1 + nr])
+
+    for kind, m, n in product(ConcatKind, range(1, 5), range(1, 5)):
+        w = Picture(tuple("".join(chr(ord("a") + i * n + j) for j in range(n)) for i in range(m)))
+        table = concat._splits(kind, m, n)
+        assert concat._splits(kind, m, n) is table  # built once, then kept
+        want = [(x.rows, y.rows) for x, y in _split_definition(kind, w)]
+        assert [(copied(w.rows, m, n, wa), copied(w.rows, m, n, wb)) for wa, wb in table] == want, (kind, m, n)
+        cuts = [(len(x), len(x[0])) for x, _ in want]
+        assert cuts == sorted(cuts)  # row cut outer, column cut inner
+        too_small = {ConcatKind.ROW: m == 1, ConcatKind.COL: n == 1, ConcatKind.DIAG: min(m, n) == 1}[kind]
+        assert (table == ()) == too_small

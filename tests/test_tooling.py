@@ -1,7 +1,7 @@
 """Checks on the package's structure: the benchmark's view of it, read
 from ``bench/`` without importing the benchmark runner, the separation
-of the split oracles from what they check, and the one module that
-encodes the step rule."""
+of the split oracles from what they check, the one home of the split
+geometry, and the one module that encodes the step rule."""
 
 import ast
 import importlib
@@ -47,6 +47,29 @@ def test_split_oracles_import_nothing_they_check():
             imported.update(alias.name for alias in node.names)
     assert "simulate" in imported  # the walk sees the imports that are there
     assert not imported & {"construct", "oracle", "RowTransfer"}
+
+
+def test_only_the_split_table_names_a_kind():
+    # concat._splits holds which blocks each kind of split hands the two
+    # factors; both oracles read their windows from it and branch on no
+    # kind, so the split geometry has one home
+    def members(node):
+        return {
+            id(sub)
+            for sub in ast.walk(node)
+            if isinstance(sub, ast.Attribute)
+            and isinstance(sub.value, ast.Name)
+            and sub.value.id == "ConcatKind"
+            and sub.attr in {"ROW", "COL", "DIAG"}
+        }
+
+    tree = ast.parse((PACKAGE / "concat.py").read_text(encoding="utf-8"))
+    inside = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == "_splits":
+            inside |= members(node)
+    assert inside  # the walk sees the kinds that are there
+    assert members(tree) == inside
 
 
 def test_only_simulate_encodes_the_step_rule():
