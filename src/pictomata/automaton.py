@@ -19,7 +19,6 @@ from types import MappingProxyType
 from .errors import ToolkitError, VariantError
 from .picture import BOUNDARY, Alphabet
 
-DIRECTIONS = ("U", "D", "L", "R")
 MOVES = {"U": (-1, 0), "D": (1, 0), "L": (0, -1), "R": (0, 1)}
 VARIANT_DIRS = {"4W": {"U", "D", "L", "R"}, "3W": {"D", "L", "R"}, "2W": {"D", "R"}}
 MODES = ("det", "nondet")

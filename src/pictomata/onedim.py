@@ -122,9 +122,9 @@ class Compiled1D:
 
 
 def _problems(a: Automaton1D) -> list[str]:
-    """Everything that makes a machine meaningless, as messages: what the
-    parser rejects in a file, plus repeated state names and entries of
-    the wrong shape, which only code can build."""
+    """Everything that makes a machine meaningless, as messages.  The
+    parser reports them for a file, and :class:`Compiled1D` for a machine
+    built in code, which can also hold entries of the wrong shape."""
     if a.kind not in (TWO_WAY, ONE_WAY):
         return [f"unknown kind {a.kind!r}"]
     bad = []
@@ -466,10 +466,10 @@ def parse_automaton_1d(text: str) -> Automaton1D:
     """Parse the 1D automaton file format; inverse of
     :func:`serialize_automaton_1d`.
 
-    Rejects what no string machine can mean: repeated state names,
-    undeclared states, symbols outside the alphabet and the marker,
-    two-way moves other than L and R, and a second transition for one
-    (state, symbol) pair.
+    Checks the file's own syntax here: the variant, the ``det`` mode,
+    the shape of each transition line, one line per (state, symbol)
+    pair.  Then reports, joined by ``"; "``, every problem of the
+    machine that the compiled tables reject too (:func:`_problems`).
     """
     header, transitions = read_automaton_text(text, "1D automaton")
     (name,), (token,), (mode,), symbols, states, (initial,), accept_states = header
@@ -478,25 +478,19 @@ def parse_automaton_1d(text: str) -> Automaton1D:
         raise ToolkitError(f"unknown 1D variant {token!r}")
     if mode != "det":
         raise ToolkitError("1D machines are deterministic")
-    if kind == TWO_WAY and len(accept_states) != 1:
-        raise ToolkitError("two-way machines have exactly one accepting state")
-    known = set(states)
-    if len(known) != len(states):
-        raise ToolkitError("duplicate state identifiers")
-    if initial not in known or not known.issuperset(accept_states):
-        raise ToolkitError("initial and accepting states must be declared")
-    legal = {*symbols, BOUNDARY}
     delta: dict = {}
     for raw, parts in transitions:
         if len(parts) != (5 if kind == TWO_WAY else 4) or parts[2] != "->":
             raise ToolkitError(f"cannot parse 1D transition line: {raw!r}")
         q, sym, _, q2, *move = parts
-        if q not in known or q2 not in known or sym not in legal or move not in ([], ["L"], ["R"]):
-            raise ToolkitError(f"undeclared state, unknown symbol or bad move: {raw!r}")
         if (q, sym) in delta:
             raise ToolkitError(f"duplicate transition for {(q, sym)}")
         delta[(q, sym)] = (q2, *move) if move else q2
-    return Automaton1D(name, kind, Alphabet(symbols), states, initial, accept_states, delta)
+    a = Automaton1D(name, kind, Alphabet(symbols), states, initial, accept_states, delta)
+    problems = _problems(a)
+    if problems:
+        raise ToolkitError("; ".join(problems))
+    return a
 
 
 def load_automaton_1d(path) -> Automaton1D:

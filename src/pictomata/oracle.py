@@ -8,15 +8,12 @@ runs produce identical reports.
 
 A sweep (:func:`language_up_to`, :func:`equivalent_up_to`) still visits
 every enumerated picture, but decides a 2W or 3W candidate without a
-configuration search per picture: it folds the picture's rows through a
-:class:`~pictomata.simulate.RowTransfer` of its width, whose steps one
-sweep call remembers in a memo shared by all widths.  Pictures of one
-size come in row-lexicographic order, so consecutive pictures share
-their leading rows and most steps are memo hits.  The memo starts over
-once it holds ``_MEMO_CAP`` steps, which bounds a sweep's memory however
-many distinct rows it meets.  A 4W candidate can move up, so rows do not
-cut its runs; it is decided by :func:`~pictomata.simulate.accepts` on
-each picture.
+configuration search per picture: one
+:class:`~pictomata.simulate.RowTransfer` of the candidate decides every
+picture of the sweep with :meth:`~pictomata.simulate.RowTransfer.decide`,
+a fold of its rows through the transfer's own memo of steps.  A 4W
+candidate can move up, so rows do not cut its runs; it is decided by
+:func:`~pictomata.simulate.accepts` on each picture.
 """
 
 from collections.abc import Callable, Iterator
@@ -28,7 +25,6 @@ from .concat import ConcatKind, ConcatOracle
 from .errors import CapacityError, PreconditionError
 from .picture import Alphabet, Picture, _trusted_picture
 from .simulate import (
-    ACCEPTED,
     RowTransfer,
     RunTrace,
     _first_trace,
@@ -38,9 +34,6 @@ from .simulate import (
 )
 
 DEFAULT_BUDGET = 10**7
-
-#: Row-transfer steps one sweep remembers before its memo starts over.
-_MEMO_CAP = 4096
 
 
 @dataclass(frozen=True)
@@ -80,71 +73,45 @@ def count_pictures(alphabet: Alphabet, bounds: DimBounds) -> int:
 def enumerate_pictures(
     alphabet: Alphabet, bounds: DimBounds, budget: int | None = DEFAULT_BUDGET
 ) -> Iterator[Picture]:
-    """Yield every picture within bounds, in the fixed total order.
+    """Every picture within bounds, in the fixed total order.
 
-    The rows are joined from the alphabet's symbols, which are printable
-    and never ``#``, so each picture is built without re-checking them.
+    The budget is checked at the call, before any picture is made.  The
+    rows are joined from the alphabet's symbols, which are printable and
+    never ``#``, so each picture is built without re-checking them.
     """
     if budget is not None:
         total = count_pictures(alphabet, bounds)
         if total > budget:
             raise CapacityError(f"{total} pictures exceed the budget of {budget}")
     syms = alphabet.symbols
-    for m in range(1, bounds.max_rows + 1):
-        for n in range(1, bounds.max_cols + 1):
-            if m == 1:
-                for cells in product(syms, repeat=n):
-                    yield _trusted_picture(("".join(cells),))
-                continue
-            # Row-major cell order is row-lexicographic order over the
-            # |alphabet|**n row strings, which are built once per size.
-            pool = ["".join(cells) for cells in product(syms, repeat=n)]
-            for rows in product(pool, repeat=m):
-                yield _trusted_picture(rows)
+    # Row-major cell order is row-lexicographic order over the
+    # |alphabet|**n row strings, which are built once per size.
+    return (
+        _trusted_picture(rows)
+        for m in range(1, bounds.max_rows + 1)
+        for n in range(1, bounds.max_cols + 1)
+        for rows in product(["".join(cells) for cells in product(syms, repeat=n)], repeat=m)
+    )
 
 
 def _verdict(a: Automaton2D) -> Callable[[Picture], bool]:
-    """The acceptance test one sweep applies to every picture it visits.
-
-    For a 2W or 3W machine: a fold through the row transfer of the
-    picture's width, built on first use, with one step memo for all
-    widths, which the returned function exposes as its ``memo``.  For
-    any other machine: :func:`accepts`.  Building nothing before the
-    first picture keeps errors in their old order: the enumeration budget
-    first, then an invalid machine.
-    """
-    if a.variant not in ("2W", "3W"):
-        return lambda w: accepts(a, w)
-    transfers: dict[int, RowTransfer] = {}
-    memo: dict = {}
-
-    def decide(w: Picture) -> bool:
-        t = transfers.get(w.n)
-        if t is None:
-            t = transfers[w.n] = RowTransfer(a, w.n)
-        state = t.start
-        for row in w.rows:
-            if state is ACCEPTED:
-                return True
-            key = (state, row)
-            nxt = memo.get(key)
-            if nxt is None:
-                if len(memo) >= _MEMO_CAP:
-                    memo.clear()
-                nxt = memo[key] = t.step(state, row)
-            state = nxt
-        return t.final(state)
-
-    decide.memo = memo
-    return decide
+    """The acceptance test one sweep applies to every picture it visits:
+    one row transfer's :meth:`~pictomata.simulate.RowTransfer.decide` for
+    a 2W or 3W machine, :func:`accepts` for any other.  Building the
+    transfer compiles the machine, so a sweep enumerates first, keeping
+    its errors in their order: the budget, then an invalid machine."""
+    if a.variant in ("2W", "3W"):
+        return RowTransfer(a).decide
+    return lambda w: accepts(a, w)
 
 
 def language_up_to(
     a: Automaton2D, bounds: DimBounds, budget: int | None = DEFAULT_BUDGET
 ) -> set[Picture]:
     """Exactly the pictures within bounds that the machine accepts."""
+    pictures = enumerate_pictures(a.alphabet, bounds, budget)
     decide = _verdict(a)
-    return {w for w in enumerate_pictures(a.alphabet, bounds, budget) if decide(w)}
+    return {w for w in pictures if decide(w)}
 
 
 def equivalent_up_to(
@@ -157,8 +124,9 @@ def equivalent_up_to(
 
     Returns None when they agree on every picture within bounds.
     """
+    pictures = enumerate_pictures(candidate.alphabet, bounds, budget)
     decide = _verdict(candidate)
-    for w in enumerate_pictures(candidate.alphabet, bounds, budget):
+    for w in pictures:
         got = decide(w)
         expected = bool(target(w))
         if got != expected:

@@ -38,7 +38,12 @@ stepping down into it, and the transfer closes such a set under
 row, because the bottom frame row and the escape sink read only ``#``,
 so what is left there is the ``#``-reachability of
 :func:`~pictomata.automaton.boundary_reach`.  4W machines have no such
-cut.
+cut.  A step reads the width off its row, so one transfer per machine
+serves every width.  :meth:`~RowTransfer.decide`, the fold behind the
+sweeps of ``oracle``, remembers steps keyed by (state, row): a sweep
+meets the pictures of one size in row-lexicographic order, so most steps
+are memo hits.  The memo starts over once it holds ``_MEMO_CAP`` steps,
+which bounds its memory however many distinct rows it meets.
 
 Everything here is a pure function of (automaton, picture), and every run
 terminates: the configuration space has at most |Q|*((m+2)(n+2)+1)
@@ -49,7 +54,7 @@ from dataclasses import dataclass
 
 from .automaton import Automaton2D, Compiled, boundary_reach
 from .errors import AlphabetError, ModeError, VariantError
-from .picture import BOUNDARY, Picture, Position
+from .picture import BOUNDARY, Picture, Position, read_cell
 
 #: Trace of one run: consecutive configurations related by single steps.
 RunTrace = tuple["Configuration", ...]
@@ -57,6 +62,8 @@ RunTrace = tuple["Configuration", ...]
 ACCEPTED = "accepted"
 REJECTED_UNDEFINED = "rejected-undefined"
 REJECTED_LOOP = "rejected-loop"
+
+_MEMO_CAP = 4096  # steps a RowTransfer's memo holds before it starts over
 
 
 @dataclass(frozen=True, order=True)
@@ -283,7 +290,8 @@ def visited_cells(trace: RunTrace, w: Picture) -> set[Position]:
 def replay_accepts(a: Automaton2D, w: Picture, trace: RunTrace) -> bool:
     """Check that the trace is an accepting run on w: it starts at
     (initial, (1,1)), each entry is a single delta step from the one
-    before, and the last is in the accepting state."""
+    before, and the last is in the accepting state.  An entry naming a
+    state the machine lacks is no step."""
     if not trace:
         return False
     comp = a.compiled
@@ -292,7 +300,8 @@ def replay_accepts(a: Automaton2D, w: Picture, trace: RunTrace) -> bool:
     if first.state != a.initial or first.loc != (1, 1):
         return False
     for cur, nxt in zip(trace, trace[1:]):
-        if _to_triple(comp, nxt) not in _step(comp, w.rows, -1, -1, w.m, w.n, *_to_triple(comp, cur)):
+        succ = _step(comp, w.rows, -1, -1, w.m, w.n, *_to_triple(comp, cur))
+        if nxt not in [_to_config(comp, t) for t in succ]:
             return False
     return trace[-1].state == a.accept
 
@@ -305,10 +314,7 @@ def format_trace(a: Automaton2D, w: Picture, trace: RunTrace, verdict: str) -> s
             lines.append(f"{cfg.state} @ ESC reads '{BOUNDARY}'")
         else:
             r, c = cfg.loc
-            sym = BOUNDARY
-            if 1 <= r <= w.m and 1 <= c <= w.n:
-                sym = w.rows[r - 1][c - 1]
-            lines.append(f"{cfg.state} @ ({r},{c}) reads '{sym}'")
+            lines.append(f"{cfg.state} @ ({r},{c}) reads '{read_cell(w, cfg.loc)}'")
     lines.append(f"verdict: {verdict}")
     return "\n".join(lines) + "\n"
 
@@ -367,39 +373,40 @@ def _first_trace(comp: Compiled, rows, m: int, n: int, blocked: set) -> RunTrace
 
 
 class RowTransfer:
-    """A 2W or 3W machine at width n as a deterministic automaton over rows.
+    """A 2W or 3W machine as a deterministic automaton over rows.
 
     Such a head never moves up, so all that rows 1..i pass on to row i+1
     is which states step down into which band column.  A transfer state
-    is that set of (state index, column 0..n+1) pairs, or the sticky
+    is that set of (state index, column) pairs, or the sticky
     ``ACCEPTED`` once some run has accepted.  :meth:`step` closes the
-    pairs entering a row under :func:`_step` on a 1 x n window holding
-    that row: a successor in row 2 of the window has moved down, and an
-    escaped one reads ``#`` forever.  Below the last row a head reads
-    only ``#`` too, in the frame row or in the escape sink, so
-    :meth:`final` asks whether a surviving state can reach acceptance on
-    ``#`` reads alone.  Folding a picture's rows from :attr:`start` and
-    applying :meth:`final` therefore gives :func:`accepts` exactly.
+    pairs entering a row under :func:`_step` on a one-row window holding
+    that row, as wide as the row: a successor in row 2 of the window has
+    moved down, and an escaped one reads ``#`` forever.  Below the last
+    row a head reads only ``#`` too, in the frame row or in the escape
+    sink, so :meth:`final` asks whether a surviving state can reach
+    acceptance on ``#`` reads alone.  Folding a picture's rows from
+    :attr:`start` and applying :meth:`final` therefore gives
+    :func:`accepts` exactly, at every width.
     """
 
-    __slots__ = ("n", "start", "_comp", "_reach")
+    __slots__ = ("start", "memo", "_comp", "_reach")
 
-    def __init__(self, a: Automaton2D, n: int):
+    def __init__(self, a: Automaton2D):
         comp = a.compiled
         if a.variant not in ("2W", "3W"):
             raise VariantError(f"{a.name!r}: row transfer needs a head that never moves up")
-        self.n = n
         self._comp = comp
         self._reach = frozenset(comp.index[q] for q in boundary_reach(a))
         self.start = ACCEPTED if comp.initial == comp.accept else frozenset({(comp.initial, 1)})
+        self.memo: dict = {}
 
     def step(self, state, row: str):
-        """The transfer state below ``row`` (a string of n cells)."""
+        """The transfer state below ``row``, at the width ``len(row)``."""
         if state is ACCEPTED:
             return ACCEPTED
-        comp, n, reach = self._comp, self.n, self._reach
+        comp, reach = self._comp, self._reach
         accept = comp.accept
-        rows = (row,)
+        rows, n = (row,), len(row)
         below = set()
         todo = [(si, 1, c) for si, c in state]
         seen = set(todo)
@@ -418,3 +425,20 @@ class RowTransfer:
     def final(self, state) -> bool:
         """Whether a picture that left the fold in ``state`` is accepted."""
         return state is ACCEPTED or any(si in self._reach for si, _ in state)
+
+    def decide(self, w: Picture) -> bool:
+        """:func:`accepts` of ``w`` by the fold, each step through
+        :attr:`memo`.  Like :meth:`step`, it does not check symbols: a
+        picture from outside goes through :func:`accepts`."""
+        memo, state, step = self.memo, self.start, self.step
+        for row in w.rows:
+            if state is ACCEPTED:
+                return True
+            key = (state, row)
+            nxt = memo.get(key)
+            if nxt is None:
+                if len(memo) >= _MEMO_CAP:
+                    memo.clear()
+                nxt = memo[key] = step(state, row)
+            state = nxt
+        return self.final(state)

@@ -33,12 +33,14 @@ from pictomata import (
     DimBounds,
     Picture,
     PreconditionError,
+    RowTransfer,
     ToolkitError,
     accepting_runs,
     accepts,
     concat_membership,
     enumerate_pictures,
     equivalent_up_to,
+    first_accepting_trace,
     flip_attack,
     language_up_to,
     make_delta,
@@ -51,6 +53,7 @@ from pictomata import (
     visited_cells,
 )
 from pictomata import concat, oracle
+from pictomata.simulate import _MEMO_CAP
 
 
 def test_enumeration_order_is_total_and_deterministic():
@@ -65,6 +68,13 @@ def test_enumeration_order_is_total_and_deterministic():
 def test_enumeration_budget():
     with pytest.raises(CapacityError):
         list(enumerate_pictures(AB01, DimBounds(4, 4), budget=100))
+
+
+def test_enumeration_budget_is_checked_at_the_call():
+    # before any picture is asked for, so a sweep can check its budget
+    # before it builds the decider that compiles the machine
+    with pytest.raises(CapacityError):
+        enumerate_pictures(AB01, DimBounds(4, 4), budget=100)
 
 
 def test_language_up_to_first_row_zeros_count():
@@ -131,6 +141,18 @@ def test_verify_counterexample_replays_the_evidence():
     ]
     for evidence in forged:
         assert not verify_counterexample(L, target, dataclasses.replace(ce, evidence=evidence)), evidence
+
+
+def test_a_trace_naming_an_unknown_state_is_no_run():
+    # replay compares configurations, so a state the machine lacks is
+    # simply not a step, rather than a lookup that fails
+    L, w = first_row_zeros(), picture_of(["00", "00"])
+    trace = first_accepting_trace(L, w)
+    forged = (trace[0], Configuration("nope", (1, 2)), *trace[1:])
+    real = Counterexample(w, expected=False, got=True, evidence=trace)
+    assert replay_accepts(L, w, trace) and verify_counterexample(L, lambda w: False, real)
+    assert not replay_accepts(L, w, forged)
+    assert not verify_counterexample(L, lambda w: False, dataclasses.replace(real, evidence=forged))
 
 
 def test_flip_attack_none_when_all_cells_visited():
@@ -336,12 +358,12 @@ def test_equivalent_up_to_equals_the_per_picture_sweep():
 def test_sweep_memo_stays_within_its_cap():
     # a 1 x 12 sweep meets 8,190 distinct (state, row) steps, one per
     # picture, so the memo must start over at least once
-    decide = oracle._verdict(spray01())
+    t = RowTransfer(spray01())
     peak = 0
     for w in enumerate_pictures(AB01, DimBounds(1, 12)):
-        assert decide(w) == accepts(spray01(), w)
-        peak = max(peak, len(decide.memo))
-    assert peak == oracle._MEMO_CAP
+        assert t.decide(w) == accepts(spray01(), w)
+        peak = max(peak, len(t.memo))
+    assert peak == _MEMO_CAP
 
 
 def test_sweeps_keep_their_error_order():

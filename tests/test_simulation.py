@@ -260,7 +260,7 @@ def test_runs_survive_off_trace_flips(seed, variant, mode, m, n):
 
 
 def _transfer_accepts(a, w):
-    t = RowTransfer(a, w.n)
+    t = RowTransfer(a)
     state = t.start
     for row in w.rows:
         state = t.step(state, row)
@@ -272,8 +272,14 @@ def test_row_transfer_equals_accepts_on_small_pictures():
     # left-escape sink, boustro3w only through the bottom frame row
     machines = [a for a in corpus_2w() + corpus_3w_det() if a.variant != "4W"] + [left_probe3w()]
     for a in machines:
-        for w in enumerate_pictures(a.alphabet, DimBounds(4, 3)):
+        words = list(enumerate_pictures(a.alphabet, DimBounds(4, 3)))
+        for w in words:
             assert _transfer_accepts(a, w) == accepts(a, w), (a.name, w.rows)
+        # one transfer and its memo for every width, the widths interleaved
+        t = RowTransfer(a)
+        random.Random(0).shuffle(words)
+        for w in words:
+            assert t.decide(w) == accepts(a, w), (a.name, w.rows)
 
 
 @given(
@@ -285,20 +291,22 @@ def test_row_transfer_equals_accepts_on_small_pictures():
 def test_row_transfer_equals_accepts_on_random_machines(seed, variant, mode):
     rng = random.Random(seed)
     a = random_2d(rng, variant, mode)
+    t = RowTransfer(a)
     for _ in range(10):
         m, n = rng.randint(1, 4), rng.randint(1, 4)
         w = picture_of(["".join(rng.choice("01") for _ in range(n)) for _ in range(m)])
         assert _transfer_accepts(a, w) == accepts(a, w), w.rows
+        assert t.decide(w) == accepts(a, w), w.rows
 
 
 def test_row_transfer_start_state_and_variants():
-    assert RowTransfer(universal01(), 3).start == ACCEPTED
-    t = RowTransfer(first_row_zeros(), 2)
+    assert RowTransfer(universal01()).start == ACCEPTED
+    t = RowTransfer(first_row_zeros())
     assert t.start == frozenset({(0, 1)})
     assert t.step(t.start, "01") == frozenset()
     assert t.step(ACCEPTED, "11") == ACCEPTED
     with pytest.raises(VariantError):
-        RowTransfer(up_left_probe4w(), 2)
+        RowTransfer(up_left_probe4w())
 
 
 def _first_dfs_trace(a, w):

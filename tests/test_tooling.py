@@ -1,7 +1,8 @@
 """Checks on the package's structure: the benchmark's view of it, read
 from ``bench/`` without importing the benchmark runner, the separation
 of the split oracles from what they check, the one home of the split
-geometry, and the one module that encodes the step rule."""
+geometry, and the one module that encodes the step rule and the row
+transfer's states."""
 
 import ast
 import importlib
@@ -89,3 +90,23 @@ def test_only_simulate_encodes_the_step_rule():
                 users.setdefault(name, set()).add(path.name)
     assert "concat.py" in users["_search"]  # the walk sees the imports that are there
     assert users.get("_step", set()) <= {"simulate.py"}
+
+
+def test_only_simulate_names_the_transfer_states():
+    # a row transfer's states, the sticky ACCEPTED among them, and the cap
+    # of the memo they key belong to simulate.RowTransfer; a sweep asks
+    # RowTransfer.decide rather than folding or memoizing steps itself
+    users = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                names = {alias.name for alias in node.names}
+            elif isinstance(node, ast.Attribute):
+                names = {node.attr}
+            elif isinstance(node, ast.Name):
+                names = {node.id}
+            else:
+                continue
+            for name in names & {"ACCEPTED", "_MEMO_CAP"}:
+                users.setdefault(name, set()).add(path.name)
+    assert users == {"ACCEPTED": {"simulate.py"}, "_MEMO_CAP": {"simulate.py"}}
