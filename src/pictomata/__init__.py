@@ -92,7 +92,6 @@ from .simulate import (
     format_trace,
     replay_accepts,
     run_deterministic,
-    successors,
     visited_cells,
 )
 

@@ -17,7 +17,7 @@ from functools import cached_property
 from types import MappingProxyType
 
 from .errors import ToolkitError, VariantError
-from .picture import BOUNDARY, Alphabet
+from .picture import BOUNDARY, Alphabet, read_text
 
 MOVES = {"U": (-1, 0), "D": (1, 0), "L": (0, -1), "R": (0, 1)}
 VARIANT_DIRS = {"4W": {"U", "D", "L", "R"}, "3W": {"D", "L", "R"}, "2W": {"D", "R"}}
@@ -59,9 +59,19 @@ class Automaton2D:
 
 
 class Compiled:
-    """Integer-indexed transition tables for the hot simulation loops."""
+    """Integer-indexed transition tables for the hot simulation loops.
 
-    __slots__ = ("states", "index", "initial", "accept", "image", "is4w", "legal")
+    ``reach`` is :func:`boundary_reach` as state indices: the states from
+    which reads of ``#`` alone lead to acceptance.  Once a 2W head moves
+    past the word's last row or column it reads ``#`` forever, so that
+    move accepts exactly when its target state is in ``reach``; the 2W
+    kernel of ``simulate`` and :class:`~pictomata.simulate.RowTransfer`
+    answer such exits from it.  ``det`` is true when every (state,
+    symbol) has at most one move, as :func:`validate` ensures in det
+    mode; the 2W kernel then walks the one run.
+    """
+
+    __slots__ = ("states", "index", "initial", "accept", "image", "is2w", "is4w", "det", "reach", "legal")
 
     def __init__(self, a: Automaton2D):
         require_valid(a)
@@ -69,7 +79,9 @@ class Compiled:
         self.index = {q: i for i, q in enumerate(a.states)}
         self.initial = self.index[a.initial]
         self.accept = self.index[a.accept]
+        self.is2w = a.variant == "2W"
         self.is4w = a.variant == "4W"
+        self.reach = frozenset(self.index[q] for q in boundary_reach(a))
         #: Symbols a picture may use, indexed by its ``allow_hash``.
         symbols = frozenset(a.alphabet.symbols)
         self.legal = (symbols, symbols | {BOUNDARY})
@@ -79,6 +91,7 @@ class Compiled:
             # Sorted images keep run enumeration deterministic across
             # processes regardless of set iteration order.
             self.image[self.index[q]][sym] = tuple((self.index[q2], *MOVES[d]) for q2, d in sorted(img))
+        self.det = all(len(img) == 1 for moves in self.image for img in moves.values())
 
 
 def make_delta(entries) -> Delta:
@@ -253,8 +266,7 @@ def parse_automaton(text: str) -> Automaton2D:
 
 
 def load_automaton(path) -> Automaton2D:
-    with open(path, encoding="utf-8") as fh:
-        return parse_automaton(fh.read())
+    return parse_automaton(read_text(path))
 
 
 def save_automaton(a: Automaton2D, path) -> None:

@@ -65,12 +65,14 @@ def diag_concat_words(
 
     The top-right m x n' and bottom-left m' x n blocks range over every
     word on ``alphabet``; over a unary alphabet the result is a singleton.
-    ``cap`` guards the |alphabet|**(m*n' + m'*n) blow-up.
+    ``cap`` guards the |alphabet|**(m*n' + m'*n) blow-up.  The check
+    takes the power only up to the cap's bit length, which two or more
+    symbols already raise past the cap, so it never builds the count.
     """
     free = w.m * v.n + v.m * w.n
-    count = len(alphabet) ** free
-    if cap is not None and count > cap:
-        raise CapacityError(f"diagonal filler set has {count} members, cap is {cap}")
+    k = len(alphabet)
+    if cap is not None and k ** min(free, cap.bit_length()) > cap:
+        raise CapacityError(f"diagonal filler set of {k}**{free} members exceeds the cap of {cap}")
     syms = alphabet.symbols
     out = set()
     for fill in product(syms, repeat=free):

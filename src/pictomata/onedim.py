@@ -33,7 +33,7 @@ from types import MappingProxyType
 
 from .automaton import Automaton2D, header_lines, read_automaton_text
 from .errors import ModeError, PreconditionError, ToolkitError, VariantError
-from .picture import BOUNDARY, Alphabet, Picture
+from .picture import BOUNDARY, Alphabet, Picture, read_text
 from .simulate import run_deterministic
 
 TWO_WAY = "two-way"
@@ -494,8 +494,7 @@ def parse_automaton_1d(text: str) -> Automaton1D:
 
 
 def load_automaton_1d(path) -> Automaton1D:
-    with open(path, encoding="utf-8") as fh:
-        return parse_automaton_1d(fh.read())
+    return parse_automaton_1d(read_text(path))
 
 
 def save_automaton_1d(a: Automaton1D, path) -> None:

@@ -70,6 +70,23 @@ def count_pictures(alphabet: Alphabet, bounds: DimBounds) -> int:
     )
 
 
+def _exceeds(alphabet: Alphabet, bounds: DimBounds, budget: int) -> bool:
+    """Whether more than ``budget`` pictures lie within bounds.  The sum
+    stops as soon as it passes the budget, and each size adds at least two
+    pictures (a unary alphabet is counted at once), so the budget, not the
+    bounds, limits the work."""
+    k = len(alphabet)
+    if k == 1:
+        return bounds.max_rows * bounds.max_cols > budget
+    total = 0
+    for m in range(1, bounds.max_rows + 1):
+        for n in range(1, bounds.max_cols + 1):
+            total += k ** (m * n)
+            if total > budget:
+                return True
+    return False
+
+
 def enumerate_pictures(
     alphabet: Alphabet, bounds: DimBounds, budget: int | None = DEFAULT_BUDGET
 ) -> Iterator[Picture]:
@@ -79,10 +96,10 @@ def enumerate_pictures(
     rows are joined from the alphabet's symbols, which are printable and
     never ``#``, so each picture is built without re-checking them.
     """
-    if budget is not None:
-        total = count_pictures(alphabet, bounds)
-        if total > budget:
-            raise CapacityError(f"{total} pictures exceed the budget of {budget}")
+    if budget is not None and _exceeds(alphabet, bounds, budget):
+        raise CapacityError(
+            f"pictures within {bounds.max_rows}x{bounds.max_cols} exceed the budget of {budget}"
+        )
     syms = alphabet.symbols
     # Row-major cell order is row-lexicographic order over the
     # |alphabet|**n row strings, which are built once per size.

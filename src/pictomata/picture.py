@@ -10,7 +10,7 @@ reads ``#``.
 from dataclasses import dataclass, field
 from itertools import product
 
-from .errors import AlphabetError, OutOfBandError, WindowError
+from .errors import AlphabetError, OutOfBandError, ToolkitError, WindowError
 
 BOUNDARY = "#"
 
@@ -194,6 +194,15 @@ def format_picture(w: Picture) -> str:
     return "\n".join(w.rows) + "\n"
 
 
-def load_picture(path, allow_hash: bool = False) -> Picture:
+def read_text(path) -> str:
+    """The contents of a UTF-8 text file; the toolkit's file formats are
+    read through it, so bytes that are not UTF-8 raise ``ToolkitError``."""
     with open(path, encoding="utf-8") as fh:
-        return parse_picture(fh.read(), allow_hash=allow_hash)
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ToolkitError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
+def load_picture(path, allow_hash: bool = False) -> Picture:
+    return parse_picture(read_text(path), allow_hash=allow_hash)

@@ -18,8 +18,8 @@ configuration space finite.
 Cells are read where they are: one step rule reads the word through a
 window (row and column offset plus size) into the rows of a picture, and
 answers ``#`` for every band position outside the window.  No bordered
-band and no block picture is ever built.  The rule has two encodings in
-this module and none elsewhere.  :func:`_step` is its one-step
+band and no block picture is ever built.  The rule has three encodings
+in this module and none elsewhere.  :func:`_step` is its one-step
 definition, behind traces, replay, :func:`run_deterministic` and
 :class:`RowTransfer`.  :func:`_search`, the one depth-first loop behind
 every reachability question, applies it inline, since its searches are
@@ -28,7 +28,16 @@ step: :func:`accepts` on the whole picture, the split oracles in
 ``concat`` on each block in place, and the trace walk of
 :func:`first_accepting_trace` (also behind
 :func:`~pictomata.oracle.flip_attack`) from a configuration on its path
-with a set of configurations it must not enter.
+with a set of configurations it must not enter.  For a 2W machine
+searched from its initial configuration with no set to avoid, which is
+every verdict of :func:`accepts` and of the split oracles, ``_search``
+hands over to :func:`_two_way`, which visits the window's cells alone.
+That is exact: a 2W head that moves past the last row or column reads
+``#`` from then on, in the frame or the escape sink alike, so the move
+accepts exactly when its target state is in ``Compiled.reach``, the
+``#``-reachability of :func:`~pictomata.automaton.boundary_reach`.
+The kernel follows a deterministic machine's one run, which leaves the
+window within m + n - 1 moves, with no set of visited configurations.
 
 :class:`RowTransfer` folds a picture row by row instead.  A 2W or 3W
 head never moves up, so a run cuts exactly at each row boundary: what
@@ -36,13 +45,12 @@ rows 1..i hand on to row i+1 is the set of (state, column) pairs
 stepping down into it, and the transfer closes such a set under
 :func:`_step` on a one-row window.  The cut stays exact below the last
 row, because the bottom frame row and the escape sink read only ``#``,
-so what is left there is the ``#``-reachability of
-:func:`~pictomata.automaton.boundary_reach`.  4W machines have no such
-cut.  A step reads the width off its row, so one transfer per machine
-serves every width.  :meth:`~RowTransfer.decide`, the fold behind the
-sweeps of ``oracle``, remembers steps keyed by (state, row): a sweep
-meets the pictures of one size in row-lexicographic order, so most steps
-are memo hits.  The memo starts over once it holds ``_MEMO_CAP`` steps,
+so what is left there is whether a state is in ``Compiled.reach``.  4W
+machines have no such cut.  A step reads the width off its row, so one
+transfer per machine serves every width.  :meth:`~RowTransfer.decide`,
+the fold behind the sweeps of ``oracle``, remembers steps keyed by
+(state, row): a sweep meets the pictures of one size in
+row-lexicographic order, so most steps are memo hits.  The memo starts over once it holds ``_MEMO_CAP`` steps,
 which bounds its memory however many distinct rows it meets.
 
 Everything here is a pure function of (automaton, picture), and every run
@@ -52,7 +60,7 @@ elements and deterministic runs stop at the first repeated configuration.
 
 from dataclasses import dataclass
 
-from .automaton import Automaton2D, Compiled, boundary_reach
+from .automaton import Automaton2D, Compiled
 from .errors import AlphabetError, ModeError, VariantError
 from .picture import BOUNDARY, Picture, Position, read_cell
 
@@ -130,19 +138,6 @@ def _to_triple(comp: Compiled, cfg: Configuration) -> tuple[int, int, int]:
     return (comp.index[cfg.state], *((-1, -1) if cfg.loc is None else cfg.loc))
 
 
-def successors(a: Automaton2D, w: Picture, c: Configuration) -> set[Configuration]:
-    """One-step successors under the partial transition map.
-
-    The accepting state is terminal, and an undefined entry contributes
-    nothing, so the result may be empty.
-    """
-    comp = a.compiled
-    check_input(a, w)
-    if c.state == a.accept:
-        return set()
-    return {_to_config(comp, t) for t in _step(comp, w.rows, -1, -1, w.m, w.n, *_to_triple(comp, c))}
-
-
 def accepts(a: Automaton2D, w: Picture) -> bool:
     """True iff some run from (initial, (1,1)) reaches the accepting state."""
     check_input(a, w)
@@ -156,14 +151,18 @@ def _search(comp: Compiled, rows, r0: int, c0: int, m: int, n: int, start=None, 
     ``start`` defaults to the initial configuration.  A caller's ``seen``
     set holds configurations the run must not enter (``start`` must not be
     among them), accepting ones included; the search adds every
-    configuration it enters.
+    configuration it enters.  A 2W machine's search from the initial
+    configuration with no ``seen`` set goes to :func:`_two_way`, which
+    decides the same.
 
-    This is the hot loop of every verdict, so it applies the rule of
-    :func:`_step` inline rather than calling it: the same successors, in
-    the same order, hence the same search.  ``tests/test_simulation.py``
-    pins the two together.
+    This is the hot loop of every other verdict, so it applies the rule
+    of :func:`_step` inline rather than calling it: the same successors,
+    in the same order, hence the same search.  ``tests/test_simulation.py``
+    pins the three together.
     """
     if start is None:
+        if seen is None and comp.is2w:
+            return _two_way(comp, rows, r0, c0, m, n)
         start = (comp.initial, 1, 1)
     accept = comp.accept
     if start[0] == accept:
@@ -204,6 +203,55 @@ def _search(comp: Compiled, rows, r0: int, c0: int, m: int, n: int, start=None, 
                     return True
                 seen.add(t)
                 todo.append(t)
+    return False
+
+
+def _two_way(comp: Compiled, rows, r0: int, c0: int, m: int, n: int) -> bool:
+    """:func:`_search` from the initial configuration, for a 2W machine,
+    on the window's cells alone.
+
+    A 2W head moves only down and right, so a move past row m or column n
+    takes it to the frame or the escape sink, where it reads ``#`` for
+    good and only its state evolves: that move accepts exactly when its
+    target is in ``comp.reach``.  A ``#`` cell inside the window is read
+    like any other cell.  When ``comp.det`` holds, the search is a walk
+    along the one run, which needs no visited set: r + c grows on every
+    move, so the run leaves the window within m + n - 1 moves.
+    """
+    si, accept, reach, image = comp.initial, comp.accept, comp.reach, comp.image
+    if si == accept:
+        return True
+    if comp.det:
+        r = c = 1
+        while True:
+            moves = image[si].get(rows[r0 + r][c0 + c])
+            if moves is None:
+                return False
+            si, dr, dc = moves[0]
+            r += dr
+            c += dc
+            if r > m or c > n:
+                return si in reach
+            if si == accept:
+                return True
+    start = (si, 1, 1)
+    seen = {start}
+    todo = [start]
+    while todo:
+        si, r, c = todo.pop()
+        for q2, dr, dc in image[si].get(rows[r0 + r][c0 + c], ()):
+            r2 = r + dr
+            c2 = c + dc
+            if r2 > m or c2 > n:
+                if q2 in reach:
+                    return True
+            elif q2 == accept:
+                return True
+            else:
+                t = (q2, r2, c2)
+                if t not in seen:
+                    seen.add(t)
+                    todo.append(t)
     return False
 
 
@@ -384,19 +432,18 @@ class RowTransfer:
     moved down, and an escaped one reads ``#`` forever.  Below the last
     row a head reads only ``#`` too, in the frame row or in the escape
     sink, so :meth:`final` asks whether a surviving state can reach
-    acceptance on ``#`` reads alone.  Folding a picture's rows from
-    :attr:`start` and applying :meth:`final` therefore gives
-    :func:`accepts` exactly, at every width.
+    acceptance on ``#`` reads alone, that is, lies in ``Compiled.reach``.
+    Folding a picture's rows from :attr:`start` and applying
+    :meth:`final` therefore gives :func:`accepts` exactly, at every width.
     """
 
-    __slots__ = ("start", "memo", "_comp", "_reach")
+    __slots__ = ("start", "memo", "_comp")
 
     def __init__(self, a: Automaton2D):
         comp = a.compiled
         if a.variant not in ("2W", "3W"):
             raise VariantError(f"{a.name!r}: row transfer needs a head that never moves up")
         self._comp = comp
-        self._reach = frozenset(comp.index[q] for q in boundary_reach(a))
         self.start = ACCEPTED if comp.initial == comp.accept else frozenset({(comp.initial, 1)})
         self.memo: dict = {}
 
@@ -404,8 +451,8 @@ class RowTransfer:
         """The transfer state below ``row``, at the width ``len(row)``."""
         if state is ACCEPTED:
             return ACCEPTED
-        comp, reach = self._comp, self._reach
-        accept = comp.accept
+        comp = self._comp
+        accept, reach = comp.accept, comp.reach
         rows, n = (row,), len(row)
         below = set()
         todo = [(si, 1, c) for si, c in state]
@@ -424,7 +471,8 @@ class RowTransfer:
 
     def final(self, state) -> bool:
         """Whether a picture that left the fold in ``state`` is accepted."""
-        return state is ACCEPTED or any(si in self._reach for si, _ in state)
+        reach = self._comp.reach
+        return state is ACCEPTED or any(si in reach for si, _ in state)
 
     def decide(self, w: Picture) -> bool:
         """:func:`accepts` of ``w`` by the fold, each step through

@@ -2,9 +2,19 @@
 
 from itertools import product
 
-from pictomata import Alphabet, Automaton2D, accepts, build_witness, make_delta, split_separated
+from pictomata import (
+    Alphabet,
+    Automaton2D,
+    Configuration,
+    Picture,
+    accepts,
+    build_witness,
+    make_delta,
+    split_separated,
+)
 from pictomata.onedim import TWO_WAY, Automaton1D
 from pictomata.picture import _trusted_picture
+from pictomata.simulate import _step, _to_config, _to_triple, check_input
 
 AB01 = Alphabet(("0", "1"))
 UNARY = Alphabet(("a",))
@@ -12,6 +22,19 @@ UNARY = Alphabet(("a",))
 
 def _mk(name, states, init, acc, trans, variant="2W", mode="det", ab=AB01):
     return Automaton2D(name, variant, mode, ab, tuple(states), init, acc, make_delta(trans))
+
+
+def successors(a: Automaton2D, w: Picture, c: Configuration) -> set[Configuration]:
+    """One-step successors under the partial transition map.
+
+    The accepting state is terminal, and an undefined entry contributes
+    nothing, so the result may be empty.
+    """
+    comp = a.compiled
+    check_input(a, w)
+    if c.state == a.accept:
+        return set()
+    return {_to_config(comp, t) for t in _step(comp, w.rows, -1, -1, w.m, w.n, *_to_triple(comp, c))}
 
 
 def first_row_zeros():

@@ -1,4 +1,5 @@
 import io
+import time
 
 import pytest
 
@@ -280,3 +281,32 @@ def test_reports_deterministic(frz_path):
     _, first = run_cli(["enum", frz_path, "--max-rows", "2", "--max-cols", "2"])
     _, second = run_cli(["enum", frz_path, "--max-rows", "2", "--max-cols", "2"])
     assert first == second
+
+
+@pytest.mark.parametrize(
+    "verb",
+    [
+        pytest.param("validate", id="2d-automaton"),
+        pytest.param("to-oneway", id="1d-automaton"),
+        pytest.param("run", id="picture"),
+    ],
+)
+def test_files_that_are_not_utf8_exit_2(tmp_path, frz_path, capsys, verb):
+    path = tmp_path / "bin.dat"
+    path.write_bytes(b"\xff\xfe\n")
+    argv = {
+        "validate": ["validate", str(path)],
+        "to-oneway": ["to-oneway", str(path), "-o", str(tmp_path / "o.aut")],
+        "run": ["run", frz_path, str(path)],
+    }[verb]
+    assert run_cli(argv) == (2, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "UTF-8" in err
+
+
+def test_enum_over_the_budget_exits_2_promptly(frz_path, capsys):
+    start = time.perf_counter()
+    status, out = run_cli(["enum", frz_path, "--max-rows", "200", "--max-cols", "200"])
+    assert time.perf_counter() - start < 0.5
+    assert (status, out) == (2, "")
+    assert capsys.readouterr().err == "error: pictures within 200x200 exceed the budget of 10000000\n"

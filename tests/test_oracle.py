@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import time
 from itertools import product
 
 import pytest
@@ -75,6 +76,24 @@ def test_enumeration_budget_is_checked_at_the_call():
     # before it builds the decider that compiles the machine
     with pytest.raises(CapacityError):
         enumerate_pictures(AB01, DimBounds(4, 4), budget=100)
+
+
+def test_enumeration_budget_stops_summing_once_it_is_passed():
+    # 2**40000 pictures of one size alone; formatting that total raised
+    # ValueError, and summing every size took time growing with the bounds
+    for bounds in (DimBounds(200, 200), DimBounds(100, 100)):
+        start = time.perf_counter()
+        with pytest.raises(CapacityError, match=f"{bounds.max_rows}x{bounds.max_cols}") as info:
+            enumerate_pictures(AB01, bounds)
+        assert time.perf_counter() - start < 0.5
+        assert len(str(info.value)) < 100
+    with pytest.raises(CapacityError):
+        enumerate_pictures(Alphabet(("a",)), DimBounds(10**6, 10**6))
+    # a budget equal to the count is met, one less is exceeded
+    for alphabet, bounds, count in ((Alphabet(("a",)), DimBounds(3, 4), 12), (AB01, DimBounds(2, 2), 26)):
+        assert len(list(enumerate_pictures(alphabet, bounds, budget=count))) == count
+        with pytest.raises(CapacityError):
+            enumerate_pictures(alphabet, bounds, budget=count - 1)
 
 
 def test_language_up_to_first_row_zeros_count():

@@ -14,7 +14,9 @@ from corpus import (
     loopy01,
     random_2d,
     right_return3w,
+    separated_layouts,
     spray01,
+    successors,
     universal01,
     up_left_probe4w,
 )
@@ -34,7 +36,6 @@ from pictomata import (
     picture_of,
     replay_accepts,
     run_deterministic,
-    successors,
     visited_cells,
 )
 from pictomata.simulate import ACCEPTED, REJECTED_LOOP, REJECTED_UNDEFINED, _search, _step
@@ -406,6 +407,65 @@ def test_search_equals_a_closure_over_step(seed, variant, mode):
         assert _search(comp, rows, r0, c0, m, n, start, fused) == verdict
         if fused is not None and not verdict:
             assert fused == plain
+
+
+def _kernel_cases(alphabet):
+    """The distinct blocks of the two-way kernel check over ``alphabet``,
+    and the windows that read them: every window ``(rows, r0, c0, m, n)``
+    of every picture up to 3x3, each offset it can have included, and
+    every ``allow_hash`` separated layout up to 3x4 as a whole picture, so
+    that ``#`` cells lie inside the word.  Each window comes with the
+    index of its block."""
+    blocks, ids, windows = [], {}, []
+
+    def add(window, block):
+        if block not in ids:
+            ids[block] = len(blocks)
+            blocks.append(block)
+        windows.append((window, ids[block]))
+
+    for w in enumerate_pictures(alphabet, DimBounds(3, 3)):
+        rows = w.rows
+        for m in range(1, w.m + 1):
+            for n in range(1, w.n + 1):
+                for r0 in range(-1, w.m - m):
+                    for c0 in range(-1, w.n - n):
+                        block = tuple([r[c0 + 1 : c0 + 1 + n] for r in rows[r0 + 1 : r0 + 1 + m]])
+                        add((rows, r0, c0, m, n), block)
+    for w in separated_layouts(3, 4, alphabet.symbols):
+        add((w.rows, -1, -1, w.m, w.n), w.rows)
+    return blocks, windows
+
+
+def _assert_kernel_is_the_generic_search(a, cases):
+    # passing start forces the generic search; it reads a window as it
+    # reads the block copied out (test_search_equals_a_closure_over_step
+    # pins it on windows), so it runs once per distinct block
+    blocks, windows = cases
+    comp = a.compiled
+    assert comp.is2w
+    start = (comp.initial, 1, 1)
+    generic = [_search(comp, b, -1, -1, len(b), len(b[0]), start) for b in blocks]
+    got = [_search(comp, *window) for window, _ in windows]
+    want = [generic[k] for _, k in windows]
+    if got != want:
+        first = next(i for i, (g, e) in enumerate(zip(got, want)) if g != e)
+        pytest.fail(f"{a.name}: kernel says {got[first]} on window {windows[first][0]}")
+
+
+def test_two_way_kernel_equals_the_generic_search():
+    # _search hands a 2W machine's search from the initial configuration
+    # to a kernel that reads only the window's cells, answers exits past
+    # row m or column n from Compiled.reach, and walks a det run
+    machines = corpus_2w()
+    for seed in range(150):
+        machines += [random_2d(random.Random(seed), "2W", mode) for mode in ("det", "nondet")]
+    cases = {}
+    for a in machines:
+        if a.alphabet not in cases:
+            cases[a.alphabet] = _kernel_cases(a.alphabet)
+        _assert_kernel_is_the_generic_search(a, cases[a.alphabet])
+    assert {a.compiled.det for a in machines} == {True, False}
 
 
 # -- the escape sink against a padded band ---------------------------------

@@ -74,9 +74,10 @@ def test_only_the_split_table_names_a_kind():
 
 
 def test_only_simulate_encodes_the_step_rule():
-    # simulate._step defines one step and simulate._search applies the
-    # same rule inline, pinned to it by a differential test; no other
-    # module steps configurations, so the rule stays in one module
+    # simulate._step defines one step, and simulate._search and its 2W
+    # kernel apply the same rule inline, pinned to it by differential
+    # tests; no other module steps configurations, so the rule stays in
+    # one module
     users = {}
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):

@@ -80,6 +80,22 @@ def test_diag_concat_cap():
         diag_concat_words(picture_of(["00"]), picture_of(["00"]), AB01, cap=3)
 
 
+def test_diag_concat_cap_is_exact_and_never_formats_the_count():
+    w, v = picture_of(["00"]), picture_of(["00"])  # 4 free cells: 16 fillers
+    assert len(diag_concat_words(w, v, AB01, cap=16)) == 16
+    with pytest.raises(CapacityError, match=r"2\*\*4 .* cap of 15"):
+        diag_concat_words(w, v, AB01, cap=15)
+    assert len(diag_concat_words(w, v, Alphabet(("0",)), cap=1)) == 1
+    for cap in (0, -1):
+        with pytest.raises(CapacityError):
+            diag_concat_words(w, v, Alphabet(("0",)), cap=cap)
+    # 2 * 100 * 100 free cells, 2**20000 fillers: the message stays short
+    big = picture_of(["0" * 100] * 100)
+    with pytest.raises(CapacityError) as info:
+        diag_concat_words(big, big, AB01, cap=10**6)
+    assert len(str(info.value)) < 100
+
+
 def test_row_membership_witness_words():
     L = first_row_zeros()
     assert concat_membership(ConcatKind.ROW, L, L, picture_of(["00", "00"]))
