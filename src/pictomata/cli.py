@@ -19,6 +19,11 @@ from .simulate import accepts, first_accepting_trace, format_trace, run_determin
 
 _KINDS = {"row": ConcatKind.ROW, "col": ConcatKind.COL, "diag": ConcatKind.DIAG}
 
+#: Default ``concat diag --cap``: the most filler words it will build and
+#: print.  Each free filler cell doubles them over two symbols, so without
+#: a cap two 4x4 pictures would ask for 2**32 words.
+DIAG_CAP = 2**16
+
 
 def _kind(name: str) -> ConcatKind:
     if name not in _KINDS:
@@ -49,7 +54,8 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("kind", choices=["row", "col", "diag"])
     p.add_argument("picA")
     p.add_argument("picB")
-    p.add_argument("--cap", type=int, default=None)
+    p.add_argument("--cap", type=int, default=DIAG_CAP,
+                   help=f"most words diag may build; more exit 2 (default {DIAG_CAP})")
 
     p = sub.add_parser("construct", help="build an automaton transformer output")
     p.add_argument("kind", choices=["ibr", "unary-row", "unary-col", "diag", "diag-sep", "witness"])

@@ -34,7 +34,7 @@ from itertools import product
 from .automaton import Automaton2D, Compiled
 from .errors import AlphabetError, CapacityError, DimensionError
 from .picture import Alphabet, Picture, _trusted_picture
-from .simulate import _search, check_input
+from .simulate import _search, _two_way, check_input
 
 
 class ConcatKind(enum.Enum):
@@ -99,13 +99,15 @@ def _prologue(kind: ConcatKind, a: Automaton2D, b: Automaton2D, w: Picture) -> C
     """
     if a.alphabet.symbols != b.alphabet.symbols:
         raise AlphabetError("factor machines must share one alphabet")
-    check_input(a, w, allow_hash=False)
+    if not a.compiled.legal[False].issuperset("".join(w.rows)):
+        check_input(a, w, allow_hash=False)  # raises, naming the symbols
     if not isinstance(kind, ConcatKind):
         raise ValueError(f"unknown concat kind {kind!r}")
     return b.compiled
 
 
-_TABLES: dict[ConcatKind, dict[tuple[int, int], tuple]] = {kind: {} for kind in ConcatKind}
+# keyed by the kind's value, which hashes in C, unlike the member itself
+_TABLES: dict[str, dict[tuple[int, int], tuple]] = {kind.value: {} for kind in ConcatKind}
 
 
 def _splits(kind: ConcatKind, m: int, n: int) -> tuple:
@@ -122,7 +124,7 @@ def _splits(kind: ConcatKind, m: int, n: int) -> tuple:
     entry.  Each table is built on first use and kept, one per kind and
     size; it has fewer entries than the word has cells.
     """
-    table = _TABLES[kind]
+    table = _TABLES[kind._value_]
     splits = table.get((m, n))
     if splits is None:
         # (rows, cols) of a's block, then the rows above and columns left of b's
@@ -148,16 +150,19 @@ def concat_membership(kind: ConcatKind, a: Automaton2D, b: Automaton2D, w: Pictu
     Each factor then runs on its block of w in place, by the search of
     :func:`~pictomata.simulate.accepts` on a window of w from
     :func:`_splits`, as if on the block copied out with
-    :func:`~pictomata.picture.subpicture`.  No check is repeated: every
-    block lies inside w by construction, and its symbols are among w's,
-    which have just been checked.  Nothing is remembered across calls, so
+    :func:`~pictomata.picture.subpicture`: the 2W kernel for a 2W factor,
+    the generic search for any other, picked once per call.  No check is
+    repeated: every block lies inside w by construction, and its symbols
+    are among w's, which have just been checked.  Nothing is remembered across calls, so
     each call simulates every block it needs afresh; :class:`ConcatOracle`
     is the same predicate for a sweep.
     """
     cb = _prologue(kind, a, b, w)
     ca, rows = a.compiled, w.rows
+    search_a = _two_way if ca.is2w else _search
+    search_b = _two_way if cb.is2w else _search
     for (r0, c0, m0, n0), (r1, c1, m1, n1) in _splits(kind, w.m, w.n):
-        if _search(ca, rows, r0, c0, m0, n0) and _search(cb, rows, r1, c1, m1, n1):
+        if search_a(ca, rows, r0, c0, m0, n0) and search_b(cb, rows, r1, c1, m1, n1):
             return True
     return False
 
@@ -209,7 +214,8 @@ def _remembered(memo: dict, comp: Compiled, block: tuple[str, ...], m: int, n: i
     """The factor's verdict on the m x n ``block``, searched on a miss."""
     verdict = memo.get(block)
     if verdict is None:
-        verdict = memo[block] = _search(comp, block, -1, -1, m, n)
+        search = _two_way if comp.is2w else _search
+        verdict = memo[block] = search(comp, block, -1, -1, m, n)
     return verdict
 
 

@@ -7,13 +7,17 @@ search in this module returns the first hit in that order, so repeated
 runs produce identical reports.
 
 A sweep (:func:`language_up_to`, :func:`equivalent_up_to`) still visits
-every enumerated picture, but decides a 2W or 3W candidate without a
-configuration search per picture: one
-:class:`~pictomata.simulate.RowTransfer` of the candidate decides every
-picture of the sweep with :meth:`~pictomata.simulate.RowTransfer.decide`,
-a fold of its rows through the transfer's own memo of steps.  A 4W
-candidate can move up, so rows do not cut its runs; it is decided by
-:func:`~pictomata.simulate.accepts` on each picture.
+every picture in that order, but decides a 2W or 3W candidate without a
+configuration search per picture.  The pictures of one size are every
+prefix of m-1 rows followed by every last row, so one
+:class:`~pictomata.simulate.RowTransfer` of the candidate folds each
+prefix once, through the transfer's own memo of steps, and
+:meth:`~pictomata.simulate.RowTransfer.verdicts` steps all last rows
+from the state it leaves.  :func:`language_up_to` builds a picture for
+the accepted words alone.  A 4W candidate can move up, so rows do not
+cut its runs; it is decided by :func:`~pictomata.simulate.accepts` on
+each picture of :func:`enumerate_pictures`.  Each sweep checks its
+budget when it is called, before it compiles the candidate.
 """
 
 from collections.abc import Callable, Iterator
@@ -87,6 +91,24 @@ def _exceeds(alphabet: Alphabet, bounds: DimBounds, budget: int) -> bool:
     return False
 
 
+def _check_budget(alphabet: Alphabet, bounds: DimBounds, budget: int | None) -> None:
+    if budget is not None and _exceeds(alphabet, bounds, budget):
+        raise CapacityError(
+            f"pictures within {bounds.max_rows}x{bounds.max_cols} exceed the budget of {budget}"
+        )
+
+
+def _row_sets(alphabet: Alphabet, bounds: DimBounds) -> Iterator[tuple[int, list[str]]]:
+    """Each size's row count m with its |alphabet|**n rows of width n, in
+    lexicographic order, sizes in the fixed order.  Row-major cell order
+    is row-lexicographic order over these rows, so the pictures of one
+    size are ``product(rows, repeat=m)``."""
+    syms = alphabet.symbols
+    for m in range(1, bounds.max_rows + 1):
+        for n in range(1, bounds.max_cols + 1):
+            yield m, ["".join(cells) for cells in product(syms, repeat=n)]
+
+
 def enumerate_pictures(
     alphabet: Alphabet, bounds: DimBounds, budget: int | None = DEFAULT_BUDGET
 ) -> Iterator[Picture]:
@@ -96,39 +118,44 @@ def enumerate_pictures(
     rows are joined from the alphabet's symbols, which are printable and
     never ``#``, so each picture is built without re-checking them.
     """
-    if budget is not None and _exceeds(alphabet, bounds, budget):
-        raise CapacityError(
-            f"pictures within {bounds.max_rows}x{bounds.max_cols} exceed the budget of {budget}"
-        )
-    syms = alphabet.symbols
-    # Row-major cell order is row-lexicographic order over the
-    # |alphabet|**n row strings, which are built once per size.
+    _check_budget(alphabet, bounds, budget)
     return (
-        _trusted_picture(rows)
-        for m in range(1, bounds.max_rows + 1)
-        for n in range(1, bounds.max_cols + 1)
-        for rows in product(["".join(cells) for cells in product(syms, repeat=n)], repeat=m)
+        _trusted_picture(picture)
+        for m, rows in _row_sets(alphabet, bounds)
+        for picture in product(rows, repeat=m)
     )
 
 
-def _verdict(a: Automaton2D) -> Callable[[Picture], bool]:
-    """The acceptance test one sweep applies to every picture it visits:
-    one row transfer's :meth:`~pictomata.simulate.RowTransfer.decide` for
-    a 2W or 3W machine, :func:`accepts` for any other.  Building the
-    transfer compiles the machine, so a sweep enumerates first, keeping
-    its errors in their order: the budget, then an invalid machine."""
-    if a.variant in ("2W", "3W"):
-        return RowTransfer(a).decide
-    return lambda w: accepts(a, w)
+def _swept(
+    a: Automaton2D, bounds: DimBounds, budget: int | None
+) -> Iterator[tuple[tuple[str, ...], bool]]:
+    """The rows of every picture within bounds, in the fixed total order,
+    each with the machine's verdict.  The budget is checked at the call,
+    then the machine is compiled, so a sweep raises in that order.
+
+    A 2W or 3W machine is decided by one row transfer: the pictures of
+    one size share their first m-1 rows with the next |alphabet|**n
+    pictures, so :meth:`~pictomata.simulate.RowTransfer.verdicts` folds
+    each such prefix once.  A 4W machine is decided by :func:`accepts`
+    on each picture of :func:`enumerate_pictures`.
+    """
+    _check_budget(a.alphabet, bounds, budget)
+    if a.variant not in ("2W", "3W"):
+        return ((w.rows, accepts(a, w)) for w in enumerate_pictures(a.alphabet, bounds, None))
+    verdicts = RowTransfer(a).verdicts
+    return (
+        (prefix + (last,), got)
+        for m, rows in _row_sets(a.alphabet, bounds)
+        for prefix in product(rows, repeat=m - 1)
+        for last, got in zip(rows, verdicts(prefix, rows))
+    )
 
 
 def language_up_to(
     a: Automaton2D, bounds: DimBounds, budget: int | None = DEFAULT_BUDGET
 ) -> set[Picture]:
     """Exactly the pictures within bounds that the machine accepts."""
-    pictures = enumerate_pictures(a.alphabet, bounds, budget)
-    decide = _verdict(a)
-    return {w for w in pictures if decide(w)}
+    return {_trusted_picture(rows) for rows, got in _swept(a, bounds, budget) if got}
 
 
 def equivalent_up_to(
@@ -141,10 +168,8 @@ def equivalent_up_to(
 
     Returns None when they agree on every picture within bounds.
     """
-    pictures = enumerate_pictures(candidate.alphabet, bounds, budget)
-    decide = _verdict(candidate)
-    for w in pictures:
-        got = decide(w)
+    for rows, got in _swept(candidate, bounds, budget):
+        w = _trusted_picture(rows)
         expected = bool(target(w))
         if got != expected:
             evidence = first_accepting_trace(candidate, w) if got else None

@@ -28,14 +28,15 @@ step: :func:`accepts` on the whole picture, the split oracles in
 ``concat`` on each block in place, and the trace walk of
 :func:`first_accepting_trace` (also behind
 :func:`~pictomata.oracle.flip_attack`) from a configuration on its path
-with a set of configurations it must not enter.  For a 2W machine
-searched from its initial configuration with no set to avoid, which is
-every verdict of :func:`accepts` and of the split oracles, ``_search``
-hands over to :func:`_two_way`, which visits the window's cells alone.
-That is exact: a 2W head that moves past the last row or column reads
-``#`` from then on, in the frame or the escape sink alike, so the move
-accepts exactly when its target state is in ``Compiled.reach``, the
-``#``-reachability of :func:`~pictomata.automaton.boundary_reach`.
+with a set of configurations it must not enter.  A verdict on a 2W
+machine, from its initial configuration with no set to avoid, goes to
+:func:`_two_way` instead: :func:`accepts` and the split oracles in
+``concat`` pick the kernel once per call from ``Compiled.is2w``.  It
+visits the window's cells alone.  That is exact: a 2W head that moves
+past the last row or column reads ``#`` from then on, in the frame or
+the escape sink alike, so the move accepts exactly when its target
+state is in ``Compiled.reach``, the ``#``-reachability of
+:func:`~pictomata.automaton.boundary_reach`.
 The kernel follows a deterministic machine's one run, which leaves the
 window within m + n - 1 moves, with no set of visited configurations.
 
@@ -47,11 +48,17 @@ stepping down into it, and the transfer closes such a set under
 row, because the bottom frame row and the escape sink read only ``#``,
 so what is left there is whether a state is in ``Compiled.reach``.  4W
 machines have no such cut.  A step reads the width off its row, so one
-transfer per machine serves every width.  :meth:`~RowTransfer.decide`,
-the fold behind the sweeps of ``oracle``, remembers steps keyed by
-(state, row): a sweep meets the pictures of one size in
-row-lexicographic order, so most steps are memo hits.  The memo starts over once it holds ``_MEMO_CAP`` steps,
-which bounds its memory however many distinct rows it meets.
+transfer per machine serves every width.  :meth:`~RowTransfer.verdicts`
+is the one fold, behind the sweeps of ``oracle`` and
+:meth:`~RowTransfer.decide`.  A sweep meets the pictures of one size in
+row-lexicographic order, each prefix of m-1 rows followed by every last
+row, so the fold takes a prefix once and steps each last row from the
+state it leaves.  It remembers steps keyed by (state, row), so most
+steps are memo hits, and the verdict of each state the last rows leave.
+Each cache starts over once it holds ``_MEMO_CAP`` entries, which
+bounds its memory however many distinct rows and states it meets.  A
+prefix keeps its state in hand while its last rows are stepped, so the
+memo may start over among them.
 
 Everything here is a pure function of (automaton, picture), and every run
 terminates: the configuration space has at most |Q|*((m+2)(n+2)+1)
@@ -141,7 +148,8 @@ def _to_triple(comp: Compiled, cfg: Configuration) -> tuple[int, int, int]:
 def accepts(a: Automaton2D, w: Picture) -> bool:
     """True iff some run from (initial, (1,1)) reaches the accepting state."""
     check_input(a, w)
-    return _search(a.compiled, w.rows, -1, -1, w.m, w.n)
+    comp = a.compiled
+    return (_two_way if comp.is2w else _search)(comp, w.rows, -1, -1, w.m, w.n)
 
 
 def _search(comp: Compiled, rows, r0: int, c0: int, m: int, n: int, start=None, seen=None) -> bool:
@@ -151,9 +159,9 @@ def _search(comp: Compiled, rows, r0: int, c0: int, m: int, n: int, start=None, 
     ``start`` defaults to the initial configuration.  A caller's ``seen``
     set holds configurations the run must not enter (``start`` must not be
     among them), accepting ones included; the search adds every
-    configuration it enters.  A 2W machine's search from the initial
-    configuration with no ``seen`` set goes to :func:`_two_way`, which
-    decides the same.
+    configuration it enters.  For a 2W machine from the initial
+    configuration with no ``seen`` set, :func:`_two_way` decides the same
+    on the window's cells alone, and the verdicts call it instead.
 
     This is the hot loop of every other verdict, so it applies the rule
     of :func:`_step` inline rather than calling it: the same successors,
@@ -161,8 +169,6 @@ def _search(comp: Compiled, rows, r0: int, c0: int, m: int, n: int, start=None, 
     pins the three together.
     """
     if start is None:
-        if seen is None and comp.is2w:
-            return _two_way(comp, rows, r0, c0, m, n)
         start = (comp.initial, 1, 1)
     accept = comp.accept
     if start[0] == accept:
@@ -435,9 +441,13 @@ class RowTransfer:
     acceptance on ``#`` reads alone, that is, lies in ``Compiled.reach``.
     Folding a picture's rows from :attr:`start` and applying
     :meth:`final` therefore gives :func:`accepts` exactly, at every width.
+    :meth:`verdicts` does that for many pictures that share all rows but
+    the last, through two caches of at most ``_MEMO_CAP`` entries each:
+    :attr:`memo`, the step of each (state, row), and :attr:`finals`, the
+    verdict of each state.
     """
 
-    __slots__ = ("start", "memo", "_comp")
+    __slots__ = ("start", "memo", "finals", "_comp")
 
     def __init__(self, a: Automaton2D):
         comp = a.compiled
@@ -446,6 +456,7 @@ class RowTransfer:
         self._comp = comp
         self.start = ACCEPTED if comp.initial == comp.accept else frozenset({(comp.initial, 1)})
         self.memo: dict = {}
+        self.finals: dict = {}
 
     def step(self, state, row: str):
         """The transfer state below ``row``, at the width ``len(row)``."""
@@ -474,19 +485,45 @@ class RowTransfer:
         reach = self._comp.reach
         return state is ACCEPTED or any(si in reach for si, _ in state)
 
-    def decide(self, w: Picture) -> bool:
-        """:func:`accepts` of ``w`` by the fold, each step through
-        :attr:`memo`.  Like :meth:`step`, it does not check symbols: a
-        picture from outside goes through :func:`accepts`."""
-        memo, state, step = self.memo, self.start, self.step
-        for row in w.rows:
+    def verdicts(self, prefix, lasts) -> list[bool]:
+        """:func:`accepts` of each picture ``(*prefix, last)``, for each
+        ``last`` in ``lasts``, all of one width.  ``prefix`` is folded once,
+        and every step goes through :attr:`memo`; each state the last rows
+        leave is judged through :attr:`finals`.  A prefix already
+        ``ACCEPTED`` steps no further.  Like :meth:`step`, it checks no
+        symbols: a picture from outside goes through :func:`accepts`."""
+        memo, state = self.memo, self.start
+        for row in prefix:
             if state is ACCEPTED:
-                return True
-            key = (state, row)
-            nxt = memo.get(key)
+                break
+            nxt = memo.get((state, row))
+            state = self._remember(state, row) if nxt is None else nxt
+        if state is ACCEPTED:
+            return [True] * len(lasts)
+        finals = self.finals
+        out = []
+        for row in lasts:
+            nxt = memo.get((state, row))
             if nxt is None:
-                if len(memo) >= _MEMO_CAP:
-                    memo.clear()
-                nxt = memo[key] = step(state, row)
-            state = nxt
-        return self.final(state)
+                nxt = self._remember(state, row)
+            verdict = finals.get(nxt)
+            if verdict is None:
+                if len(finals) >= _MEMO_CAP:
+                    finals.clear()
+                verdict = finals[nxt] = self.final(nxt)
+            out.append(verdict)
+        return out
+
+    def _remember(self, state, row):
+        """A memo miss: the step, stored; the memo starts over when full."""
+        memo = self.memo
+        if len(memo) >= _MEMO_CAP:
+            memo.clear()
+        nxt = memo[state, row] = self.step(state, row)
+        return nxt
+
+    def decide(self, w: Picture) -> bool:
+        """:func:`accepts` of ``w``: :meth:`verdicts` with ``w``'s last row
+        as the one last row."""
+        rows = w.rows
+        return self.verdicts(rows[:-1], rows[-1:])[0]

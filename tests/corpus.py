@@ -75,6 +75,18 @@ def spray01():
     )
 
 
+def zero_columns01():
+    # walks row 1 and drops into every 0 column; a column of 0s from the
+    # top that meets a 1 accepts.  The row transfer's state is the set of
+    # such columns, so a width-n sweep meets 2**n of them.
+    return _mk(
+        "zero_columns01", ("q0", "q1", "acc"), "q0", "acc",
+        [("q0", "0", "q0", "R"), ("q0", "0", "q1", "D"), ("q0", "1", "q0", "R"),
+         ("q1", "0", "q1", "D"), ("q1", "1", "acc", "R")],
+        mode="nondet",
+    )
+
+
 def staircase01():
     return _mk(
         "staircase01", ("q0", "q1", "acc"), "q0", "acc",

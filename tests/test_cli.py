@@ -149,6 +149,30 @@ def test_concat_diag_cap(tmp_path):
     assert status == 2
 
 
+def test_concat_diag_has_a_default_cap(tmp_path, capsys):
+    # two 4x4 pictures leave 32 free filler cells, 2**32 words: past the
+    # default cap, so the verb exits 2 before building any of them
+    paths = {}
+    for name, rows in {"a44": ["0101", "1100", "0011", "1010"], "b44": ["1111", "0000", "1010", "0101"],
+                       "a23": ["010", "101"], "b32": ["01", "10", "11"]}.items():
+        paths[name] = tmp_path / f"{name}.pic"
+        paths[name].write_text("\n".join(rows) + "\n")
+    start = time.perf_counter()
+    status, out = run_cli(["concat", "diag", str(paths["a44"]), str(paths["b44"])])
+    assert time.perf_counter() - start < 0.5
+    assert (status, out) == (2, "")
+    assert capsys.readouterr().err == (
+        f"error: diagonal filler set of 2**32 members exceeds the cap of {cli.DIAG_CAP}\n"
+    )
+    # a 2x3 and a 3x2 picture leave 13 free cells: all 8,192 words print
+    status, out = run_cli(["concat", "diag", str(paths["a23"]), str(paths["b32"])])
+    assert status == 0
+    assert out.startswith("count: 8192\n")
+    words = out.split("\n\n")[1:]
+    assert len(words) == len(set(words)) == 8192
+    assert all(w.startswith("010") and w.rstrip("\n").endswith("11") for w in words)
+
+
 def test_construct_ibr_and_witness(tmp_path, frz_path):
     out_path = tmp_path / "ibr.aut"
     status, out = run_cli(["construct", "ibr", frz_path, "-o", str(out_path)])

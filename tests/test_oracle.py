@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import re
 import time
 from itertools import product
 
@@ -21,6 +22,7 @@ from corpus import (
     unary_pairs,
     universal01,
     wander4w,
+    zero_columns01,
 )
 from pictomata import (
     Alphabet,
@@ -383,6 +385,74 @@ def test_sweep_memo_stays_within_its_cap():
         assert t.decide(w) == accepts(spray01(), w)
         peak = max(peak, len(t.memo))
     assert peak == _MEMO_CAP
+    # zero_columns01 leaves a row in the state of its set of 0 columns, so
+    # a 1 x 13 sweep meets 2**13 = 8,192 states to judge: the cache of
+    # their verdicts must start over too
+    a = zero_columns01()
+    t = RowTransfer(a)
+    peaks = {"memo": 0, "finals": 0}
+    for w in enumerate_pictures(AB01, DimBounds(1, 13)):
+        assert t.decide(w) == accepts(a, w)
+        for name in peaks:
+            peaks[name] = max(peaks[name], len(getattr(t, name)))
+    assert peaks == {"memo": _MEMO_CAP, "finals": _MEMO_CAP}
+
+
+@given(
+    st.integers(0, 2**32),
+    st.sampled_from(["2W", "3W"]),
+    st.sampled_from(["det", "nondet"]),
+    st.sampled_from([DimBounds(3, 3), DimBounds(2, 5)]),
+)
+@settings(max_examples=100, deadline=None)
+def test_prefix_shared_sweeps_equal_the_per_picture_sweep(seed, variant, mode, bounds):
+    # the sweeps fold each row prefix once and step its last rows from the
+    # state it leaves; they must give what accepts gives picture by picture
+    rng = random.Random(seed)
+    a = random_2d(rng, variant, mode)
+    words = list(_old_enumerate_pictures(a.alphabet, bounds))
+    language = {w for w in words if accepts(a, w)}
+    assert language_up_to(a, bounds) == language
+    assert equivalent_up_to(a, lambda w: accepts(a, w), bounds) is None
+    # and the first disagreement is the first in enumeration order
+    flipped = set(rng.sample(words, 3))
+    first = next(w for w in words if w in flipped)
+    ce = equivalent_up_to(a, lambda w: accepts(a, w) != (w in flipped), bounds)
+    assert (ce.word, ce.got, ce.expected) == (first, first in language, first not in language)
+
+
+def test_the_memo_starts_over_between_a_prefix_and_its_last_rows():
+    # at 2x6 zero_columns01 meets 64 states after the first row, each met
+    # with 64 last rows, so the memo fills up and starts over while the
+    # last rows of some prefix are being stepped, after its fold
+    a, bounds = zero_columns01(), DimBounds(2, 6)
+    t = RowTransfer(a)
+    midway = 0
+    for m, rows in oracle._row_sets(AB01, bounds):
+        for prefix in product(rows, repeat=m - 1):
+            before = len(t.memo)
+            got = t.verdicts(prefix, rows)
+            assert got == [accepts(a, Picture((*prefix, last))) for last in rows], prefix
+            # the fold adds at most one step per prefix row, so a smaller
+            # memo afterwards that no fold could have filled started over
+            # among the last rows
+            if len(rows) + len(prefix) < before < _MEMO_CAP - len(prefix) and len(t.memo) < before:
+                midway += 1
+    assert midway > 0
+    assert language_up_to(a, bounds) == _old_language_up_to(a, bounds)
+
+
+def test_an_accepted_prefix_steps_no_further():
+    # first_row_zeros accepts on the first row alone when it is all 0s, and
+    # universal01 from its start state: no last row is stepped or judged
+    rows = ["".join(cells) for cells in product("01", repeat=2)]
+    t = RowTransfer(first_row_zeros())
+    assert t.verdicts(("00", "11"), rows) == [True] * 4
+    assert (len(t.memo), t.finals) == (1, {})
+    t = RowTransfer(universal01())
+    assert t.verdicts(("01",), rows) == [True] * 4
+    assert t.verdicts((), rows) == [True] * 4
+    assert (t.memo, t.finals) == ({}, {})
 
 
 def test_sweeps_keep_their_error_order():
@@ -397,6 +467,27 @@ def test_sweeps_keep_their_error_order():
                   lambda: equivalent_up_to(broken, lambda w: True, DimBounds(2, 2))):
         with pytest.raises(ToolkitError, match="illegal direction"):
             sweep()
+
+
+def test_sweeps_check_their_budget_even_when_enumeration_is_lazy(monkeypatch):
+    # a span tracer may wrap enumerate_pictures in a generator function,
+    # which checks nothing before its first item; each sweep checks the
+    # budget itself, so the budget still comes before an invalid machine
+    real = oracle.enumerate_pictures
+
+    def lazy(*args, **kwargs):
+        yield from real(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "enumerate_pictures", lazy)
+    for variant in ("2W", "3W", "4W"):
+        broken = Automaton2D("broken", variant, "det", AB01, ("q0", "acc"), "q0", "acc",
+                             make_delta([("q0", "0", "q0", "X")]))
+        with pytest.raises(CapacityError):
+            language_up_to(broken, DimBounds(4, 4), budget=100)
+        with pytest.raises(CapacityError):
+            equivalent_up_to(broken, lambda w: True, DimBounds(4, 4), budget=100)
+        with pytest.raises(ToolkitError, match="unknown direction 'X'"):
+            language_up_to(broken, DimBounds(2, 2))
 
 
 def test_enumerated_pictures_equal_checked_pictures():
@@ -514,6 +605,23 @@ def test_unknown_kinds_raise_one_value_error_from_both_oracles():
         assert str(got.value) == str(want.value)
 
 
+def test_unknown_kinds_raise_before_any_split(monkeypatch):
+    # the kind is checked once per call, before b compiles and before any
+    # block is searched; an unhashable kind cannot reach the split table
+    def no_search(*args):
+        raise AssertionError("a block was searched")
+
+    for name in ("_search", "_two_way"):
+        monkeypatch.setattr(concat, name, no_search)
+    L, word = first_row_zeros(), picture_of(["00", "00", "00"])
+    broken = Automaton2D("broken", "2W", "det", AB01, ("q0", "acc"), "q0", "acc",
+                         make_delta([("q0", "0", "q0", "U")]))
+    for kind in ("diag", None, [ConcatKind.DIAG], {"kind": "diag"}):
+        for b in (L, broken):
+            with pytest.raises(ValueError, match=rf"^unknown concat kind {re.escape(repr(kind))}$"):
+                concat_membership(kind, L, b, word)
+
+
 def _split_definition(kind, w):
     """The (a-block, b-block) pairs of every split of w, by subpicture."""
     m, n = w.m, w.n
@@ -545,3 +653,28 @@ def test_split_table_is_the_definition():
         assert cuts == sorted(cuts)  # row cut outer, column cut inner
         too_small = {ConcatKind.ROW: m == 1, ConcatKind.COL: n == 1, ConcatKind.DIAG: min(m, n) == 1}[kind]
         assert (table == ()) == too_small
+
+
+def test_concat_membership_equals_the_oracle_and_the_definition():
+    # concat_membership picks each factor's kernel once per call: the 2W
+    # one for a 2W factor, the generic search otherwise; on every {0,1}
+    # picture up to 3x4 it must equal ConcatOracle and the definition by
+    # subpicture, for every kind and for factors of each variant
+    rng = random.Random(1515)
+    variants = [("2W", "2W"), ("3W", "3W"), ("4W", "4W"), ("2W", "3W"), ("3W", "4W"), ("4W", "2W")]
+    modes = [("det", "nondet"), ("nondet", "det")]
+    pairs = [(random_2d(rng, va, ma), random_2d(rng, vb, mb))
+             for (va, vb), (ma, mb) in zip(variants, modes * 3)]
+    words = list(enumerate_pictures(AB01, DimBounds(3, 4)))
+    members = 0
+    for a, b in pairs:
+        for kind in ConcatKind:
+            member = ConcatOracle(kind, a, b)
+            got = [concat_membership(kind, a, b, w) for w in words]
+            assert got == [member(w) for w in words], (kind, a.name, b.name)
+            want = [
+                any(accepts(a, x) and accepts(b, y) for x, y in _split_definition(kind, w)) for w in words
+            ]
+            assert got == want, (kind, a.name, b.name)
+            members += sum(got)
+    assert 0 < members < len(pairs) * len(ConcatKind) * len(words)

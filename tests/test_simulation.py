@@ -38,7 +38,7 @@ from pictomata import (
     run_deterministic,
     visited_cells,
 )
-from pictomata.simulate import ACCEPTED, REJECTED_LOOP, REJECTED_UNDEFINED, _search, _step
+from pictomata.simulate import ACCEPTED, REJECTED_LOOP, REJECTED_UNDEFINED, _search, _step, _two_way
 
 
 def cfg(state, loc):
@@ -405,6 +405,8 @@ def test_search_equals_a_closure_over_step(seed, variant, mode):
         plain = set() if blocked is None else set(blocked)
         verdict = _closure_search(comp, rows, r0, c0, m, n, begin, plain)
         assert _search(comp, rows, r0, c0, m, n, start, fused) == verdict
+        if comp.is2w and start is None and blocked is None:  # a verdict's search
+            assert _two_way(comp, rows, r0, c0, m, n) == verdict
         if fused is not None and not verdict:
             assert fused == plain
 
@@ -446,7 +448,7 @@ def _assert_kernel_is_the_generic_search(a, cases):
     assert comp.is2w
     start = (comp.initial, 1, 1)
     generic = [_search(comp, b, -1, -1, len(b), len(b[0]), start) for b in blocks]
-    got = [_search(comp, *window) for window, _ in windows]
+    got = [_two_way(comp, *window) for window, _ in windows]
     want = [generic[k] for _, k in windows]
     if got != want:
         first = next(i for i, (g, e) in enumerate(zip(got, want)) if g != e)
@@ -454,9 +456,9 @@ def _assert_kernel_is_the_generic_search(a, cases):
 
 
 def test_two_way_kernel_equals_the_generic_search():
-    # _search hands a 2W machine's search from the initial configuration
-    # to a kernel that reads only the window's cells, answers exits past
-    # row m or column n from Compiled.reach, and walks a det run
+    # the verdicts of a 2W machine from the initial configuration go to
+    # a kernel that reads only the window's cells, answers exits past row
+    # m or column n from Compiled.reach, and walks a det run
     machines = corpus_2w()
     for seed in range(150):
         machines += [random_2d(random.Random(seed), "2W", mode) for mode in ("det", "nondet")]

@@ -95,8 +95,10 @@ def test_only_simulate_encodes_the_step_rule():
 
 def test_only_simulate_names_the_transfer_states():
     # a row transfer's states, the sticky ACCEPTED among them, and the cap
-    # of the memo they key belong to simulate.RowTransfer; a sweep asks
-    # RowTransfer.decide rather than folding or memoizing steps itself
+    # of every cache its fold keeps (the memo of steps and the verdict of
+    # each state) belong to simulate.RowTransfer; a sweep asks
+    # RowTransfer.verdicts once per row prefix rather than folding,
+    # memoizing steps or caching verdicts itself
     users = {}
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
