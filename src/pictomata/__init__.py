@@ -15,7 +15,6 @@ from .automaton import (
 from .concat import (
     ConcatKind,
     ConcatOracle,
-    build_separated,
     col_concat,
     concat_membership,
     diag_concat_words,
@@ -25,11 +24,9 @@ from .concat import (
 from .construct import (
     CaseTag,
     border_normalize,
-    boundary_reach_set,
     build_witness,
     diag_concat_nondet_2w,
     diag_concat_separated,
-    is_ibr,
     thm9_x_family,
     to_ibr,
     unary_col_concat,
@@ -48,7 +45,6 @@ from .errors import (
 )
 from .onedim import (
     Automaton1D,
-    BoundValue,
     Departure,
     downward_departures,
     kapoutsis_bound,
@@ -92,7 +88,6 @@ from .simulate import (
     format_trace,
     replay_accepts,
     run_deterministic,
-    visited_cells,
 )
 
 __version__ = "0.1.0"

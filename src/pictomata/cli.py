@@ -12,7 +12,7 @@ import sys
 from . import construct, onedim
 from .automaton import load_automaton, save_automaton, validate
 from .concat import ConcatKind, ConcatOracle, col_concat, diag_concat_words, row_concat
-from .errors import ToolkitError
+from .errors import CapacityError, ToolkitError
 from .oracle import DEFAULT_BUDGET, Counterexample, DimBounds, equivalent_up_to, language_up_to, refute
 from .picture import Alphabet, format_picture, load_picture
 from .simulate import accepts, first_accepting_trace, format_trace, run_deterministic
@@ -23,6 +23,11 @@ _KINDS = {"row": ConcatKind.ROW, "col": ConcatKind.COL, "diag": ConcatKind.DIAG}
 #: print.  Each free filler cell doubles them over two symbols, so without
 #: a cap two 4x4 pictures would ask for 2**32 words.
 DIAG_CAP = 2**16
+
+#: Largest ``bound N`` that prints: h(2N+3) has 4,297 digits at N = 683
+#: and 4,304 at N = 684, past the 4,300 digits to which Python limits
+#: int-to-str conversion by default.
+BOUND_MAX_N = 683
 
 
 def _kind(name: str) -> ConcatKind:
@@ -248,8 +253,9 @@ def _run(args, out) -> int:
         return _written(out, args.output, len(converted.states))
 
     if cmd == "bound":
-        bv = onedim.kapoutsis_bound(args.n)
-        print(f"h({bv.n}) = {bv.h}", file=out)
+        if args.n > BOUND_MAX_N:
+            raise CapacityError(f"bound {args.n}: h(2n+3) has too many digits to print; n is at most {BOUND_MAX_N}")
+        print(f"h({args.n}) = {onedim.kapoutsis_bound(args.n)}", file=out)
         print(f"k = h(2n+3) + 1 = {onedim.gadget_k(args.n)}", file=out)
         return 0
 

@@ -247,13 +247,3 @@ def split_separated(p: Picture) -> tuple[int, int, Picture, Picture] | None:
     top_left = _trusted_picture(tuple([row[: sc - 1] for row in rows[: sr - 1]]))
     bottom_right = _trusted_picture(tuple([row[sc:] for row in rows[sr:]]))
     return sr, sc, top_left, bottom_right
-
-
-def build_separated(w: Picture, v: Picture, fill_tr: Picture, fill_bl: Picture) -> Picture:
-    """Assemble the separated diagonal layout with explicit filler blocks."""
-    if fill_tr.m != w.m or fill_tr.n != v.n or fill_bl.m != v.m or fill_bl.n != w.n:
-        raise DimensionError("filler blocks must match the factor dimensions")
-    rows = [w.rows[i] + "#" + fill_tr.rows[i] for i in range(w.m)]
-    rows.append("#" * (w.n + 1 + v.n))
-    rows += [fill_bl.rows[i] + "#" + v.rows[i] for i in range(v.m)]
-    return Picture(tuple(rows), allow_hash=True)

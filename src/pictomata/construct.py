@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 from itertools import product
 
 from .automaton import Automaton2D, boundary_reach, make_delta, transpose_automaton
-from .errors import AlphabetError, ToolkitError, VariantError
+from .errors import AlphabetError, CapacityError, ToolkitError, VariantError
 from .picture import BOUNDARY, Alphabet, Picture
 
 
@@ -45,27 +45,6 @@ def _require_pair(a: Automaton2D, b: Automaton2D) -> None:
         raise AlphabetError("factor machines must share one alphabet")
 
 
-def boundary_reach_set(a: Automaton2D) -> set[str]:
-    """States from which the accepting state is reachable by reading only
-    boundary markers.
-
-    Once a two-way head reads a marker past the bottom or right border it
-    reads markers forever, so acceptance from that moment is a pure
-    state-reachability question over the ``#`` transitions.
-    """
-    _require_2w(a)
-    return boundary_reach(a)
-
-
-def is_ibr(a: Automaton2D) -> bool:
-    """Structural check: every boundary read goes straight to accept."""
-    return all(
-        image <= {(a.accept, "D"), (a.accept, "R")}
-        for (q, sym), image in a.delta.items()
-        if sym == BOUNDARY
-    )
-
-
 def to_ibr(a: Automaton2D) -> Automaton2D:
     """Equivalent machine that resolves acceptance at its first boundary read.
 
@@ -74,7 +53,7 @@ def to_ibr(a: Automaton2D) -> Automaton2D:
     boundary reads, and disappears otherwise.
     """
     _require_2w(a)
-    reach = boundary_reach_set(a)
+    reach = boundary_reach(a)
     delta = {k: v for k, v in a.delta.items() if k[1] != BOUNDARY}
     for q in a.states:
         if q != a.accept and q in reach:
@@ -448,6 +427,9 @@ def _separator_crossings(a1: Automaton2D):
 
 
 _X_FAMILY = re.compile(r"thm9-X\((\d+)\)")
+#: Largest k for which :func:`thm9_x_family` builds its 4**k words:
+#: 4**8 = 65,536, the default cap of ``pictomata concat diag``.
+_X_FAMILY_MAX_K = 8
 
 
 def build_witness(name: str):
@@ -507,9 +489,11 @@ def build_witness(name: str):
 
 def thm9_x_family(k: int) -> list[Picture]:
     """All 4 x 2k words with zero rows 1 and 3, a single centred 1 in
-    row 2, and a free fourth row."""
+    row 2, and a free fourth row; past k = 8 there are too many to build."""
     if k < 1:
         raise ToolkitError("family parameter must be at least 1")
+    if k > _X_FAMILY_MAX_K:
+        raise CapacityError(f"family thm9-X({k}) of 4**{k} words exceeds the cap of {4**_X_FAMILY_MAX_K}")
     zeros = "0" * (2 * k)
     marked = "0" * k + "1" + "0" * (k - 1)
     out = []

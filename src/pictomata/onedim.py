@@ -429,25 +429,18 @@ def two_way_to_one_way(a: Automaton1D) -> Automaton1D:
     )
 
 
-@dataclass(frozen=True)
-class BoundValue:
-    """Exact two-way-to-one-way state blow-up value for n states."""
-
-    n: int
-    h: int
-
-
-def kapoutsis_bound(n: int) -> BoundValue:
-    """h(n) = n * (n**n - (n-1)**n), exactly, at any size."""
+def kapoutsis_bound(n: int) -> int:
+    """h(n) = n * (n**n - (n-1)**n), the exact two-way-to-one-way state
+    blow-up for n states, at any size."""
     if n < 1:
         raise PreconditionError("bound is defined for n >= 1")
-    return BoundValue(n, n * (n**n - (n - 1) ** n))
+    return n * (n**n - (n - 1) ** n)
 
 
 def gadget_k(n: int) -> int:
     """The gadget width parameter: one more than the blow-up of a 2n+3
     state two-way machine."""
-    return kapoutsis_bound(2 * n + 3).h + 1
+    return kapoutsis_bound(2 * n + 3) + 1
 
 
 def serialize_automaton_1d(a: Automaton1D) -> str:

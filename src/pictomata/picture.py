@@ -45,9 +45,6 @@ class Alphabet:
     def unary(self) -> bool:
         return len(self.symbols) == 1
 
-    def __contains__(self, sym: str) -> bool:
-        return sym in self.symbols
-
     def __iter__(self):
         return iter(self.symbols)
 

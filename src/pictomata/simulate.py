@@ -53,12 +53,12 @@ is the one fold, behind the sweeps of ``oracle`` and
 :meth:`~RowTransfer.decide`.  A sweep meets the pictures of one size in
 row-lexicographic order, each prefix of m-1 rows followed by every last
 row, so the fold takes a prefix once and steps each last row from the
-state it leaves.  It remembers steps keyed by (state, row), so most
-steps are memo hits, and the verdict of each state the last rows leave.
-Each cache starts over once it holds ``_MEMO_CAP`` entries, which
-bounds its memory however many distinct rows and states it meets.  A
-prefix keeps its state in hand while its last rows are stepped, so the
-memo may start over among them.
+state it leaves.  Its one memo maps each (state, row) to the state the
+row leaves and that state's verdict, so most steps are memo hits and a
+last row's verdict is read off its entry.  The memo starts over once it
+holds ``_MEMO_CAP`` entries, which bounds its memory however many
+distinct rows and states it meets.  A prefix keeps its state in hand
+while its last rows are stepped, so the memo may start over among them.
 
 Everything here is a pure function of (automaton, picture), and every run
 terminates: the configuration space has at most |Q|*((m+2)(n+2)+1)
@@ -328,19 +328,6 @@ def accepting_runs(a: Automaton2D, w: Picture, limit: int | None = None) -> list
     return found
 
 
-def visited_cells(trace: RunTrace, w: Picture) -> set[Position]:
-    """In-bounds positions of ``w`` occurring in a trace.
-
-    Frame positions and the escape sink are excluded; a bare position list
-    cannot tell a frame cell from a word cell, hence the picture argument.
-    """
-    return {
-        c.loc
-        for c in trace
-        if c.loc is not None and 1 <= c.loc[0] <= w.m and 1 <= c.loc[1] <= w.n
-    }
-
-
 def replay_accepts(a: Automaton2D, w: Picture, trace: RunTrace) -> bool:
     """Check that the trace is an accepting run on w: it starts at
     (initial, (1,1)), each entry is a single delta step from the one
@@ -442,12 +429,12 @@ class RowTransfer:
     Folding a picture's rows from :attr:`start` and applying
     :meth:`final` therefore gives :func:`accepts` exactly, at every width.
     :meth:`verdicts` does that for many pictures that share all rows but
-    the last, through two caches of at most ``_MEMO_CAP`` entries each:
-    :attr:`memo`, the step of each (state, row), and :attr:`finals`, the
-    verdict of each state.
+    the last, through one cache of at most ``_MEMO_CAP`` entries,
+    :attr:`memo`: the step of each (state, row) and the verdict of the
+    state it leaves.
     """
 
-    __slots__ = ("start", "memo", "finals", "_comp")
+    __slots__ = ("start", "memo", "_comp")
 
     def __init__(self, a: Automaton2D):
         comp = a.compiled
@@ -456,7 +443,6 @@ class RowTransfer:
         self._comp = comp
         self.start = ACCEPTED if comp.initial == comp.accept else frozenset({(comp.initial, 1)})
         self.memo: dict = {}
-        self.finals: dict = {}
 
     def step(self, state, row: str):
         """The transfer state below ``row``, at the width ``len(row)``."""
@@ -482,45 +468,41 @@ class RowTransfer:
 
     def final(self, state) -> bool:
         """Whether a picture that left the fold in ``state`` is accepted."""
+        # runs on every memo miss: a plain loop costs less than any() over
+        # a generator on states of a few pairs
+        if state is ACCEPTED:
+            return True
         reach = self._comp.reach
-        return state is ACCEPTED or any(si in reach for si, _ in state)
+        for si, _ in state:
+            if si in reach:
+                return True
+        return False
 
     def verdicts(self, prefix, lasts) -> list[bool]:
         """:func:`accepts` of each picture ``(*prefix, last)``, for each
         ``last`` in ``lasts``, all of one width.  ``prefix`` is folded once,
-        and every step goes through :attr:`memo`; each state the last rows
-        leave is judged through :attr:`finals`.  A prefix already
-        ``ACCEPTED`` steps no further.  Like :meth:`step`, it checks no
-        symbols: a picture from outside goes through :func:`accepts`."""
+        and every step goes through :attr:`memo`, whose entry for a last
+        row holds its verdict.  A prefix already ``ACCEPTED`` steps no
+        further.  Like :meth:`step`, it checks no symbols: a picture from
+        outside goes through :func:`accepts`."""
         memo, state = self.memo, self.start
         for row in prefix:
             if state is ACCEPTED:
                 break
-            nxt = memo.get((state, row))
-            state = self._remember(state, row) if nxt is None else nxt
+            state = (memo.get((state, row)) or self._remember(state, row))[0]
         if state is ACCEPTED:
             return [True] * len(lasts)
-        finals = self.finals
-        out = []
-        for row in lasts:
-            nxt = memo.get((state, row))
-            if nxt is None:
-                nxt = self._remember(state, row)
-            verdict = finals.get(nxt)
-            if verdict is None:
-                if len(finals) >= _MEMO_CAP:
-                    finals.clear()
-                verdict = finals[nxt] = self.final(nxt)
-            out.append(verdict)
-        return out
+        return [(memo.get((state, row)) or self._remember(state, row))[1] for row in lasts]
 
     def _remember(self, state, row):
-        """A memo miss: the step, stored; the memo starts over when full."""
+        """A memo miss: the step and the verdict of the state it leaves,
+        stored; the memo starts over when full."""
         memo = self.memo
         if len(memo) >= _MEMO_CAP:
             memo.clear()
-        nxt = memo[state, row] = self.step(state, row)
-        return nxt
+        nxt = self.step(state, row)
+        entry = memo[state, row] = (nxt, self.final(nxt))
+        return entry
 
     def decide(self, w: Picture) -> bool:
         """:func:`accepts` of ``w``: :meth:`verdicts` with ``w``'s last row

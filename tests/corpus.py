@@ -3,10 +3,14 @@
 from itertools import product
 
 from pictomata import (
+    BOUNDARY,
     Alphabet,
     Automaton2D,
     Configuration,
+    DimensionError,
     Picture,
+    Position,
+    RunTrace,
     accepts,
     build_witness,
     make_delta,
@@ -35,6 +39,38 @@ def successors(a: Automaton2D, w: Picture, c: Configuration) -> set[Configuratio
     if c.state == a.accept:
         return set()
     return {_to_config(comp, t) for t in _step(comp, w.rows, -1, -1, w.m, w.n, *_to_triple(comp, c))}
+
+
+def visited_cells(trace: RunTrace, w: Picture) -> set[Position]:
+    """In-bounds positions of ``w`` occurring in a trace.
+
+    Frame positions and the escape sink are excluded; a bare position list
+    cannot tell a frame cell from a word cell, hence the picture argument.
+    """
+    return {
+        c.loc
+        for c in trace
+        if c.loc is not None and 1 <= c.loc[0] <= w.m and 1 <= c.loc[1] <= w.n
+    }
+
+
+def is_ibr(a: Automaton2D) -> bool:
+    """Structural check: every boundary read goes straight to accept."""
+    return all(
+        image <= {(a.accept, "D"), (a.accept, "R")}
+        for (q, sym), image in a.delta.items()
+        if sym == BOUNDARY
+    )
+
+
+def build_separated(w: Picture, v: Picture, fill_tr: Picture, fill_bl: Picture) -> Picture:
+    """Assemble the separated diagonal layout with explicit filler blocks."""
+    if fill_tr.m != w.m or fill_tr.n != v.n or fill_bl.m != v.m or fill_bl.n != w.n:
+        raise DimensionError("filler blocks must match the factor dimensions")
+    rows = [w.rows[i] + "#" + fill_tr.rows[i] for i in range(w.m)]
+    rows.append("#" * (w.n + 1 + v.n))
+    rows += [fill_bl.rows[i] + "#" + v.rows[i] for i in range(v.m)]
+    return Picture(tuple(rows), allow_hash=True)
 
 
 def first_row_zeros():

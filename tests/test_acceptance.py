@@ -28,6 +28,7 @@ from corpus import (
     top_left_one,
     unary_pairs,
     universal01,
+    visited_cells,
 )
 from pictomata import (
     Automaton2D,
@@ -63,7 +64,6 @@ from pictomata import (
     unary_row_concat,
     validate,
     verify_counterexample,
-    visited_cells,
 )
 
 
@@ -377,9 +377,9 @@ def test_criterion_10_conversion_and_bound():
                 if simulate_1d(ow, s) != simulate_1d(m, s):
                     failures.append((m.name, s))
     values_ok = (
-        kapoutsis_bound(1).h == 1
-        and kapoutsis_bound(2).h == 6
-        and kapoutsis_bound(3).h == 57
+        kapoutsis_bound(1) == 1
+        and kapoutsis_bound(2) == 6
+        and kapoutsis_bound(3) == 57
         and gadget_k(1) == 5 * (5**5 - 4**5) + 1 == 10506
     )
     _report(

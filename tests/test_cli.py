@@ -334,3 +334,34 @@ def test_enum_over_the_budget_exits_2_promptly(frz_path, capsys):
     assert time.perf_counter() - start < 0.5
     assert (status, out) == (2, "")
     assert capsys.readouterr().err == "error: pictures within 200x200 exceed the budget of 10000000\n"
+
+
+def test_bound_past_the_printable_values_exits_2_promptly(capsys):
+    # h(2n+3) passes Python's 4,300-digit int-to-str limit from n = 684
+    # on, and for large n computing it alone takes seconds
+    status, out = run_cli(["bound", str(cli.BOUND_MAX_N)])
+    assert status == 0 and out.startswith(f"h({cli.BOUND_MAX_N}) = ")
+    for n in (cli.BOUND_MAX_N + 1, 700, 10**6, 10**9):
+        start = time.perf_counter()
+        assert run_cli(["bound", str(n)]) == (2, "")
+        assert time.perf_counter() - start < 0.5
+        assert capsys.readouterr().err == (
+            f"error: bound {n}: h(2n+3) has too many digits to print; n is at most {cli.BOUND_MAX_N}\n"
+        )
+
+
+def test_witness_family_over_the_cap_exits_2_promptly(tmp_path, capsys):
+    # thm9-X(k) has 4**k words; past 4**8 none is built and no file written
+    path = tmp_path / "fam.pics"
+    assert run_cli(["construct", "witness", "thm9-X(8)", "-o", str(path)]) == (
+        0, f"written: {path}\nwords: 65536\n"
+    )
+    path.unlink()
+    for k in (9, 40):
+        start = time.perf_counter()
+        assert run_cli(["construct", "witness", f"thm9-X({k})", "-o", str(path)]) == (2, "")
+        assert time.perf_counter() - start < 1.0
+        assert not path.exists()
+        assert capsys.readouterr().err == (
+            f"error: family thm9-X({k}) of 4**{k} words exceeds the cap of 65536\n"
+        )

@@ -5,8 +5,10 @@ import pytest
 from corpus import (
     AB01,
     UNARY,
+    build_separated,
     corpus_2w,
     diag_pairs,
+    is_ibr,
     separated_layouts,
     separated_member,
     separated_pairs,
@@ -27,14 +29,11 @@ from pictomata import (
     accepting_runs,
     accepts,
     border_normalize,
-    boundary_reach_set,
-    build_separated,
     build_witness,
     concat_membership,
     diag_concat_nondet_2w,
     diag_concat_separated,
     equivalent_up_to,
-    is_ibr,
     language_up_to,
     make_delta,
     picture_of,
@@ -57,7 +56,7 @@ def _mk(name, states, init, acc, trans, mode="det", ab=AB01, variant="2W"):
 def test_boundary_reach_set_basics():
     a = _mk("r1", ("q0", "q1", "acc"), "q0", "acc",
             [("q0", "#", "acc", "D"), ("q1", "0", "q0", "R")])
-    reach = boundary_reach_set(a)
+    reach = boundary_reach(a)
     assert "acc" in reach          # zero-length reachability
     assert "q0" in reach           # one marker step
     assert "q1" not in reach       # its only step reads a word symbol
@@ -65,25 +64,23 @@ def test_boundary_reach_set_basics():
 
 def test_boundary_reach_set_no_marker_moves():
     a = _mk("r2", ("q0", "acc"), "q0", "acc", [("q0", "0", "acc", "R")])
-    assert boundary_reach_set(a) == {"acc"}
+    assert boundary_reach(a) == {"acc"}
 
 
 def test_boundary_reach_requires_two_way():
     a = _mk("r3", ("q0", "acc"), "q0", "acc", [], variant="3W")
     with pytest.raises(VariantError):
-        boundary_reach_set(a)
+        to_ibr(a)
 
 
 def test_boundary_reach_closure_ignores_the_variant():
     # the closure itself reads only '#' transitions; the 2W precondition
-    # belongs to boundary_reach_set alone
+    # belongs to to_ibr, which uses it
     trans = [("q0", "#", "q1", "L"), ("q1", "#", "acc", "D"), ("q2", "0", "acc", "R")]
     for variant in ("2W", "3W", "4W"):
         a = _mk("r4", ("q0", "q1", "q2", "acc"), "q0", "acc",
                 [t if variant != "2W" else (*t[:3], "R") for t in trans], variant=variant)
         assert boundary_reach(a) == {"q0", "q1", "acc"}
-    for a in corpus_2w():
-        assert boundary_reach(a) == boundary_reach_set(a)
 
 
 def test_to_ibr_language_preserved_on_corpus():

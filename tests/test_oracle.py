@@ -21,6 +21,7 @@ from corpus import (
     u_one_row,
     unary_pairs,
     universal01,
+    visited_cells,
     wander4w,
     zero_columns01,
 )
@@ -53,7 +54,6 @@ from pictomata import (
     subpicture,
     to_ibr,
     verify_counterexample,
-    visited_cells,
 )
 from pictomata import concat, oracle
 from pictomata.simulate import _MEMO_CAP
@@ -386,16 +386,15 @@ def test_sweep_memo_stays_within_its_cap():
         peak = max(peak, len(t.memo))
     assert peak == _MEMO_CAP
     # zero_columns01 leaves a row in the state of its set of 0 columns, so
-    # a 1 x 13 sweep meets 2**13 = 8,192 states to judge: the cache of
-    # their verdicts must start over too
+    # a 1 x 13 sweep meets 2**13 = 8,192 states to judge, each through
+    # its memo entry: the memo must start over here too
     a = zero_columns01()
     t = RowTransfer(a)
-    peaks = {"memo": 0, "finals": 0}
+    peak = 0
     for w in enumerate_pictures(AB01, DimBounds(1, 13)):
         assert t.decide(w) == accepts(a, w)
-        for name in peaks:
-            peaks[name] = max(peaks[name], len(getattr(t, name)))
-    assert peaks == {"memo": _MEMO_CAP, "finals": _MEMO_CAP}
+        peak = max(peak, len(t.memo))
+    assert peak == _MEMO_CAP
 
 
 @given(
@@ -448,11 +447,11 @@ def test_an_accepted_prefix_steps_no_further():
     rows = ["".join(cells) for cells in product("01", repeat=2)]
     t = RowTransfer(first_row_zeros())
     assert t.verdicts(("00", "11"), rows) == [True] * 4
-    assert (len(t.memo), t.finals) == (1, {})
+    assert len(t.memo) == 1
     t = RowTransfer(universal01())
     assert t.verdicts(("01",), rows) == [True] * 4
     assert t.verdicts((), rows) == [True] * 4
-    assert (t.memo, t.finals) == ({}, {})
+    assert t.memo == {}
 
 
 def test_sweeps_keep_their_error_order():

@@ -3,13 +3,13 @@ import dataclasses
 import pytest
 from hypothesis import given, strategies as st
 
+from corpus import build_separated
 from pictomata import (
     Alphabet,
     AlphabetError,
     OutOfBandError,
     Picture,
     WindowError,
-    build_separated,
     format_picture,
     parse_picture,
     picture_of,
@@ -42,6 +42,8 @@ def test_alphabet_rejects_hash_and_duplicates():
         Alphabet(())
     assert Alphabet(("a",)).unary
     assert not Alphabet(("0", "1")).unary
+    # membership is iteration over the symbols: the marker is never one
+    assert "0" in Alphabet(("0", "1")) and "#" not in Alphabet(("0", "1"))
 
 
 def test_picture_shape_checks():

@@ -19,6 +19,7 @@ from corpus import (
     successors,
     universal01,
     up_left_probe4w,
+    visited_cells,
 )
 from pictomata import (
     AlphabetError,
@@ -36,7 +37,6 @@ from pictomata import (
     picture_of,
     replay_accepts,
     run_deterministic,
-    visited_cells,
 )
 from pictomata.simulate import ACCEPTED, REJECTED_LOOP, REJECTED_UNDEFINED, _search, _step, _two_way
 

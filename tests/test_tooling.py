@@ -1,17 +1,28 @@
 """Checks on the package's structure: the benchmark's view of it, read
-from ``bench/`` without importing the benchmark runner, the separation
-of the split oracles from what they check, the one home of the split
-geometry, and the one module that encodes the step rule and the row
-transfer's states."""
+from ``bench/`` without importing the benchmark runner, a caller for
+every export, the separation of the split oracles from what they check,
+the one home of the split geometry, and the one module that encodes the
+step rule and the row transfer's states."""
 
 import ast
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
+
+import pictomata
 
 ROOT = Path(__file__).resolve().parent.parent
 SPANS = ROOT / "bench" / "spans.py"
 PACKAGE = ROOT / "src" / "pictomata"
+
+#: Exports that nothing in ``src/`` or ``bench/`` calls, each with the
+#: reason it stays public.
+CALLED_FROM_OUTSIDE = {
+    "picture_of": "the README's library example builds its picture with it",
+    "transpose": "the picture half of the row/column duality; criterion 03"
+    " checks transpose_automaton against it",
+}
 
 
 def _traced():
@@ -33,6 +44,35 @@ def test_every_traced_name_resolves_on_its_module():
             holder = getattr(module, owner) if owner else module
             assert attr in vars(holder), f"pictomata.{layer}.{name}"
             assert callable(vars(holder)[attr]), f"pictomata.{layer}.{name}"
+
+
+def _names_used(paths):
+    used = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    return used
+
+
+def test_every_export_has_a_caller():
+    # what the package exports serves its own code or the benchmark; an
+    # export only the tests call belongs in the tests.  A definition is
+    # no call, nor is the re-export in __init__.py; a name the span
+    # tracer wraps is read by the benchmark
+    exports = {
+        name
+        for name, value in vars(pictomata).items()
+        if not name.startswith("_") and not inspect.ismodule(value)
+    }
+    callers = _names_used(p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py")
+    callers |= _names_used(sorted((ROOT / "bench").glob("*.py")))
+    callers |= {name.rpartition(".")[2] for names in _traced().values() for name in names}
+    assert exports - callers == set(CALLED_FROM_OUTSIDE)
 
 
 def test_split_oracles_import_nothing_they_check():
@@ -95,8 +135,8 @@ def test_only_simulate_encodes_the_step_rule():
 
 def test_only_simulate_names_the_transfer_states():
     # a row transfer's states, the sticky ACCEPTED among them, and the cap
-    # of every cache its fold keeps (the memo of steps and the verdict of
-    # each state) belong to simulate.RowTransfer; a sweep asks
+    # of its one memo (the step of each state and row, with the verdict of
+    # the state it leaves) belong to simulate.RowTransfer; a sweep asks
     # RowTransfer.verdicts once per row prefix rather than folding,
     # memoizing steps or caching verdicts itself
     users = {}
