@@ -14,7 +14,6 @@ from .automaton import (
 )
 from .concat import (
     ConcatKind,
-    ConcatOracle,
     col_concat,
     concat_membership,
     diag_concat_words,

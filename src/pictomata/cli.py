@@ -11,9 +11,17 @@ import sys
 
 from . import construct, onedim
 from .automaton import load_automaton, save_automaton, validate
-from .concat import ConcatKind, ConcatOracle, col_concat, diag_concat_words, row_concat
+from .concat import ConcatKind, col_concat, concat_membership, diag_concat_words, row_concat
 from .errors import CapacityError, ToolkitError
-from .oracle import DEFAULT_BUDGET, Counterexample, DimBounds, equivalent_up_to, language_up_to, refute
+from .oracle import (
+    DEFAULT_BUDGET,
+    Counterexample,
+    DimBounds,
+    check_same_symbols,
+    equivalent_up_to,
+    language_up_to,
+    refute,
+)
 from .picture import Alphabet, format_picture, load_picture
 from .simulate import accepts, first_accepting_trace, format_trace, run_deterministic
 
@@ -191,12 +199,15 @@ def _run(args, out) -> int:
             raise ToolkitError("need exactly one of --against-aut / --against-concat")
         if args.against_aut:
             other = load_automaton(args.against_aut)
+            check_same_symbols(cand, other)
             target = lambda w: accepts(other, w)
         else:
             kind, pa, pb = args.against_concat
             a = load_automaton(pa)
             b = load_automaton(pb)
-            target = ConcatOracle(_kind(kind), a, b)
+            kind = _kind(kind)
+            check_same_symbols(cand, a)
+            target = lambda w: concat_membership(kind, a, b, w)
         ce = equivalent_up_to(cand, target, DimBounds(args.max_rows, args.max_cols))
         if ce is None:
             print("verdict: ok", file=out)

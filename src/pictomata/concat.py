@@ -1,4 +1,4 @@
-"""Concatenation of two-dimensional words and membership oracles.
+"""Concatenation of two-dimensional words and the membership oracle.
 
 Row concatenation stacks two words with equal column counts; column
 concatenation adjoins two words with equal row counts.  Diagonal
@@ -11,27 +11,17 @@ pair of factors yields a whole set of results over a non-unary alphabet.
 *automaton* languages by enumerating split points and simulating each
 factor directly.  It deliberately shares no code with the automaton
 constructions elsewhere in this package: it is the ground truth they are
-tested against.
-
-The oracle comes in two forms that decide the same predicate.
-``concat_membership`` is the one-shot definition: each call simulates
-every block it needs afresh and keeps nothing, and the tests compare
-against it.  :class:`ConcatOracle` serves a sweep, many words checked
-against one (kind, a, b): it remembers each factor's verdict per
-distinct block while the object lives, so a block shared by many words
-of the sweep is simulated once.  Both read what they share from one
-place.  :func:`_prologue` makes their checks, in one order, and
-compiles b before any split.  :func:`_splits` is the split geometry of
-all three kinds: for each size of word, the pair of blocks of every
-split, as windows of the word, in split order.  ``concat_membership``
-searches each window in place; ``ConcatOracle`` copies it out as the key
-of its memo.
+tested against, one word at a time, and it keeps nothing between calls.
+A sweep of many words asks it once per word.  :func:`_splits` is the
+split geometry of all three kinds: for each size of word, the pair of
+blocks of every split, as windows of the word, in split order, which
+``concat_membership`` searches in place.
 """
 
 import enum
 from itertools import product
 
-from .automaton import Automaton2D, Compiled
+from .automaton import Automaton2D
 from .errors import AlphabetError, CapacityError, DimensionError
 from .picture import Alphabet, Picture, _trusted_picture
 from .simulate import _search, _two_way, check_input
@@ -87,25 +77,6 @@ def diag_concat_words(
     return out
 
 
-def _prologue(kind: ConcatKind, a: Automaton2D, b: Automaton2D, w: Picture) -> Compiled:
-    """The checks of both oracles, in this order: the factors share one
-    alphabet, w's cells lie in it without ``#``, and the kind is a
-    :class:`ConcatKind`.  Returns b's compiled tables, so a factor b that
-    fails to compile raises here too, before any split is tried.
-
-    The alphabet never holds ``#``, whatever ``w.allow_hash`` says: L(a)
-    and L(b) contain no word with a ``#`` cell, so neither does their
-    concatenation, and such a ``w`` raises ``AlphabetError``.
-    """
-    if a.alphabet.symbols != b.alphabet.symbols:
-        raise AlphabetError("factor machines must share one alphabet")
-    if not a.compiled.legal[False].issuperset("".join(w.rows)):
-        check_input(a, w, allow_hash=False)  # raises, naming the symbols
-    if not isinstance(kind, ConcatKind):
-        raise ValueError(f"unknown concat kind {kind!r}")
-    return b.compiled
-
-
 # keyed by the kind's value, which hashes in C, unlike the member itself
 _TABLES: dict[str, dict[tuple[int, int], tuple]] = {kind.value: {} for kind in ConcatKind}
 
@@ -118,11 +89,11 @@ def _splits(kind: ConcatKind, m: int, n: int) -> tuple:
     cell (i, j) is ``rows[r0 + i][c0 + j]`` of the word.  Row: the top i
     rows go to a and the rest to b.  Col: the left j columns to a and the
     rest to b.  Diag: the top-left i x j block to a and the bottom-right
-    (m-i) x (n-j) block to b, the other two corners unconstrained.  So
-    a's block always starts at the word's top-left cell and b's always
-    ends at its bottom-right one.  A word too small to split has no
-    entry.  Each table is built on first use and kept, one per kind and
-    size; it has fewer entries than the word has cells.
+    (m-i) x (n-j) block to b, the other two corners unconstrained.  A
+    word too small to split has no entry.  Each table is built on first
+    use and kept, one per kind and size, so a sweep that calls
+    :func:`concat_membership` once per word builds it once per size; it
+    has fewer entries than the word has cells.
     """
     table = _TABLES[kind._value_]
     splits = table.get((m, n))
@@ -145,7 +116,15 @@ def concat_membership(kind: ConcatKind, a: Automaton2D, b: Automaton2D, w: Pictu
     L(b).  Col: symmetric on columns.  Diag: some interior point splits w
     into a top-left block in L(a) and a bottom-right block in L(b), with
     the other two corners unconstrained.  Words too small to split are
-    simply not members.  The checks of :func:`_prologue` come first.
+    simply not members.
+
+    The checks come first, in this order: the factors share one
+    alphabet, w's cells lie in it without ``#``, and the kind is a
+    :class:`ConcatKind`.  Then b is compiled, so a factor b that fails to
+    compile raises too, before any split is tried.  The alphabet never
+    holds ``#``, whatever ``w.allow_hash`` says: L(a) and L(b) contain no
+    word with a ``#`` cell, so neither does their concatenation, and such
+    a ``w`` raises ``AlphabetError``.
 
     Each factor then runs on its block of w in place, by the search of
     :func:`~pictomata.simulate.accepts` on a window of w from
@@ -153,70 +132,22 @@ def concat_membership(kind: ConcatKind, a: Automaton2D, b: Automaton2D, w: Pictu
     :func:`~pictomata.picture.subpicture`: the 2W kernel for a 2W factor,
     the generic search for any other, picked once per call.  No check is
     repeated: every block lies inside w by construction, and its symbols
-    are among w's, which have just been checked.  Nothing is remembered across calls, so
-    each call simulates every block it needs afresh; :class:`ConcatOracle`
-    is the same predicate for a sweep.
+    are among w's, which have just been checked.  Nothing is remembered
+    across calls, so each call simulates every block it needs afresh.
     """
-    cb = _prologue(kind, a, b, w)
-    ca, rows = a.compiled, w.rows
+    if a.alphabet.symbols != b.alphabet.symbols:
+        raise AlphabetError("factor machines must share one alphabet")
+    if not a.compiled.legal[False].issuperset("".join(w.rows)):
+        check_input(a, w, allow_hash=False)  # raises, naming the symbols
+    if not isinstance(kind, ConcatKind):
+        raise ValueError(f"unknown concat kind {kind!r}")
+    ca, cb, rows = a.compiled, b.compiled, w.rows
     search_a = _two_way if ca.is2w else _search
     search_b = _two_way if cb.is2w else _search
     for (r0, c0, m0, n0), (r1, c1, m1, n1) in _splits(kind, w.m, w.n):
         if search_a(ca, rows, r0, c0, m0, n0) and search_b(cb, rows, r1, c1, m1, n1):
             return True
     return False
-
-
-class ConcatOracle:
-    """Split-enumeration membership oracle for L(a) <kind> L(b), for a sweep.
-
-    Calling it on a word gives :func:`concat_membership`'s verdict, with
-    the same checks of :func:`_prologue`, raised from the call.  It tries
-    the same splits of :func:`_splits` in the same order, and b's block
-    only once a's is accepted.  What differs is that each block is copied
-    out of the word and each factor's verdict is remembered per block,
-    keyed by the block's own rows, in one memo per factor (:attr:`memos`,
-    a's then b's).  That is exact because a factor reads only the cells
-    of its block and ``#`` around it, and the block is searched as a
-    picture of its own.
-
-    The memos live as long as the oracle object and need no cap.  Every
-    block of a word within bounds of M rows and N columns is a picture
-    strictly smaller in the split dimension: at most (M-1) x N for ROW,
-    M x (N-1) for COL and (M-1) x (N-1) for DIAG.  So each memo holds no
-    more blocks than there are such pictures, fewer than the sweep's own
-    enumeration, which its budget already bounds.  Build one oracle per
-    sweep and let it go with the sweep.
-    """
-
-    __slots__ = ("kind", "a", "b", "memos")
-
-    def __init__(self, kind: ConcatKind, a: Automaton2D, b: Automaton2D):
-        self.kind = kind
-        self.a = a
-        self.b = b
-        self.memos: tuple[dict, dict] = ({}, {})
-
-    def __call__(self, w: Picture) -> bool:
-        cb = _prologue(self.kind, self.a, self.b, w)
-        ca, rows = self.a.compiled, w.rows
-        memo_a, memo_b = self.memos
-        # a's block starts at w's top-left cell, b's ends at its bottom-right
-        for (_, _, m0, n0), (r1, c1, m1, n1) in _splits(self.kind, w.m, w.n):
-            if _remembered(memo_a, ca, tuple([r[:n0] for r in rows[:m0]]), m0, n0) and _remembered(
-                memo_b, cb, tuple([r[c1 + 1 :] for r in rows[r1 + 1 :]]), m1, n1
-            ):
-                return True
-        return False
-
-
-def _remembered(memo: dict, comp: Compiled, block: tuple[str, ...], m: int, n: int) -> bool:
-    """The factor's verdict on the m x n ``block``, searched on a miss."""
-    verdict = memo.get(block)
-    if verdict is None:
-        search = _two_way if comp.is2w else _search
-        verdict = memo[block] = search(comp, block, -1, -1, m, n)
-    return verdict
 
 
 def split_separated(p: Picture) -> tuple[int, int, Picture, Picture] | None:

@@ -483,7 +483,12 @@ def build_witness(name: str):
         )
     match = _X_FAMILY.fullmatch(name)
     if match:
-        return thm9_x_family(int(match.group(1)))
+        # int() refuses a k of more than 4,300 digits; a k with more digits
+        # than the cap of words is past that cap, so it is never parsed
+        digits, cap = match.group(1).lstrip("0"), 4**_X_FAMILY_MAX_K
+        if len(digits) > len(str(cap)):
+            raise CapacityError(f"family thm9-X(k) with a k of {len(digits)} digits exceeds the cap of {cap}")
+        return thm9_x_family(int(digits or "0"))
     raise ToolkitError(f"unknown witness {name!r}")
 
 

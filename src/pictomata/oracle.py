@@ -22,11 +22,12 @@ budget when it is called, before it compiles the candidate.
 
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
+from functools import partial
 from itertools import product
 
 from .automaton import Automaton2D
-from .concat import ConcatKind, ConcatOracle
-from .errors import CapacityError, PreconditionError
+from .concat import ConcatKind, concat_membership
+from .errors import AlphabetError, CapacityError, PreconditionError
 from .picture import Alphabet, Picture, _trusted_picture
 from .simulate import (
     RowTransfer,
@@ -220,6 +221,19 @@ def verify_counterexample(
     )
 
 
+def check_same_symbols(candidate: Automaton2D, target: Automaton2D) -> None:
+    """Raise ``AlphabetError`` unless the two machines read the same set
+    of symbols.  A sweep enumerates the candidate's alphabet alone, so a
+    candidate over fewer symbols than its target would never meet a word
+    holding the others and could pass for equivalent."""
+    mine, theirs = set(candidate.alphabet.symbols), set(target.alphabet.symbols)
+    if mine != theirs:
+        raise AlphabetError(
+            f"candidate {candidate.name!r} reads symbols {sorted(mine)},"
+            f" target {target.name!r} reads {sorted(theirs)}"
+        )
+
+
 def refute(
     candidate: Automaton2D,
     kind: ConcatKind,
@@ -230,13 +244,13 @@ def refute(
 ) -> Counterexample | None:
     """Search for a witness that candidate does not recognize L(a) kind L(b).
 
-    One deterministic pass: exhaustive comparison against the
-    split-enumeration oracle over every picture within bounds.  The first
-    counterexample found is verified and returned.  The pass, its
-    verification included, asks one :class:`~pictomata.concat.ConcatOracle`,
-    so each factor is simulated once per distinct block of the sweep
-    rather than once per word containing it; the oracle goes with the
-    call.
+    One deterministic pass: exhaustive comparison against
+    :func:`~pictomata.concat.concat_membership`, the split-enumeration
+    oracle, over every picture within bounds.  The first counterexample
+    found is verified against the same oracle and returned.  The
+    candidate must read the factors' symbols (:func:`check_same_symbols`),
+    checked before the budget; the factors' own checks follow from the
+    oracle's first call.
 
     Flipping cells off a run finds nothing more within the same bounds.
     A flip of a cell that an accepting run never visits leaves that run
@@ -246,7 +260,8 @@ def refute(
     det machine reads the same cells on any word that agrees with w on
     them, so a rejected word stays rejected under every off-run flip.
     """
-    target = ConcatOracle(kind, a, b)
+    check_same_symbols(candidate, a)
+    target = partial(concat_membership, kind, a, b)
     ce = equivalent_up_to(candidate, target, bounds, budget)
     if ce is not None and not verify_counterexample(candidate, target, ce):
         raise AssertionError("internal error: unverifiable counterexample")

@@ -49,11 +49,10 @@ row, because the bottom frame row and the escape sink read only ``#``,
 so what is left there is whether a state is in ``Compiled.reach``.  4W
 machines have no such cut.  A step reads the width off its row, so one
 transfer per machine serves every width.  :meth:`~RowTransfer.verdicts`
-is the one fold, behind the sweeps of ``oracle`` and
-:meth:`~RowTransfer.decide`.  A sweep meets the pictures of one size in
-row-lexicographic order, each prefix of m-1 rows followed by every last
-row, so the fold takes a prefix once and steps each last row from the
-state it leaves.  Its one memo maps each (state, row) to the state the
+is the one fold, behind the sweeps of ``oracle``.  A sweep meets the
+pictures of one size in row-lexicographic order, each prefix of m-1
+rows followed by every last row, so the fold takes a prefix once and
+steps each last row from the state it leaves.  Its one memo maps each (state, row) to the state the
 row leaves and that state's verdict, so most steps are memo hits and a
 last row's verdict is read off its entry.  The memo starts over once it
 holds ``_MEMO_CAP`` entries, which bounds its memory however many
@@ -503,9 +502,3 @@ class RowTransfer:
         nxt = self.step(state, row)
         entry = memo[state, row] = (nxt, self.final(nxt))
         return entry
-
-    def decide(self, w: Picture) -> bool:
-        """:func:`accepts` of ``w``: :meth:`verdicts` with ``w``'s last row
-        as the one last row."""
-        rows = w.rows
-        return self.verdicts(rows[:-1], rows[-1:])[0]

@@ -10,6 +10,7 @@ from pictomata import (
     DimensionError,
     Picture,
     Position,
+    RowTransfer,
     RunTrace,
     accepts,
     build_witness,
@@ -26,6 +27,13 @@ UNARY = Alphabet(("a",))
 
 def _mk(name, states, init, acc, trans, variant="2W", mode="det", ab=AB01):
     return Automaton2D(name, variant, mode, ab, tuple(states), init, acc, make_delta(trans))
+
+
+def decide(t: RowTransfer, w: Picture) -> bool:
+    """:func:`accepts` of ``w`` through the row transfer ``t``: its
+    ``verdicts`` with ``w``'s last row as the one last row."""
+    rows = w.rows
+    return t.verdicts(rows[:-1], rows[-1:])[0]
 
 
 def successors(a: Automaton2D, w: Picture, c: Configuration) -> set[Configuration]:

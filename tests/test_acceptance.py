@@ -34,7 +34,6 @@ from pictomata import (
     Automaton2D,
     CaseTag,
     ConcatKind,
-    ConcatOracle,
     DimBounds,
     Picture,
     accepting_runs,
@@ -109,7 +108,7 @@ def test_criterion_02_unary_row_concatenation():
         if validate(m):
             failures.append((a.name, b.name, "invalid"))
             continue
-        ce = equivalent_up_to(m, ConcatOracle(ConcatKind.ROW, a, b), bounds)
+        ce = equivalent_up_to(m, lambda w: concat_membership(ConcatKind.ROW, a, b, w), bounds)
         if ce is not None:
             failures.append((a.name, b.name, ce.word.rows))
         worst = max(worst, time.time() - t0)
@@ -143,7 +142,7 @@ def test_criterion_03_column_duality():
         if validate(m):
             failures.append((a.name, b.name, "invalid"))
             continue
-        ce = equivalent_up_to(m, ConcatOracle(ConcatKind.COL, a, b), bounds)
+        ce = equivalent_up_to(m, lambda w: concat_membership(ConcatKind.COL, a, b, w), bounds)
         if ce is not None:
             failures.append((a.name, b.name, ce.word.rows))
     duality_bad = []
@@ -173,7 +172,7 @@ def test_criterion_04_diagonal_closure():
         if validate(m):
             failures.append((a.name, b.name, "invalid"))
             continue
-        ce = equivalent_up_to(m, ConcatOracle(ConcatKind.DIAG, a, b), bounds)
+        ce = equivalent_up_to(m, lambda w: concat_membership(ConcatKind.DIAG, a, b, w), bounds)
         if ce is not None:
             failures.append((a.name, b.name, ce.word.rows))
     _report(
@@ -212,7 +211,7 @@ def test_criterion_05_separated_diagonal():
 def test_criterion_06_row_nonclosure_mechanized():
     L = first_row_zeros()
     bounds = DimBounds(3, 3)
-    target = ConcatOracle(ConcatKind.ROW, L, L)
+    target = lambda w: concat_membership(ConcatKind.ROW, L, L, w)
     wrong = [first_row_zeros(), universal01(), rowzeros_tall01()]
     refuted = []
     for cand in wrong:
@@ -257,7 +256,7 @@ def test_criterion_07_det_diagonal_gadget():
         if bottom_right <= seen:
             unvisited_ok = False
     L = top_left_one()
-    target = ConcatOracle(ConcatKind.DIAG, L, L)
+    target = lambda w: concat_membership(ConcatKind.DIAG, L, L, w)
     sweeper = Automaton2D(
         "det_sweeper", "2W", "det", AB01, ("q0", "acc"), "q0", "acc",
         make_delta([("q0", "0", "q0", "R"), ("q0", "1", "q0", "R"), ("q0", "#", "acc", "R")]),

@@ -4,7 +4,7 @@ import time
 import pytest
 
 from corpus import spray01, u_all_rows, u_one_row
-from pictomata import build_witness, cli, save_automaton
+from pictomata import Alphabet, Automaton2D, build_witness, cli, make_delta, save_automaton
 from pictomata.cli import dispatch
 from pictomata.onedim import load_automaton_1d, save_automaton_1d, simulate_1d
 from pictomata.automaton import load_automaton
@@ -246,6 +246,34 @@ def test_unknown_concat_kind_is_a_usage_error(tmp_path, frz_path, capsys):
         assert capsys.readouterr().err == "error: unknown concat kind 'stack'; one of row, col, diag\n"
 
 
+def test_a_candidate_over_fewer_symbols_is_an_input_error(tmp_path, capsys):
+    # c accepts every {0} picture and o every {0,1} one; tall0 accepts the
+    # {0} pictures of two or more rows, which over {0} alone are exactly
+    # L(o)L(o).  Swept over its own alphabet, each candidate agrees with
+    # its target, yet misses every word holding a 1 (01, or 1 on 1)
+    zero = Alphabet(("0",))
+    machines = {
+        "c": Automaton2D("c", "2W", "det", zero, ("q0",), "q0", "q0", {}),
+        "o": Automaton2D("o", "2W", "det", Alphabet(("0", "1")), ("q0",), "q0", "q0", {}),
+        "tall0": Automaton2D("tall0", "2W", "det", zero, ("q0", "q1", "acc"), "q0", "acc",
+                             make_delta([("q0", "0", "q1", "D"), ("q1", "0", "acc", "R")])),
+    }
+    path = {}
+    for name, m in machines.items():
+        path[name] = str(tmp_path / f"{name}.aut")
+        save_automaton(m, path[name])
+    bounds = ["--max-rows", "2", "--max-cols", "2"]
+    for cand, argv in (
+        ("c", ["equiv", path["c"], "--against-aut", path["o"]]),
+        ("tall0", ["equiv", path["tall0"], "--against-concat", "row", path["o"], path["o"]]),
+        ("tall0", ["refute", path["tall0"], "--target-concat", "row", path["o"], path["o"]]),
+    ):
+        assert run_cli([*argv, *bounds]) == (2, ""), argv
+        assert capsys.readouterr().err == (
+            f"error: candidate '{cand}' reads symbols ['0'], target 'o' reads ['0', '1']\n"
+        )
+
+
 def test_lemma2_check(tmp_path):
     from corpus import boustro3w
 
@@ -365,3 +393,9 @@ def test_witness_family_over_the_cap_exits_2_promptly(tmp_path, capsys):
         assert capsys.readouterr().err == (
             f"error: family thm9-X({k}) of 4**{k} words exceeds the cap of 65536\n"
         )
+    # a k past the 4,300 digits int() reads is refused before it is parsed
+    start = time.perf_counter()
+    assert run_cli(["construct", "witness", f"thm9-X({'9' * 5000})", "-o", str(path)]) == (2, "")
+    assert time.perf_counter() - start < 1.0
+    assert not path.exists()
+    assert capsys.readouterr().err == "error: family thm9-X(k) with a k of 5000 digits exceeds the cap of 65536\n"

@@ -12,6 +12,7 @@ from corpus import (
     corpus_2w,
     corpus_3w_det,
     corpus_edge_walkers,
+    decide,
     diag_pairs,
     first_row_zeros,
     random_2d,
@@ -31,7 +32,6 @@ from pictomata import (
     Automaton2D,
     CapacityError,
     ConcatKind,
-    ConcatOracle,
     Configuration,
     Counterexample,
     DimBounds,
@@ -281,6 +281,27 @@ def test_refute_det_candidate_for_diagonal_language():
     )
 
 
+def test_refute_needs_the_candidate_to_read_the_factors_symbols():
+    # every word of two or more rows is in L(u)L(u); over {0} alone tall0
+    # accepts exactly those, so a sweep of its own alphabet finds nothing,
+    # though it rejects 1 on 1.  The check is on the set of symbols, before
+    # the budget, and a candidate over more symbols fails it too
+    u = universal01()
+    tall0 = Automaton2D("tall0", "2W", "det", Alphabet(("0",)), ("q0", "q1", "acc"), "q0", "acc",
+                        make_delta([("q0", "0", "q1", "D"), ("q1", "0", "acc", "R")]))
+    bounds = DimBounds(3, 3)
+    assert equivalent_up_to(tall0, lambda w: concat_membership(ConcatKind.ROW, u, u, w), bounds) is None
+    for budget in (oracle.DEFAULT_BUDGET, 1):
+        with pytest.raises(AlphabetError, match=r"^candidate 'tall0' reads symbols \['0'\], target 'universal01'"):
+            refute(tall0, ConcatKind.ROW, u, u, bounds, budget)
+    wide = dataclasses.replace(u, name="wide", alphabet=Alphabet(("0", "1", "2")))
+    with pytest.raises(AlphabetError, match=r"reads symbols \['0', '1', '2'\]"):
+        refute(wide, ConcatKind.ROW, u, u, bounds)
+    # the same set in another order is the same alphabet
+    swapped = dataclasses.replace(u, name="swapped", alphabet=Alphabet(("1", "0")))
+    assert refute(swapped, ConcatKind.ROW, u, u, bounds).word == picture_of(["1"])
+
+
 def test_concat_membership_rejects_foreign_symbols_before_splitting():
     # the factors' alphabet is checked on the whole word, so a foreign
     # symbol raises whatever the kind, the size or the split that would
@@ -382,7 +403,7 @@ def test_sweep_memo_stays_within_its_cap():
     t = RowTransfer(spray01())
     peak = 0
     for w in enumerate_pictures(AB01, DimBounds(1, 12)):
-        assert t.decide(w) == accepts(spray01(), w)
+        assert decide(t, w) == accepts(spray01(), w)
         peak = max(peak, len(t.memo))
     assert peak == _MEMO_CAP
     # zero_columns01 leaves a row in the state of its set of 0 columns, so
@@ -392,7 +413,7 @@ def test_sweep_memo_stays_within_its_cap():
     t = RowTransfer(a)
     peak = 0
     for w in enumerate_pictures(AB01, DimBounds(1, 13)):
-        assert t.decide(w) == accepts(a, w)
+        assert decide(t, w) == accepts(a, w)
         peak = max(peak, len(t.memo))
     assert peak == _MEMO_CAP
 
@@ -498,109 +519,47 @@ def test_enumerated_pictures_equal_checked_pictures():
             assert w == checked and hash(w) == hash(checked) and w.allow_hash is False
 
 
-# ConcatOracle against concat_membership, its memo-free definition.  The
-# words come in a shuffled order, so that the memos are filled and read
-# across sizes, and each memo must stay within the pictures strictly
-# smaller than the bounds in the split dimension.
-
-_SHRINK = {ConcatKind.ROW: (1, 0), ConcatKind.COL: (0, 1), ConcatKind.DIAG: (1, 1)}
-
-
-def _shuffled(alphabet, bounds, seed=0):
-    words = list(enumerate_pictures(alphabet, bounds))
-    random.Random(seed).shuffle(words)
-    return words
-
-
-def _assert_oracle_is_membership(kind, a, b, words, bounds):
-    member = ConcatOracle(kind, a, b)
-    for w in words:
-        assert member(w) == concat_membership(kind, a, b, w), (kind, a.name, b.name, w.rows)
-    dr, dc = _SHRINK[kind]
-    cap = oracle.count_pictures(a.alphabet, DimBounds(bounds.max_rows - dr, bounds.max_cols - dc))
-    assert all(len(memo) <= cap for memo in member.memos)
-    return member
-
-
-def test_concat_oracle_equals_membership_on_the_criterion_universes():
-    unary = DimBounds(6, 6)
-    words = _shuffled(u_one_row().alphabet, unary)
-    for a, b in unary_pairs():
-        for kind in (ConcatKind.ROW, ConcatKind.COL):
-            _assert_oracle_is_membership(kind, a, b, words, unary)
-    diag = DimBounds(4, 4)
-    words = _shuffled(AB01, diag)
-    for a, b in diag_pairs():
-        member = _assert_oracle_is_membership(ConcatKind.DIAG, a, b, words, diag)
-        assert min(len(memo) for memo in member.memos) > 0
-
-
-def test_concat_oracle_equals_membership_on_corpus_pairs():
-    # every ordered pair of two-way corpus machines over one alphabet,
-    # every kind, every picture up to 3x3
-    bounds = DimBounds(3, 3)
-    machines = corpus_2w()
-    for alphabet in {a.alphabet for a in machines}:
-        words = _shuffled(alphabet, bounds)
-        pairs = [(a, b) for a in machines for b in machines if a.alphabet == b.alphabet == alphabet]
-        for a, b in pairs:
-            for kind in ConcatKind:
-                _assert_oracle_is_membership(kind, a, b, words, bounds)
-
-
-@given(
-    st.integers(0, 2**32),
-    st.sampled_from(list(ConcatKind)),
-    st.sampled_from(["2W", "3W", "4W"]),
-    st.sampled_from(["2W", "3W", "4W"]),
-    st.sampled_from(["det", "nondet"]),
-    st.sampled_from(["det", "nondet"]),
-)
-@settings(max_examples=60, deadline=None)
-def test_concat_oracle_equals_membership_on_random_factors(seed, kind, va, vb, ma, mb):
-    rng = random.Random(seed)
-    a, b = random_2d(rng, va, ma), random_2d(rng, vb, mb)
-    bounds = DimBounds(3, 3)
-    _assert_oracle_is_membership(kind, a, b, _shuffled(AB01, bounds, seed), bounds)
-
-
 def test_concat_oracle_raises_what_concat_membership_raises():
-    # the same type and message, in the same order: the pair, then the
-    # word's alphabet, then the kind, then a factor that fails to compile,
-    # b included, before any split: on 11/11 no block of L is accepted,
-    # and a 1x1 word has no split at all
+    # the same type and message on every call, in this order: the pair,
+    # then the word's alphabet, then the kind, then a factor that fails to
+    # compile, b included, before any split: on 11/11 no block of L is
+    # accepted, and a 1x1 word has no split at all
     L, U = first_row_zeros(), u_one_row()
     broken = Automaton2D("broken", "2W", "det", AB01, ("q0", "acc"), "q0", "acc",
                          make_delta([("q0", "0", "q0", "U")]))
     hashes = picture_of(["##", "##"], allow_hash=True)
     word, foreign = picture_of(["00", "00"]), picture_of(["00", "0a"])
     unsplit = (picture_of(["11", "11"]), picture_of(["1"]))
+    pair = (AlphabetError, "factor machines must share one alphabet")
+    unknown = (ValueError, "unknown concat kind 'diag'")
+    invalid = (ToolkitError, "invalid automaton 'broken': illegal direction 'U' for variant 2W at (q0,'0')")
     cases = []
     for kind in (*ConcatKind, "diag"):
-        cases += [(kind, L, U, foreign), (kind, U, L, word), (kind, L, L, foreign), (kind, L, L, hashes)]
-        cases += [(kind, broken, L, word), (kind, L, broken, word)]
-        cases += [(kind, L, broken, w) for w in unsplit]
-    cases.append(("diag", L, L, word))
-    for kind, a, b, w in cases:
-        with pytest.raises(Exception) as want:
-            concat_membership(kind, a, b, w)
-        if isinstance(kind, ConcatKind):
-            assert isinstance(want.value, ToolkitError), (kind, a.name, b.name, w.rows)
-        member = ConcatOracle(kind, a, b)
+        late = invalid if isinstance(kind, ConcatKind) else unknown  # b compiles after the kind check
+        cases += [(kind, L, U, foreign, pair), (kind, U, L, word, pair)]
+        cases += [(kind, L, L, w, (AlphabetError, f"picture uses symbols [{s!r}] unknown to 'first-row-zeros'"))
+                  for w, s in ((foreign, "a"), (hashes, "#"))]
+        cases += [(kind, broken, L, word, invalid), (kind, L, broken, word, late)]
+        cases += [(kind, L, broken, w, late) for w in unsplit]
+    cases.append(("diag", L, L, word, unknown))
+    for kind, a, b, w, want in cases:
         for _ in range(2):
             with pytest.raises(Exception) as got:
-                member(w)
-            assert (type(got.value), str(got.value)) == (type(want.value), str(want.value)), (kind, a.name, b.name)
+                concat_membership(kind, a, b, w)
+            if isinstance(kind, ConcatKind):
+                assert isinstance(got.value, ToolkitError), (kind, a.name, b.name, w.rows)
+            assert (type(got.value), str(got.value)) == want, (kind, a.name, b.name, w.rows)
 
 
 def test_unknown_kinds_raise_one_value_error_from_both_oracles():
-    # hashable or not, a kind that is no ConcatKind fails the kind check
+    # hashable or not, a kind that is no ConcatKind fails the kind check,
+    # from concat_membership alone and as refute's target alike
     L, word = first_row_zeros(), picture_of(["00", "00"])
     for kind in ("diag", None, [ConcatKind.DIAG]):
         with pytest.raises(ValueError, match="unknown concat kind") as want:
             concat_membership(kind, L, L, word)
         with pytest.raises(ValueError) as got:
-            ConcatOracle(kind, L, L)(word)
+            refute(L, kind, L, L, DimBounds(2, 2))
         assert str(got.value) == str(want.value)
 
 
@@ -657,8 +616,9 @@ def test_split_table_is_the_definition():
 def test_concat_membership_equals_the_oracle_and_the_definition():
     # concat_membership picks each factor's kernel once per call: the 2W
     # one for a 2W factor, the generic search otherwise; on every {0,1}
-    # picture up to 3x4 it must equal ConcatOracle and the definition by
-    # subpicture, for every kind and for factors of each variant
+    # picture up to 3x4 it must equal the definition by subpicture, with
+    # each block decided by accepts, for every kind and for factors of
+    # each variant
     rng = random.Random(1515)
     variants = [("2W", "2W"), ("3W", "3W"), ("4W", "4W"), ("2W", "3W"), ("3W", "4W"), ("4W", "2W")]
     modes = [("det", "nondet"), ("nondet", "det")]
@@ -668,9 +628,7 @@ def test_concat_membership_equals_the_oracle_and_the_definition():
     members = 0
     for a, b in pairs:
         for kind in ConcatKind:
-            member = ConcatOracle(kind, a, b)
             got = [concat_membership(kind, a, b, w) for w in words]
-            assert got == [member(w) for w in words], (kind, a.name, b.name)
             want = [
                 any(accepts(a, x) and accepts(b, y) for x, y in _split_definition(kind, w)) for w in words
             ]

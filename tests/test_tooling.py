@@ -1,13 +1,15 @@
 """Checks on the package's structure: the benchmark's view of it, read
 from ``bench/`` without importing the benchmark runner, a caller for
 every export, the separation of the split oracles from what they check,
-the one home of the split geometry, and the one module that encodes the
-step rule and the row transfer's states."""
+the one home of the split geometry, the one module that encodes the
+step rule and the row transfer's states, and the README's library
+example, run as written."""
 
 import ast
 import importlib
 import importlib.util
 import inspect
+import re
 from pathlib import Path
 
 import pictomata
@@ -153,3 +155,11 @@ def test_only_simulate_names_the_transfer_states():
             for name in names & {"ACCEPTED", "_MEMO_CAP"}:
                 users.setdefault(name, set()).add(path.name)
     assert users == {"ACCEPTED": {"simulate.py"}, "_MEMO_CAP": {"simulate.py"}}
+
+
+def test_the_readme_library_example_runs():
+    # the example shows the public API, so it may name nothing that is gone
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, re.M | re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
