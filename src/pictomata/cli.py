@@ -11,7 +11,7 @@ import sys
 
 from . import construct, onedim
 from .automaton import load_automaton, save_automaton, validate
-from .concat import ConcatKind, col_concat, concat_membership, diag_concat_words, row_concat
+from .concat import ConcatKind, col_concat, diag_concat_words, row_concat
 from .errors import CapacityError, ToolkitError
 from .oracle import (
     DEFAULT_BUDGET,
@@ -200,15 +200,11 @@ def _run(args, out) -> int:
         if args.against_aut:
             other = load_automaton(args.against_aut)
             check_same_symbols(cand, other)
-            target = lambda w: accepts(other, w)
+            ce = equivalent_up_to(cand, lambda w: accepts(other, w), DimBounds(args.max_rows, args.max_cols))
         else:
             kind, pa, pb = args.against_concat
-            a = load_automaton(pa)
-            b = load_automaton(pb)
-            kind = _kind(kind)
-            check_same_symbols(cand, a)
-            target = lambda w: concat_membership(kind, a, b, w)
-        ce = equivalent_up_to(cand, target, DimBounds(args.max_rows, args.max_cols))
+            a, b = load_automaton(pa), load_automaton(pb)
+            ce = refute(cand, _kind(kind), a, b, DimBounds(args.max_rows, args.max_cols))
         if ce is None:
             print("verdict: ok", file=out)
             return 0
@@ -237,8 +233,7 @@ def _run(args, out) -> int:
         bound = len(m2.states) + 1
         departures = onedim.downward_departures(m2, w, args.row)
         print(f"departures: {len(departures)}", file=out)
-        status = 0
-        for dep in departures:
+        for dep in departures:  # one or none: the head never moves up
             qualifying = dep.visited_first or dep.visited_last
             dist = min(dep.column, w.n + 1 - dep.column)
             ok = (not qualifying) or dist <= bound
@@ -247,9 +242,8 @@ def _run(args, out) -> int:
                 f" visited_last={str(dep.visited_last).lower()} ok={str(ok).lower()}",
                 file=out,
             )
-            if not ok:
-                status = 1
-        return status
+            return 0 if ok else 1
+        return 0
 
     if cmd == "rowsim":
         m2 = load_automaton(args.aut3w)

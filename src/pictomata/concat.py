@@ -118,8 +118,8 @@ def concat_membership(kind: ConcatKind, a: Automaton2D, b: Automaton2D, w: Pictu
     the other two corners unconstrained.  Words too small to split are
     simply not members.
 
-    The checks come first, in this order: the factors share one
-    alphabet, w's cells lie in it without ``#``, and the kind is a
+    The checks come first, in this order: the factors read the same set
+    of symbols, w's cells lie in it without ``#``, and the kind is a
     :class:`ConcatKind`.  Then b is compiled, so a factor b that fails to
     compile raises too, before any split is tried.  The alphabet never
     holds ``#``, whatever ``w.allow_hash`` says: L(a) and L(b) contain no
@@ -135,7 +135,8 @@ def concat_membership(kind: ConcatKind, a: Automaton2D, b: Automaton2D, w: Pictu
     are among w's, which have just been checked.  Nothing is remembered
     across calls, so each call simulates every block it needs afresh.
     """
-    if a.alphabet.symbols != b.alphabet.symbols:
+    sa, sb = a.alphabet.symbols, b.alphabet.symbols
+    if sa != sb and set(sa) != set(sb):  # a set costs ~7x a tuple compare
         raise AlphabetError("factor machines must share one alphabet")
     if not a.compiled.legal[False].issuperset("".join(w.rows)):
         check_input(a, w, allow_hash=False)  # raises, naming the symbols

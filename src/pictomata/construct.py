@@ -38,10 +38,10 @@ def _require_2w(a: Automaton2D) -> None:
 
 def _require_pair(a: Automaton2D, b: Automaton2D) -> None:
     """Precondition of the product constructions: two two-way factors
-    over one alphabet."""
+    over one set of symbols, listed in any order."""
     _require_2w(a)
     _require_2w(b)
-    if a.alphabet.symbols != b.alphabet.symbols:
+    if set(a.alphabet.symbols) != set(b.alphabet.symbols):
         raise AlphabetError("factor machines must share one alphabet")
 
 
@@ -146,13 +146,8 @@ def _border_ok(m: Automaton2D, q: str) -> bool:
 
 
 def _turn_successors(cfg: _CaseCfg, turn: str) -> tuple[str, ...]:
-    first = cfg.first + "d"
-    second = ("Bd" if first == "Ad" else "Ad")
-    if turn == first:
-        return (first, second, "J")
-    if turn == second:
-        return (second, "J")
-    return (first, second, "J")
+    first, second = ("Ad", "Bd") if cfg.first == "A" else ("Bd", "Ad")
+    return (second, "J") if turn == second else (first, second, "J")
 
 
 def unary_row_concat(a: Automaton2D, b: Automaton2D) -> Automaton2D:

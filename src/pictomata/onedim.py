@@ -36,10 +36,8 @@ from .errors import ModeError, PreconditionError, ToolkitError, VariantError
 from .picture import BOUNDARY, Alphabet, Picture, read_text
 from .simulate import run_deterministic
 
-TWO_WAY = "two-way"
-ONE_WAY = "one-way"
-_VARIANT_TOKEN = {TWO_WAY: "1D-2W", ONE_WAY: "1D-1W"}
-_TOKEN_VARIANT = {v: k for k, v in _VARIANT_TOKEN.items()}
+TWO_WAY = "1D-2W"
+ONE_WAY = "1D-1W"
 
 
 #: Head step of each two-way move.
@@ -55,6 +53,7 @@ _OFF = "\x00"
 class Automaton1D:
     """Deterministic string machine, two-way or one-way.
 
+    ``kind`` is the file's variant token, :data:`TWO_WAY` or :data:`ONE_WAY`.
     delta maps (state, symbol) to (state, 'L'|'R') in the two-way kind
     and to a bare state in the one-way kind; two-way machines also see
     the frame marker ``#``.  ``accept_states`` holds exactly one state
@@ -213,9 +212,10 @@ def downward_departures(m2: Automaton2D, w: Picture, i: int) -> list[Departure]:
     """Replay a deterministic three-way machine and record how it leaves
     row i.
 
-    Requires row i to consist of '0' cells only.  Each departure records
-    the column of the move into row i+1 and whether the row-i sojourn
-    touched the row's first or last symbol beforehand.
+    Requires row i to be all '0'.  The head never moves up, so row i's
+    configurations are one stretch of the run, left downward once or
+    never: the list holds one departure or none, with the column of the
+    move into row i+1 and whether the stretch touched column 1 or n.
     """
     if m2.mode != "det":
         raise ModeError("departure replay is defined for det machines")
@@ -225,19 +225,13 @@ def downward_departures(m2: Automaton2D, w: Picture, i: int) -> list[Departure]:
         raise PreconditionError(f"row {i} outside the {w.m}x{w.n} word")
     if any(ch != "0" for ch in w.rows[i - 1]):
         raise PreconditionError(f"row {i} is not uniformly '0'")
-    trace = run_deterministic(m2, w).trace
-    out = []
-    for idx in range(1, len(trace)):
-        prev, cur = trace[idx - 1], trace[idx]
-        if prev.loc is None or cur.loc is None:
-            continue
-        if prev.loc[0] == i and cur.loc[0] == i + 1:
-            start = idx - 1
-            while start > 0 and trace[start - 1].loc is not None and trace[start - 1].loc[0] == i:
-                start -= 1
-            cols = {trace[j].loc[1] for j in range(start, idx)}
-            out.append(Departure(prev.loc[1], 1 in cols, w.n in cols))
-    return out
+    cols = set()
+    for r, c in (cfg.loc for cfg in run_deterministic(m2, w).trace if cfg.loc):
+        if r == i + 1:  # a D move keeps the column
+            return [Departure(c, 1 in cols, w.n in cols)]
+        if r == i:
+            cols.add(c)
+    return []
 
 
 def _entry_column(side: str, offset: int, width: int) -> int:
@@ -444,7 +438,7 @@ def gadget_k(n: int) -> int:
 
 
 def serialize_automaton_1d(a: Automaton1D) -> str:
-    lines = header_lines(a.name, _VARIANT_TOKEN[a.kind], "det", a.alphabet, a.states, a.initial, a.accept_states)
+    lines = header_lines(a.name, a.kind, "det", a.alphabet, a.states, a.initial, a.accept_states)
     order = {q: i for i, q in enumerate(a.states)}
     for (q, sym), step in sorted(a.delta.items(), key=lambda kv: (order[kv[0][0]], kv[0][1])):
         if a.kind == TWO_WAY:
@@ -465,10 +459,9 @@ def parse_automaton_1d(text: str) -> Automaton1D:
     machine that the compiled tables reject too (:func:`_problems`).
     """
     header, transitions = read_automaton_text(text, "1D automaton")
-    (name,), (token,), (mode,), symbols, states, (initial,), accept_states = header
-    kind = _TOKEN_VARIANT.get(token)
-    if kind is None:
-        raise ToolkitError(f"unknown 1D variant {token!r}")
+    (name,), (kind,), (mode,), symbols, states, (initial,), accept_states = header
+    if kind not in (TWO_WAY, ONE_WAY):
+        raise ToolkitError(f"unknown 1D variant {kind!r}")
     if mode != "det":
         raise ToolkitError("1D machines are deterministic")
     delta: dict = {}

@@ -1,12 +1,13 @@
 """Exact run semantics for two-dimensional automata.
 
 The head lives in the bordered band ``[0..m+1] x [0..n+1]``.  For the 2W
-and 3W variants a move that leaves the band enters the *escape sink*: the
-head has permanently left the bordered array, every further read is the
-boundary marker, and only the state keeps evolving.  A 2W head moves only
-down and right, so once it leaves past the bottom or right border it can
-never re-enter the band, and the collapse is exact for 2W: it gives the
-verdicts of a head on the word embedded in a wide enough band of ``#``.
+and 3W variants a move that leaves the band enters the *escape sink*, the
+off-band position (-1, -1), where the head reads ``#`` for good and only
+its state evolves: no step has a branch for it, since every move from it
+lands off the band again.  A 2W head moves only down and right, so once
+it leaves past the bottom or right border it can never re-enter the
+band, and the collapse is exact for 2W: it gives the verdicts of a head
+on the word embedded in a wide enough band of ``#``.
 It is not exact for 3W.  A 3W head that leaves past the right border
 could step left again, back across the frame and onto the word, which
 the sink forgoes, as it forgoes marching back in after walking left out
@@ -120,8 +121,6 @@ def _step(comp: Compiled, rows, r0: int, c0: int, m: int, n: int, si: int, r: in
     image = comp.image[si]
     if 0 < r <= m and 0 < c <= n:
         moves = image.get(rows[r0 + r][c0 + c], ())
-    elif r < 0:
-        return [(q2, -1, -1) for q2, _, _ in image.get(BOUNDARY, ())]
     else:
         moves = image.get(BOUNDARY, ())
     out = []
@@ -131,6 +130,8 @@ def _step(comp: Compiled, rows, r0: int, c0: int, m: int, n: int, si: int, r: in
         if 0 <= r2 <= m + 1 and 0 <= c2 <= n + 1:
             out.append((q2, r2, c2))
         elif not comp.is4w:
+            # the escape sink reads '#' and absorbs: no D, L or R move from
+            # (-1, -1) reaches the band, while D from (-1, 0) would reach (0, 0)
             out.append((q2, -1, -1))
     return out
 
@@ -181,15 +182,6 @@ def _search(comp: Compiled, rows, r0: int, c0: int, m: int, n: int, start=None, 
     todo = [start]
     while todo:
         si, r, c = todo.pop()
-        if r < 0:
-            for q2, _, _ in image[si].get(BOUNDARY, ()):
-                t = (q2, -1, -1)
-                if t not in seen:
-                    if q2 == accept:
-                        return True
-                    seen.add(t)
-                    todo.append(t)
-            continue
         if 0 < r <= m and 0 < c <= n:
             moves = image[si].get(rows[r0 + r][c0 + c], ())
         else:

@@ -287,6 +287,21 @@ def test_lemma2_check(tmp_path):
     assert "ok=true" in out
 
 
+def test_lemma2_check_exits_1_on_a_far_departure(tmp_path, monkeypatch):
+    # the lemma rules such a departure out, so it is staged: one departure
+    # that touched the first symbol yet leaves beyond n_states + 1 of a marker
+    from corpus import boustro3w
+    from pictomata import Departure, onedim
+
+    apath, ppath = tmp_path / "b3.aut", tmp_path / "w.pic"
+    save_automaton(boustro3w(), apath)
+    ppath.write_text("0" * 20 + "\n")
+    far = [Departure(column=10, visited_first=True, visited_last=False)]
+    monkeypatch.setattr(onedim, "downward_departures", lambda m2, w, i: far)
+    status, out = run_cli(["lemma2-check", str(apath), str(ppath), "--row", "1"])
+    assert (status, out) == (1, "departures: 1\ndeparture: col=10 visited_first=true visited_last=false ok=false\n")
+
+
 def test_rowsim_and_to_oneway(tmp_path):
     from corpus import t9a
 

@@ -1,3 +1,4 @@
+import dataclasses
 from itertools import product
 
 import pytest
@@ -18,6 +19,7 @@ from corpus import (
     unary_pairs,
 )
 from pictomata import (
+    Alphabet,
     AlphabetError,
     Automaton2D,
     CaseTag,
@@ -38,6 +40,7 @@ from pictomata import (
     make_delta,
     picture_of,
     run_deterministic,
+    serialize_automaton,
     split_separated,
     subpicture,
     thm9_x_family,
@@ -224,6 +227,20 @@ def test_diag_concat_matches_oracle_small():
         assert m.mode == "nondet"
         ce = equivalent_up_to(m, lambda w: concat_membership(ConcatKind.DIAG, a, b, w), bounds)
         assert ce is None, (a.name, b.name, ce and ce.word.rows)
+
+
+def test_products_take_factors_that_list_their_symbols_in_another_order():
+    # the pair check compares sets, and each product reads the symbols in
+    # the first factor's order, so a factor over ("1", "0") changes neither
+    # the accepted language nor, for the second factor, a byte of the file
+    bounds = DimBounds(3, 3)
+    for a, b in diag_pairs() + separated_pairs():
+        a10, b10 = (dataclasses.replace(m, alphabet=Alphabet(("1", "0"))) for m in (a, b))
+        want = language_up_to(diag_concat_nondet_2w(a, b), bounds)
+        assert language_up_to(diag_concat_nondet_2w(a, b10), bounds) == want, (a.name, b.name)
+        assert language_up_to(diag_concat_nondet_2w(a10, b), bounds) == want, (a.name, b.name)
+        text = serialize_automaton(diag_concat_separated(a, b))
+        assert serialize_automaton(diag_concat_separated(a, b10)) == text, (a.name, b.name)
 
 
 def test_diag_concat_examples():

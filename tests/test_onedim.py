@@ -1,11 +1,12 @@
 import dataclasses
 import io
+import random
 from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from corpus import _mk, boustro3w, corpus_1d, corpus_3w_det, descend3w, drift3w, left_probe3w, t9a
+from corpus import _mk, boustro3w, corpus_1d, corpus_3w_det, descend3w, drift3w, left_probe3w, random_2d, t9a
 from pictomata import (
     Alphabet,
     Departure,
@@ -17,6 +18,7 @@ from pictomata import (
     picture_of,
     row_departure_oracle,
     row_restriction,
+    run_deterministic,
     simulate_1d,
     gadget_k,
     two_way_to_one_way,
@@ -111,6 +113,45 @@ def test_lemma2_bound_on_corpus():
                         if dep.visited_first or dep.visited_last:
                             dist = min(dep.column, n + 1 - dep.column)
                             assert dist <= bound, (m.name, n, i, dep)
+
+
+def _reference_departures(m2, w, i):
+    """Every move of the run from row i to row i+1, each with the columns
+    of the stretch of row-i configurations before it, found by scanning
+    back from the move."""
+    trace = run_deterministic(m2, w).trace
+    out = []
+    for idx in range(1, len(trace)):
+        prev, cur = trace[idx - 1], trace[idx]
+        if prev.loc is None or cur.loc is None:
+            continue
+        if prev.loc[0] == i and cur.loc[0] == i + 1:
+            start = idx - 1
+            while start > 0 and trace[start - 1].loc is not None and trace[start - 1].loc[0] == i:
+                start -= 1
+            cols = {trace[j].loc[1] for j in range(start, idx)}
+            out.append(Departure(prev.loc[1], 1 in cols, w.n in cols))
+    return out
+
+
+def test_downward_departures_equal_the_backward_scan_on_random_machines():
+    # a 3W run leaves a row downward at most once, so the one forward pass
+    # finds what the scan back from every move into row i+1 finds
+    rng = random.Random(2020)
+    departed = 0
+    for _ in range(600):
+        m2 = random_2d(rng, "3W", "det")
+        for _ in range(4):
+            m, n = rng.randint(1, 4), rng.randint(1, 5)
+            i = rng.randint(1, m)
+            rows = ["".join(rng.choice("01") for _ in range(n)) for _ in range(m)]
+            rows[i - 1] = "0" * n
+            w = picture_of(rows)
+            got = downward_departures(m2, w, i)
+            assert got == _reference_departures(m2, w, i), (m2.delta, rows, i)
+            assert len(got) <= 1
+            departed += len(got)
+    assert departed > 200  # the machines do leave rows
 
 
 def test_row_restriction_state_bound():

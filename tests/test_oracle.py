@@ -18,6 +18,7 @@ from corpus import (
     random_2d,
     rowzeros_tall01,
     spray01,
+    t9a,
     top_left_one,
     u_one_row,
     unary_pairs,
@@ -300,6 +301,24 @@ def test_refute_needs_the_candidate_to_read_the_factors_symbols():
     # the same set in another order is the same alphabet
     swapped = dataclasses.replace(u, name="swapped", alphabet=Alphabet(("1", "0")))
     assert refute(swapped, ConcatKind.ROW, u, u, bounds).word == picture_of(["1"])
+
+
+def test_factors_that_list_their_symbols_in_another_order_are_one_alphabet():
+    # the factors' symbols are compared as sets, so the same machine over
+    # ("1", "0") changes no verdict of the oracle and no result of refute
+    bounds = DimBounds(3, 3)
+    words = list(enumerate_pictures(AB01, bounds))
+    for a, b in ((first_row_zeros(), top_left_one()), (t9a(), first_row_zeros())):
+        a10, b10 = (dataclasses.replace(m, alphabet=Alphabet(("1", "0"))) for m in (a, b))
+        for kind in ConcatKind:
+            for w in words:
+                want = concat_membership(kind, a, b, w)
+                assert concat_membership(kind, a, b10, w) == want, (kind, a.name, w.rows)
+                assert concat_membership(kind, a10, b, w) == want, (kind, a.name, w.rows)
+            for cand in (a, universal01()):
+                want = refute(cand, kind, a, b, bounds)
+                assert refute(cand, kind, a, b10, bounds) == want, (kind, a.name, cand.name)
+                assert refute(cand, kind, a10, b, bounds) == want, (kind, a.name, cand.name)
 
 
 def test_concat_membership_rejects_foreign_symbols_before_splitting():

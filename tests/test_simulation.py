@@ -68,6 +68,27 @@ def test_successors_band_exit_to_escape_sink():
     assert successors(a, w, cfg("q0", (1, 2))) == {cfg("q0", None)}
     # from the sink, reads stay '#'
     assert successors(a, w, cfg("q0", None)) == {cfg("q0", None)}
+    # a 3W head's D, L and R moves from the sink all stay in it, in image
+    # order; no step has a branch for the sink, so this rests on where the
+    # rule puts it
+    b = Automaton2D(
+        "fan", "3W", "nondet", AB01, ("q0", "q1", "q2", "q3", "acc"), "q0", "acc",
+        make_delta([("q0", "0", "q0", "R"), ("q0", "#", "q1", "R"),
+                    ("q1", "#", "q1", "D"), ("q1", "#", "q2", "L"), ("q1", "#", "q3", "R"),
+                    ("q2", "#", "q0", "D"), ("q3", "1", "acc", "R")]),
+    )
+    comp, rows = b.compiled, w.rows
+    assert _step(comp, rows, -1, -1, 1, 1, 0, 1, 2) == [(1, -1, -1)]
+    assert _step(comp, rows, -1, -1, 1, 1, 1, -1, -1) == [(1, -1, -1), (2, -1, -1), (3, -1, -1)]
+    assert _step(comp, rows, -1, -1, 1, 1, 2, -1, -1) == [(0, -1, -1)]
+    # so a head that left the band never reads the word again: from a
+    # sink whose D move reached the frame corner (0, 0), q1 would walk down
+    # column 0 and q3 would step right onto the '1' below the first row
+    for word in (["0"], ["0", "1"], ["0", "1", "1"]):
+        p = picture_of(word)
+        assert not accepts(b, p)
+        assert not _search(b.compiled, p.rows, -1, -1, p.m, p.n)
+        assert accepting_runs(b, p) == []
 
 
 def test_successors_4w_band_exit_dropped():

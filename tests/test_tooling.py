@@ -2,9 +2,10 @@
 from ``bench/`` without importing the benchmark runner, a caller for
 every export, the separation of the split oracles from what they check,
 the one home of the split geometry, the one module that encodes the
-step rule and the row transfer's states, and the README's library
-example, run as written."""
+step rule and the row transfer's states, the README's library example,
+run as written, and the README's CLI block, one line per subcommand."""
 
+import argparse
 import ast
 import importlib
 import importlib.util
@@ -13,6 +14,7 @@ import re
 from pathlib import Path
 
 import pictomata
+from pictomata.cli import _parser
 
 ROOT = Path(__file__).resolve().parent.parent
 SPANS = ROOT / "bench" / "spans.py"
@@ -163,3 +165,15 @@ def test_the_readme_library_example_runs():
     blocks = re.findall(r"^```python\n(.*?)^```$", readme, re.M | re.S)
     assert len(blocks) == 1
     exec(compile(blocks[0], "README.md", "exec"), {})
+
+
+def test_the_readme_cli_block_names_every_subcommand():
+    # the CLI block lists one usage line per verb, so a verb added to or
+    # dropped from the parser must show there too
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```sh\n(.*?)^```$", readme, re.M | re.S)
+    (block,) = [b for b in blocks if b.startswith("pictomata ")]
+    lines = block.splitlines()
+    assert all(line.startswith("pictomata ") for line in lines)
+    (sub,) = [a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert {line.split()[1] for line in lines} == set(sub.choices)
