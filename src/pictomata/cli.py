@@ -44,6 +44,15 @@ def _kind(name: str) -> ConcatKind:
     return _KINDS[name]
 
 
+def _refute(cand, target_concat, args) -> Counterexample | None:
+    """``refute`` against the ``KIND A B`` of ``equiv --against-concat``
+    or ``refute --target-concat``: the kind is parsed before the factor
+    files are loaded, so both verbs report a bad kind first."""
+    name, pa, pb = target_concat
+    kind = _kind(name)
+    return refute(cand, kind, load_automaton(pa), load_automaton(pb), DimBounds(args.max_rows, args.max_cols))
+
+
 def _parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="pictomata", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
@@ -202,9 +211,7 @@ def _run(args, out) -> int:
             check_same_symbols(cand, other)
             ce = equivalent_up_to(cand, lambda w: accepts(other, w), DimBounds(args.max_rows, args.max_cols))
         else:
-            kind, pa, pb = args.against_concat
-            a, b = load_automaton(pa), load_automaton(pb)
-            ce = refute(cand, _kind(kind), a, b, DimBounds(args.max_rows, args.max_cols))
+            ce = _refute(cand, args.against_concat, args)
         if ce is None:
             print("verdict: ok", file=out)
             return 0
@@ -213,14 +220,7 @@ def _run(args, out) -> int:
 
     if cmd == "refute":
         cand = load_automaton(args.cand)
-        kind, pa, pb = args.target_concat
-        ce = refute(
-            cand,
-            _kind(kind),
-            load_automaton(pa),
-            load_automaton(pb),
-            DimBounds(args.max_rows, args.max_cols),
-        )
+        ce = _refute(cand, args.target_concat, args)
         if ce is None:
             print("verdict: no-counterexample", file=out)
             return 0

@@ -12,16 +12,18 @@ pair of factors yields a whole set of results over a non-unary alphabet.
 factor directly.  It deliberately shares no code with the automaton
 constructions elsewhere in this package: it is the ground truth they are
 tested against, one word at a time, and it keeps nothing between calls.
-A sweep of many words asks it once per word.  :func:`_splits` is the
-split geometry of all three kinds: for each size of word, the pair of
-blocks of every split, as windows of the word, in split order, which
-``concat_membership`` searches in place.
+It runs its checks, then the one split loop, :func:`_split_search`.
+:func:`_splits` is the split geometry of all three kinds: for each size
+of word, the pair of blocks of every split, as windows of the word, in
+split order, which the split loop searches in place.  A sweep of many
+words (``oracle.refute``) passes the checks on its first word through
+``concat_membership`` and hands every later word to the split loop.
 """
 
 import enum
 from itertools import product
 
-from .automaton import Automaton2D
+from .automaton import Automaton2D, Compiled
 from .errors import AlphabetError, CapacityError, DimensionError
 from .picture import Alphabet, Picture, _trusted_picture
 from .simulate import _search, _two_way, check_input
@@ -126,14 +128,11 @@ def concat_membership(kind: ConcatKind, a: Automaton2D, b: Automaton2D, w: Pictu
     word with a ``#`` cell, so neither does their concatenation, and such
     a ``w`` raises ``AlphabetError``.
 
-    Each factor then runs on its block of w in place, by the search of
-    :func:`~pictomata.simulate.accepts` on a window of w from
-    :func:`_splits`, as if on the block copied out with
-    :func:`~pictomata.picture.subpicture`: the 2W kernel for a 2W factor,
-    the generic search for any other, picked once per call.  No check is
-    repeated: every block lies inside w by construction, and its symbols
-    are among w's, which have just been checked.  Nothing is remembered
-    across calls, so each call simulates every block it needs afresh.
+    Then :func:`_split_search` runs each factor on its block of w in
+    place.  No check is repeated: every block lies inside w by
+    construction, and its symbols are among w's, which have just been
+    checked.  Nothing is remembered across calls, so each call simulates
+    every block it needs afresh.
     """
     sa, sb = a.alphabet.symbols, b.alphabet.symbols
     if sa != sb and set(sa) != set(sb):  # a set costs ~7x a tuple compare
@@ -142,10 +141,26 @@ def concat_membership(kind: ConcatKind, a: Automaton2D, b: Automaton2D, w: Pictu
         check_input(a, w, allow_hash=False)  # raises, naming the symbols
     if not isinstance(kind, ConcatKind):
         raise ValueError(f"unknown concat kind {kind!r}")
-    ca, cb, rows = a.compiled, b.compiled, w.rows
+    return _split_search(kind, a.compiled, b.compiled, w.rows, w.m, w.n)
+
+
+def _split_search(kind: ConcatKind, ca: Compiled, cb: Compiled, rows, m: int, n: int) -> bool:
+    """Whether some split of the m x n word ``rows`` puts its a-block in
+    L(a) and its b-block in L(b): the split loop of
+    :func:`concat_membership`, on the compiled factors, with none of its
+    checks.
+
+    Each factor runs on its block in place, by the search of
+    :func:`~pictomata.simulate.accepts` on a window of the word from
+    :func:`_splits`, as if on the block copied out with
+    :func:`~pictomata.picture.subpicture`: the 2W kernel for a 2W factor,
+    the generic search for any other, picked once per call.  A caller
+    whose first word passed the oracle's checks may hand it every later
+    word over the same symbols, of the same kind and factors, since those
+    checks cannot fail on them."""
     search_a = _two_way if ca.is2w else _search
     search_b = _two_way if cb.is2w else _search
-    for (r0, c0, m0, n0), (r1, c1, m1, n1) in _splits(kind, w.m, w.n):
+    for (r0, c0, m0, n0), (r1, c1, m1, n1) in _splits(kind, m, n):
         if search_a(ca, rows, r0, c0, m0, n0) and search_b(cb, rows, r1, c1, m1, n1):
             return True
     return False

@@ -18,6 +18,15 @@ the accepted words alone.  A 4W candidate can move up, so rows do not
 cut its runs; it is decided by :func:`~pictomata.simulate.accepts` on
 each picture of :func:`enumerate_pictures`.  Each sweep checks its
 budget when it is called, before it compiles the candidate.
+
+:func:`equivalent_up_to` and :func:`refute` share one sweep-and-compare
+loop, :func:`_first_difference`, whose target verdict reads a word's
+rows.  The loop builds a :class:`Picture` for the counterexample alone;
+:func:`equivalent_up_to` builds one per word for its target, which
+reads pictures.  :func:`refute` asks
+:func:`~pictomata.concat.concat_membership` about the first word only,
+so that every check of the split oracle runs once, in its order, and
+asks the oracle's split loop directly about every later word.
 """
 
 from collections.abc import Callable, Iterator
@@ -26,7 +35,7 @@ from functools import partial
 from itertools import product
 
 from .automaton import Automaton2D
-from .concat import ConcatKind, concat_membership
+from .concat import ConcatKind, _split_search, concat_membership
 from .errors import AlphabetError, CapacityError, PreconditionError
 from .picture import Alphabet, Picture, _trusted_picture
 from .simulate import (
@@ -169,12 +178,25 @@ def equivalent_up_to(
 
     Returns None when they agree on every picture within bounds.
     """
+    return _first_difference(candidate, lambda rows: bool(target(_trusted_picture(rows))), bounds, budget)
+
+
+def _first_difference(
+    candidate: Automaton2D,
+    expected: Callable[[tuple[str, ...]], bool],
+    bounds: DimBounds,
+    budget: int | None,
+) -> Counterexample | None:
+    """The sweep-and-compare loop of :func:`equivalent_up_to` and
+    :func:`refute`: the first word of :func:`_swept` on whose rows the
+    target verdict ``expected`` differs from the candidate's.  Only that
+    word becomes a :class:`Picture`, with an accepting run as evidence
+    when the candidate accepts it."""
     for rows, got in _swept(candidate, bounds, budget):
-        w = _trusted_picture(rows)
-        expected = bool(target(w))
-        if got != expected:
+        if got != expected(rows):
+            w = _trusted_picture(rows)
             evidence = first_accepting_trace(candidate, w) if got else None
-            return Counterexample(w, expected=expected, got=got, evidence=evidence)
+            return Counterexample(w, expected=not got, got=got, evidence=evidence)
     return None
 
 
@@ -246,11 +268,17 @@ def refute(
 
     One deterministic pass: exhaustive comparison against
     :func:`~pictomata.concat.concat_membership`, the split-enumeration
-    oracle, over every picture within bounds.  The first counterexample
-    found is verified against the same oracle and returned.  The
-    candidate must read the factors' symbols (:func:`check_same_symbols`),
-    checked before the budget; the factors' own checks follow from the
-    oracle's first call.
+    oracle, over every picture within bounds.  The candidate must read
+    the factors' symbols (:func:`check_same_symbols`), checked before the
+    budget.  The first word goes through the oracle itself, so its
+    checks (the factors' symbols, the word's, the kind, b compiling) run
+    once, in its order.  None of them can fail on a later word: every
+    word of the sweep is over the candidate's symbols, which are a's and
+    hence b's, and the kind and factors do not change.  So every later
+    word goes to the oracle's split loop on its rows, and no
+    :class:`Picture` is built but the counterexample's.  The first
+    counterexample found is verified against the public oracle, its
+    evidence replayed, and returned.
 
     Flipping cells off a run finds nothing more within the same bounds.
     A flip of a cell that an accepting run never visits leaves that run
@@ -261,8 +289,18 @@ def refute(
     them, so a rejected word stays rejected under every off-run flip.
     """
     check_same_symbols(candidate, a)
+    ca = cb = None
+
+    def expected(rows):
+        nonlocal ca, cb
+        if cb is None:  # the first word: every check, once, in the oracle's order
+            verdict = concat_membership(kind, a, b, _trusted_picture(rows))
+            ca, cb = a.compiled, b.compiled
+            return verdict
+        return _split_search(kind, ca, cb, rows, len(rows), len(rows[0]))
+
+    ce = _first_difference(candidate, expected, bounds, budget)
     target = partial(concat_membership, kind, a, b)
-    ce = equivalent_up_to(candidate, target, bounds, budget)
     if ce is not None and not verify_counterexample(candidate, target, ce):
         raise AssertionError("internal error: unverifiable counterexample")
     return ce

@@ -19,19 +19,19 @@ configuration space finite.
 Cells are read where they are: one step rule reads the word through a
 window (row and column offset plus size) into the rows of a picture, and
 answers ``#`` for every band position outside the window.  No bordered
-band and no block picture is ever built.  The rule has three encodings
-in this module and none elsewhere.  :func:`_step` is its one-step
-definition, behind traces, replay, :func:`run_deterministic` and
-:class:`RowTransfer`.  :func:`_search`, the one depth-first loop behind
-every reachability question, applies it inline, since its searches are
-mostly a few steps long and a call per step would cost more than the
-step: :func:`accepts` on the whole picture, the split oracles in
-``concat`` on each block in place, and the trace walk of
-:func:`first_accepting_trace` (also behind
+band and no block picture is ever built.  The rule has four encodings
+in this module and none elsewhere, and ``tests/test_simulation.py`` pins
+each of the other three to the first.  :func:`_step` is its one-step
+definition, behind traces, replay and :func:`run_deterministic`.
+:func:`_search`, the one depth-first loop behind every reachability
+question, applies it inline, since its searches are mostly a few steps
+long and a call per step would cost more than the step: :func:`accepts`
+on the whole picture, the split loop of ``concat`` on each block in
+place, and the trace walk of :func:`first_accepting_trace` (also behind
 :func:`~pictomata.oracle.flip_attack`) from a configuration on its path
 with a set of configurations it must not enter.  A verdict on a 2W
 machine, from its initial configuration with no set to avoid, goes to
-:func:`_two_way` instead: :func:`accepts` and the split oracles in
+:func:`_two_way` instead: :func:`accepts` and the split loop of
 ``concat`` pick the kernel once per call from ``Compiled.is2w``.  It
 visits the window's cells alone.  That is exact: a 2W head that moves
 past the last row or column reads ``#`` from then on, in the frame or
@@ -40,15 +40,17 @@ state is in ``Compiled.reach``, the ``#``-reachability of
 :func:`~pictomata.automaton.boundary_reach`.
 The kernel follows a deterministic machine's one run, which leaves the
 window within m + n - 1 moves, with no set of visited configurations.
+:meth:`RowTransfer.step` is the fourth: it closes a set of
+configurations on a one-row window, below.
 
 :class:`RowTransfer` folds a picture row by row instead.  A 2W or 3W
 head never moves up, so a run cuts exactly at each row boundary: what
 rows 1..i hand on to row i+1 is the set of (state, column) pairs
-stepping down into it, and the transfer closes such a set under
-:func:`_step` on a one-row window.  The cut stays exact below the last
-row, because the bottom frame row and the escape sink read only ``#``,
-so what is left there is whether a state is in ``Compiled.reach``.  4W
-machines have no such cut.  A step reads the width off its row, so one
+stepping down into it, and the transfer closes such a set under the
+step rule, applied inline, on a one-row window.  The cut stays exact
+below the last row, because the bottom frame row and the escape sink
+read only ``#``, so what is left there is whether a state is in
+``Compiled.reach``.  4W machines have no such cut.  A step reads the width off its row, so one
 transfer per machine serves every width.  :meth:`~RowTransfer.verdicts`
 is the one fold, behind the sweeps of ``oracle``.  A sweep meets the
 pictures of one size in row-lexicographic order, each prefix of m-1
@@ -411,12 +413,13 @@ class RowTransfer:
     is which states step down into which band column.  A transfer state
     is that set of (state index, column) pairs, or the sticky
     ``ACCEPTED`` once some run has accepted.  :meth:`step` closes the
-    pairs entering a row under :func:`_step` on a one-row window holding
-    that row, as wide as the row: a successor in row 2 of the window has
-    moved down, and an escaped one reads ``#`` forever.  Below the last
-    row a head reads only ``#`` too, in the frame row or in the escape
-    sink, so :meth:`final` asks whether a surviving state can reach
-    acceptance on ``#`` reads alone, that is, lies in ``Compiled.reach``.
+    pairs entering a row under the step rule of :func:`_step`, applied
+    inline, on a one-row window holding that row, as wide as the row: a
+    successor in row 2 of the window has moved down, and an escaped one
+    reads ``#`` forever.  Below the last row a head reads only ``#``
+    too, in the frame row or in the escape sink, so :meth:`final` asks
+    whether a surviving state can reach acceptance on ``#`` reads alone,
+    that is, lies in ``Compiled.reach``.
     Folding a picture's rows from :attr:`start` and applying
     :meth:`final` therefore gives :func:`accepts` exactly, at every width.
     :meth:`verdicts` does that for many pictures that share all rows but
@@ -436,25 +439,43 @@ class RowTransfer:
         self.memo: dict = {}
 
     def step(self, state, row: str):
-        """The transfer state below ``row``, at the width ``len(row)``."""
+        """The transfer state below ``row``, at the width ``len(row)``.
+
+        This is the closure under :func:`_step` on the one-row window
+        holding ``row``, with the rule applied inline, as :func:`_search`
+        applies it: a pair (state, column) stands for the configuration in
+        the window's row 1, the frame columns 0 and n+1 read ``#``, a down
+        move lands in the pairs below, and a move off the band escapes.
+        A successor in the accepting state, or an escape into a state of
+        ``Compiled.reach``, makes the step ``ACCEPTED``.
+        ``tests/test_simulation.py`` pins it to a closure over
+        :func:`_step`.
+        """
         if state is ACCEPTED:
             return ACCEPTED
         comp = self._comp
-        accept, reach = comp.accept, comp.reach
-        rows, n = (row,), len(row)
+        accept, reach, image = comp.accept, comp.reach, comp.image
+        cells = BOUNDARY + row + BOUNDARY  # band columns 0..n+1
+        n1 = len(row) + 1
         below = set()
-        todo = [(si, 1, c) for si, c in state]
+        todo = list(state)
         seen = set(todo)
         while todo:
-            for t in _step(comp, rows, -1, -1, 1, n, *todo.pop()):
-                si, r, c = t
-                if si == accept or (r < 0 and si in reach):
+            si, c = todo.pop()
+            for q2, dr, dc in image[si].get(cells[c], ()):
+                if q2 == accept:
                     return ACCEPTED
-                if r == 2:
-                    below.add((si, c))
-                elif r == 1 and t not in seen:
-                    seen.add(t)
-                    todo.append(t)
+                c2 = c + dc
+                if c2 < 0 or c2 > n1:  # the escape sink reads '#' for good
+                    if q2 in reach:
+                        return ACCEPTED
+                elif dr:
+                    below.add((q2, c2))
+                else:
+                    t = (q2, c2)
+                    if t not in seen:
+                        seen.add(t)
+                        todo.append(t)
         return frozenset(below)
 
     def final(self, state) -> bool:

@@ -246,6 +246,17 @@ def test_unknown_concat_kind_is_a_usage_error(tmp_path, frz_path, capsys):
         assert capsys.readouterr().err == "error: unknown concat kind 'stack'; one of row, col, diag\n"
 
 
+def test_both_concat_verbs_parse_the_kind_before_loading_the_factors(tmp_path, frz_path, capsys):
+    # equiv --against-concat and refute run the same refute call, so a bad
+    # kind and a missing factor file give one error from either verb
+    missing = str(tmp_path / "missing.aut")
+    for argv in (["equiv", frz_path, "--against-concat", "stack", missing, frz_path],
+                 ["refute", frz_path, "--target-concat", "stack", missing, frz_path]):
+        status, out = run_cli([*argv, "--max-rows", "2", "--max-cols", "2"])
+        assert (status, out) == (2, ""), argv
+        assert capsys.readouterr().err == "error: unknown concat kind 'stack'; one of row, col, diag\n", argv
+
+
 def test_a_candidate_over_fewer_symbols_is_an_input_error(tmp_path, capsys):
     # c accepts every {0} picture and o every {0,1} one; tall0 accepts the
     # {0} pictures of two or more rows, which over {0} alone are exactly

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import random
 import re
 import time
@@ -43,6 +44,7 @@ from pictomata import (
     accepting_runs,
     accepts,
     concat_membership,
+    diag_concat_nondet_2w,
     enumerate_pictures,
     equivalent_up_to,
     first_accepting_trace,
@@ -280,6 +282,71 @@ def test_refute_det_candidate_for_diagonal_language():
     assert verify_counterexample(
         tlo, lambda w: concat_membership(ConcatKind.DIAG, tlo, tlo, w), ce
     )
+
+
+def test_refute_equals_the_sweep_against_the_public_oracle():
+    # refute runs concat_membership's checks on the first word only and
+    # asks the split loop directly for every later word; it must report
+    # what a sweep against concat_membership reports: the same word,
+    # verdicts and evidence, and evidence that replays
+    rng = random.Random(1919)
+    bounds = DimBounds(3, 3)
+    found = agreed = 0
+    for i in range(12):
+        a = random_2d(rng, "2W", ("det", "nondet")[i % 2])
+        b = random_2d(rng, ("2W", "3W", "4W")[i % 3], ("nondet", "det")[i // 2 % 2])
+        for kind in ConcatKind:
+            cands = [random_2d(rng, v, ("det", "nondet")[(i + k) % 2]) for k, v in enumerate(("2W", "3W", "4W"))]
+            if kind is ConcatKind.DIAG and b.variant == "2W":
+                cands.append(diag_concat_nondet_2w(a, b))
+            target = functools.partial(concat_membership, kind, a, b)
+            for c in cands:
+                got = refute(c, kind, a, b, bounds)
+                assert got == equivalent_up_to(c, target, bounds), (kind, i, c.name)
+                if got is None:
+                    agreed += 1
+                else:
+                    found += 1
+                    assert verify_counterexample(c, target, got), (kind, i, c.name)
+    assert found and agreed
+
+
+def test_refute_raises_what_it_raised_when_faults_come_together():
+    # one error per call, from the first check in refute's order: the
+    # candidate's symbols, the budget, the candidate compiling, then the
+    # oracle's own checks on the first word (the factors' symbols, the
+    # word's, the kind, b compiling); for 2W, 3W and 4W candidates
+    L = first_row_zeros()
+    L012 = dataclasses.replace(L, name="frz012", alphabet=Alphabet(("0", "1", "2")))
+    bad_b = Automaton2D("bad-b", "2W", "det", AB01, ("q0", "acc"), "q0", "acc",
+                        make_delta([("q0", "0", "q0", "U")]))
+    small, big = DimBounds(2, 2), DimBounds(4, 4)
+    pair = (AlphabetError, "factor machines must share one alphabet")
+    budget = (CapacityError, "pictures within 4x4 exceed the budget of 100")
+    b_invalid = (ToolkitError, "invalid automaton 'bad-b': illegal direction 'U' for variant 2W at (q0,'0')")
+    unknown = (ValueError, "unknown concat kind 'stack'")
+    for variant, cand_invalid in (
+        ("2W", "illegal direction 'U' for variant 2W at (q0,'0')"),
+        ("3W", "illegal direction 'U' for variant 3W at (q0,'0')"),
+        ("4W", "unknown direction 'X' at (q0,'0')"),
+    ):
+        move = "X" if variant == "4W" else "U"
+        broken = Automaton2D("broken", variant, "det", AB01, ("q0", "acc"), "q0", "acc",
+                             make_delta([("q0", "0", "q0", move)]))
+        good = random_2d(random.Random(7), variant, "det")
+        cases = [
+            (broken, ConcatKind.ROW, L, L012, small, None, (ToolkitError, f"invalid automaton 'broken': {cand_invalid}")),
+            (broken, "stack", L, bad_b, big, 100, budget),
+            (good, "stack", L, L, big, 100, budget),
+            (good, "stack", L, dataclasses.replace(bad_b, alphabet=L012.alphabet), small, None, pair),
+            (good, "stack", L, bad_b, small, None, unknown),
+        ]
+        cases += [(good, kind, L, bad_b, small, None, b_invalid) for kind in ConcatKind]
+        cases += [(good, kind, L, L012, small, None, pair) for kind in ConcatKind]
+        for c, kind, a, b, bounds, cap, want in cases:
+            with pytest.raises(Exception) as got:
+                refute(c, kind, a, b, bounds, budget=cap)
+            assert (type(got.value), str(got.value)) == want, (variant, c.name, kind, a.name, b.name)
 
 
 def test_refute_needs_the_candidate_to_read_the_factors_symbols():

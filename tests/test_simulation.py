@@ -332,6 +332,59 @@ def test_row_transfer_start_state_and_variants():
         RowTransfer(up_left_probe4w())
 
 
+def _closure_step(comp, state, row, reach=None):
+    """What :meth:`RowTransfer.step` computes, as a closure over
+    :func:`_step` on the one-row window holding ``row``: the body the
+    step had before it applied the rule inline.  ``reach`` stands in for
+    ``comp.reach``, so a caller can tell an escape that accepts."""
+    if state is ACCEPTED:
+        return ACCEPTED
+    reach = comp.reach if reach is None else reach
+    rows, n = (row,), len(row)
+    below = set()
+    todo = [(si, 1, c) for si, c in state]
+    seen = set(todo)
+    while todo:
+        for t in _step(comp, rows, -1, -1, 1, n, *todo.pop()):
+            si, r, c = t
+            if si == comp.accept or (r < 0 and si in reach):
+                return ACCEPTED
+            if r == 2:
+                below.add((si, c))
+            elif r == 1 and t not in seen:
+                seen.add(t)
+                todo.append(t)
+    return frozenset(below)
+
+
+def test_row_transfer_step_equals_a_closure_over_step():
+    # step applies the rule inline; on states that folding rows of width
+    # 1-6 reaches, and on arbitrary sets of pairs over the band columns
+    # 0..n+1, it must give the closure's state, frame columns and escapes
+    # into Compiled.reach included
+    frames = escapes = 0
+    for seed in range(240):
+        rng = random.Random(seed)
+        a = random_2d(rng, ("2W", "3W")[seed % 2], ("det", "nondet")[seed // 2 % 2])
+        comp, t = a.compiled, RowTransfer(a)
+        for _ in range(6):
+            n = rng.randint(1, 6)
+            rows = ["".join(rng.choice("01") for _ in range(n)) for _ in range(rng.randint(1, 4))]
+            pairs = [(si, c) for si in range(len(comp.states)) for c in range(n + 2)]
+            states = [t.start, frozenset(rng.sample(pairs, rng.randint(0, len(pairs))))]
+            for row in rows:
+                states.append(_closure_step(comp, states[-1], row))
+            for state in states:
+                row = rng.choice(rows)
+                want = _closure_step(comp, state, row)
+                assert t.step(state, row) == want, (a.name, sorted(state), row)
+                if state is not ACCEPTED and any(c in (0, n + 1) for _, c in state):
+                    frames += 1
+                if want is ACCEPTED and _closure_step(comp, state, row, frozenset()) is not ACCEPTED:
+                    escapes += 1  # accepted only through an escape
+    assert frames and escapes
+
+
 def _first_dfs_trace(a, w):
     runs = accepting_runs(a, w, limit=1)
     return runs[0] if runs else None

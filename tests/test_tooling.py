@@ -1,9 +1,10 @@
 """Checks on the package's structure: the benchmark's view of it, read
 from ``bench/`` without importing the benchmark runner, a caller for
 every export, the separation of the split oracles from what they check,
-the one home of the split geometry, the one module that encodes the
-step rule and the row transfer's states, the README's library example,
-run as written, and the README's CLI block, one line per subcommand."""
+the one home of the split geometry, the one split loop behind both
+concatenation oracles, the one module that encodes the step rule and
+the row transfer's states, the README's library example, run as
+written, and the README's CLI block, one line per subcommand."""
 
 import argparse
 import ast
@@ -117,11 +118,48 @@ def test_only_the_split_table_names_a_kind():
     assert members(tree) == inside
 
 
+def _uses_by_function(name):
+    """Each (module, top-level function) in ``src/`` that reads ``name``,
+    as a name, an attribute or an import; ``None`` for a read outside any
+    function.  A read in a nested function counts for the function that
+    holds it, a method for its class."""
+    uses = set()
+
+    def walk(node, owner, module):
+        for sub in ast.iter_child_nodes(node):
+            here = owner
+            if owner is None and isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                here = sub.name
+            if (
+                (isinstance(sub, ast.Name) and sub.id == name and not isinstance(sub.ctx, ast.Store))
+                or (isinstance(sub, ast.Attribute) and sub.attr == name)
+                or (isinstance(sub, ast.ImportFrom) and name in {alias.name for alias in sub.names})
+            ):
+                uses.add((module, here))
+            walk(sub, here, module)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        walk(ast.parse(path.read_text(encoding="utf-8")), None, path.stem)
+    return uses
+
+
+def test_one_split_loop_behind_both_concat_oracles():
+    # concat._split_search is the one loop over the split table; the
+    # public oracle calls it after its checks, and refute calls it for
+    # every word after the first, which went through the public oracle
+    assert _uses_by_function("_splits") == {("concat", "_split_search")}
+    assert _uses_by_function("_split_search") == {
+        ("concat", "concat_membership"),
+        ("oracle", None),  # the import
+        ("oracle", "refute"),
+    }
+
+
 def test_only_simulate_encodes_the_step_rule():
-    # simulate._step defines one step, and simulate._search and its 2W
-    # kernel apply the same rule inline, pinned to it by differential
-    # tests; no other module steps configurations, so the rule stays in
-    # one module
+    # simulate._step defines one step, and simulate._search, its 2W
+    # kernel and RowTransfer.step apply the same rule inline, pinned to it
+    # by differential tests; no other module steps configurations, so the
+    # rule stays in one module
     users = {}
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
