@@ -200,9 +200,23 @@ _HEADER = {
 }
 
 
-def header_lines(name, variant, mode, alphabet: Alphabet, states, initial, accept_states) -> list[str]:
-    """The header of the automaton file format; shared by the 2D and 1D formats."""
+def header_lines(name, variant, mode, alphabet: Alphabet, states, initial, accept_states, sources) -> list[str]:
+    """The header of the automaton file format; shared by the 2D and 1D formats.
+
+    Raises ``ToolkitError`` on a machine that :func:`read_automaton_text`
+    would not read back as written: a value that is empty or holds
+    whitespace or ``;``, or a state in ``sources`` (the states that have
+    transitions) named like a header key, whose transition lines would be
+    read as that header line.
+    """
     values = ((name,), (variant,), (mode,), alphabet.symbols, states, (initial,), accept_states)
+    for key, vs in zip(_HEADER, values):
+        for v in vs:
+            if ";" in v or v.split() != [v]:
+                raise ToolkitError(f"cannot write {key} value {v!r}: empty, or holds whitespace or ';'")
+    for q in sources:
+        if q in _HEADER:
+            raise ToolkitError(f"cannot write transitions from state {q!r}: it is a header key")
     return [f"{key} " + " ".join(v) for key, v in zip(_HEADER, values)]
 
 
@@ -238,7 +252,9 @@ def read_automaton_text(text: str, what: str) -> tuple[list[tuple[str, ...]], li
 
 def serialize_automaton(a: Automaton2D) -> str:
     """Render the line-oriented automaton file format."""
-    lines = header_lines(a.name, a.variant, a.mode, a.alphabet, a.states, a.initial, (a.accept,))
+    lines = header_lines(
+        a.name, a.variant, a.mode, a.alphabet, a.states, a.initial, (a.accept,), {q for q, _ in a.delta}
+    )
     order = {q: i for i, q in enumerate(a.states)}
     for (q, sym), image in sorted(a.delta.items(), key=lambda kv: (order.get(kv[0][0], 1 << 30), kv[0][1])):
         for q2, d in sorted(image):
@@ -270,5 +286,6 @@ def load_automaton(path) -> Automaton2D:
 
 
 def save_automaton(a: Automaton2D, path) -> None:
+    text = serialize_automaton(a)  # a machine it refuses leaves no file
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize_automaton(a))
+        fh.write(text)

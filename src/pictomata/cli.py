@@ -281,17 +281,17 @@ def _run_construct(args, out) -> int:
         save_automaton(built, args.output)
         return _written(out, args.output, len(built.states))
     builders = {
-        "ibr": (1, lambda ms: construct.to_ibr(ms[0])),
-        "unary-row": (2, lambda ms: construct.unary_row_concat(ms[0], ms[1])),
-        "unary-col": (2, lambda ms: construct.unary_col_concat(ms[0], ms[1])),
-        "diag": (2, lambda ms: construct.diag_concat_nondet_2w(ms[0], ms[1])),
-        "diag-sep": (2, lambda ms: construct.diag_concat_separated(ms[0], ms[1])),
+        "ibr": (1, construct.to_ibr),
+        "unary-row": (2, construct.unary_row_concat),
+        "unary-col": (2, construct.unary_col_concat),
+        "diag": (2, construct.diag_concat_nondet_2w),
+        "diag-sep": (2, construct.diag_concat_separated),
     }
     arity, builder = builders[kind]
     if len(args.inputs) != arity:
         raise ToolkitError(f"construct {kind} takes {arity} automaton file(s)")
     machines = [load_automaton(p) for p in args.inputs]
-    result = builder(machines)
+    result = builder(*machines)
     save_automaton(result, args.output)
     return _written(out, args.output, len(result.states))
 

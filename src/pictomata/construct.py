@@ -118,15 +118,15 @@ class CaseTag(enum.Enum):
 
 @dataclass(frozen=True)
 class _CaseCfg:
-    tag: str            # the CaseTag value that opens the case's state names
     first: str          # which machine's down-phase opens a round
     guesser: str | None  # machine whose bottom border is guessed mid-word
     phase2: str | None   # machine simulated alone after the guess
     verify: str          # head direction whose border read closes the run
 
 
-_CASES: dict[CaseTag, _CaseCfg] = {
-    tag: _CaseCfg(tag.value, *fields)
+#: Keyed by the CaseTag value that opens the case's state names.
+_CASES: dict[str, _CaseCfg] = {
+    tag.value: _CaseCfg(*fields)
     for tag, fields in (
         (CaseTag.BOTTOM_RIGHT, ("A", "A", "B", "R")),
         (CaseTag.RIGHT_BOTTOM, ("A", "B", "A", "R")),
@@ -172,6 +172,14 @@ def unary_row_concat(a: Automaton2D, b: Automaton2D) -> Automaton2D:
     instead closes on a joint rightward move with both components ready
     to accept, after spending one mandatory extra downward move so that
     the word is tall enough to contain both factors.
+
+    A product state is a tuple of strings: (case tag, turn, a-state,
+    b-state) while both factors run, (case tag, ``p2``, state) while the
+    remaining factor runs alone, and (case tag, ``chk``) for the
+    verifier.  Its name joins the tuple with ``|``, with underscores
+    appended until it differs from every name already taken, so product
+    states keep distinct names whatever the factors' state names contain.
+    The initial state is ``go`` and the accepting one ``ok``.
     """
     _require_pair(a, b)
     if not a.alphabet.unary:
@@ -179,92 +187,67 @@ def unary_row_concat(a: Automaton2D, b: Automaton2D) -> Automaton2D:
     sym = a.alphabet.symbols[0]
     a1 = to_ibr(border_normalize(a))
     b1 = to_ibr(border_normalize(b))
-    comp = {"A": a1, "B": b1}
-    right_right = _CASES[CaseTag.RIGHT_RIGHT]
+    right_right = CaseTag.RIGHT_RIGHT.value
+    INIT, ACCEPT = ("go",), ("ok",)
 
-    INIT, ACCEPT = "go", "ok"
-    delta_entries: list[tuple[str, str, str, str]] = []
-    seen: set[str] = set()
-    order: list[str] = [INIT]
-    work: list[tuple] = []
-
-    def visit(state: tuple) -> str:
-        name = _name(state)
-        if name not in seen:
-            seen.add(name)
-            order.append(name)
-            work.append(state)
-        return name
-
-    def _name(state: tuple) -> str:
-        kind = state[0]
-        if kind == "p1":
-            # case tag, whose turn it is, and both component states
-            return f"{state[1].tag}|{state[2]}|{state[3]}|{state[4]}"
-        if kind == "p2":
-            return f"{state[1].tag}|p2|{state[2]}"
-        return f"{state[1].tag}|chk"
-
-    def p1_edges(cfg: _CaseCfg, turn: str, qa: str, qb: str):
-        if turn in ("Ad", "Bd"):
-            x = turn[0]
-            mx, qx = comp[x], (qa if x == "A" else qb)
-            for q2 in _moves(mx, qx, sym, "D"):
-                na, nb = (q2, qb) if x == "A" else (qa, q2)
-                for t2 in _turn_successors(cfg, turn):
-                    yield ("p1", cfg, t2, na, nb), "D"
-                if cfg.guesser == x and _border_ok(mx, q2):
-                    other = qb if x == "A" else qa
-                    yield ("p2", cfg, other), "D"
-        else:
-            for qa2 in _moves(a1, qa, sym, "R"):
-                for qb2 in _moves(b1, qb, sym, "R"):
+    def edges(state: tuple):
+        if state == INIT:
+            # The initial state carries the first move of every case, with any
+            # of the three turn positions as the starting point (down-phases
+            # may be empty); the right-right case instead opens with its slack row.
+            for tag, cfg in _CASES.items():
+                for t0 in _turn_successors(cfg, "J"):
+                    if tag == right_right:
+                        yield sym, (tag, t0, a1.initial, b1.initial), "D"
+                    else:
+                        yield from edges((tag, t0, a1.initial, b1.initial))
+            return
+        tag, phase, qs = state[0], state[1], state[2:]
+        cfg = _CASES[tag]
+        if phase == "chk":
+            yield BOUNDARY, ACCEPT, "D"
+        elif phase == "p2":
+            mz = a1 if cfg.phase2 == "A" else b1
+            for q2, d in sorted(mz.image(qs[0], sym)):
+                yield sym, (tag, "p2", q2), d
+                if d == cfg.verify and _border_ok(mz, q2):
+                    yield sym, (tag, "chk"), d
+        elif phase == "J":
+            for qa2 in _moves(a1, qs[0], sym, "R"):
+                for qb2 in _moves(b1, qs[1], sym, "R"):
                     for t2 in _turn_successors(cfg, "J"):
-                        yield ("p1", cfg, t2, qa2, qb2), "R"
-                    if cfg is right_right and _border_ok(a1, qa2) and _border_ok(b1, qb2):
-                        yield ("chk", cfg), "R"
+                        yield sym, (tag, t2, qa2, qb2), "R"
+                    if tag == right_right and _border_ok(a1, qa2) and _border_ok(b1, qb2):
+                        yield sym, (tag, "chk"), "R"
+        else:  # the down-phase "Ad" or "Bd" of one factor
+            x = phase[0]
+            mx, qx, other = (a1, qs[0], qs[1]) if x == "A" else (b1, qs[1], qs[0])
+            for q2 in _moves(mx, qx, sym, "D"):
+                na, nb = (q2, other) if x == "A" else (other, q2)
+                for t2 in _turn_successors(cfg, phase):
+                    yield sym, (tag, t2, na, nb), "D"
+                if cfg.guesser == x and _border_ok(mx, q2):
+                    yield sym, (tag, "p2", other), "D"
 
-    def p2_edges(cfg: _CaseCfg, q: str):
-        mz = comp[cfg.phase2]
-        for q2, d in sorted(mz.image(q, sym)):
-            yield ("p2", cfg, q2), d
-            if d == cfg.verify and _border_ok(mz, q2):
-                yield ("chk", cfg), d
+    names = {INIT: "go", ACCEPT: "ok"}
+    taken = set(names.values())
+    order = [INIT]
+    delta_entries: list[tuple[str, str, str, str]] = []
+    # Breadth first: the loop reaches each state appended to order.
+    for state in order:
+        src = names[state]
+        for s, nxt, move in edges(state):
+            dst = names.get(nxt)
+            if dst is None:
+                dst = _fresh("|".join(nxt), taken)
+                names[nxt] = dst
+                taken.add(dst)
+                order.append(nxt)
+            delta_entries.append((src, s, dst, move))
 
-    # The initial state carries the first move of every case, with any of
-    # the three turn positions as the starting point (down-phases may be
-    # empty); the right-right case instead opens with its slack row.
-    qa0, qb0 = a1.initial, b1.initial
-    for cfg in _CASES.values():
-        for t0 in _turn_successors(cfg, "J"):
-            if cfg is right_right:
-                delta_entries.append((INIT, sym, visit(("p1", cfg, t0, qa0, qb0)), "D"))
-            else:
-                for target, move in p1_edges(cfg, t0, qa0, qb0):
-                    delta_entries.append((INIT, sym, visit(target), move))
-
-    while work:
-        state = work.pop(0)
-        name = _name(state)
-        if state[0] == "p1":
-            for target, move in p1_edges(state[1], state[2], state[3], state[4]):
-                delta_entries.append((name, sym, visit(target), move))
-        elif state[0] == "p2":
-            for target, move in p2_edges(state[1], state[2]):
-                delta_entries.append((name, sym, visit(target), move))
-        else:
-            delta_entries.append((name, BOUNDARY, ACCEPT, "D"))
-
-    states = (INIT, *order[1:], ACCEPT)
+    states = (*(names[s] for s in order), "ok")
     return Automaton2D(
-        f"{a.name}_row_{b.name}",
-        "2W",
-        "nondet",
-        a.alphabet,
-        states,
-        INIT,
-        ACCEPT,
-        make_delta(delta_entries),
+        f"{a.name}_row_{b.name}", "2W", "nondet", a.alphabet, states, "go", "ok", make_delta(delta_entries)
     )
 
 
@@ -364,14 +347,12 @@ def _reachable_states(initial: str, delta, accept: str) -> list[str]:
         adj.setdefault(q, []).extend(q2 for q2, _ in sorted(image))
     out = [initial]
     seen = {initial, accept}
-    queue = [initial]
-    while queue:
-        q = queue.pop(0)
+    # Breadth first: the loop reaches each state appended to out.
+    for q in out:
         for q2 in adj.get(q, ()):
             if q2 not in seen:
                 seen.add(q2)
                 out.append(q2)
-                queue.append(q2)
     out.append(accept)
     return out
 

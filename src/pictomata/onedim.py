@@ -438,7 +438,9 @@ def gadget_k(n: int) -> int:
 
 
 def serialize_automaton_1d(a: Automaton1D) -> str:
-    lines = header_lines(a.name, a.kind, "det", a.alphabet, a.states, a.initial, a.accept_states)
+    lines = header_lines(
+        a.name, a.kind, "det", a.alphabet, a.states, a.initial, a.accept_states, {q for q, _ in a.delta}
+    )
     order = {q: i for i, q in enumerate(a.states)}
     for (q, sym), step in sorted(a.delta.items(), key=lambda kv: (order[kv[0][0]], kv[0][1])):
         if a.kind == TWO_WAY:
@@ -484,5 +486,6 @@ def load_automaton_1d(path) -> Automaton1D:
 
 
 def save_automaton_1d(a: Automaton1D, path) -> None:
+    text = serialize_automaton_1d(a)  # a machine it refuses leaves no file
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize_automaton_1d(a))
+        fh.write(text)

@@ -188,6 +188,11 @@ def parse_picture(text: str, allow_hash: bool = False) -> Picture:
 
 
 def format_picture(w: Picture) -> str:
+    """The picture file format; raises ``ToolkitError`` on a row that
+    :func:`parse_picture` would read back as a comment."""
+    for r in w.rows:
+        if r.startswith(";"):
+            raise ToolkitError(f"cannot write row {r!r}: it begins with ';', which opens a comment")
     return "\n".join(w.rows) + "\n"
 
 

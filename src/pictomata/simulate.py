@@ -20,8 +20,12 @@ Cells are read where they are: one step rule reads the word through a
 window (row and column offset plus size) into the rows of a picture, and
 answers ``#`` for every band position outside the window.  No bordered
 band and no block picture is ever built.  The rule has four encodings
-in this module and none elsewhere, and ``tests/test_simulation.py`` pins
-each of the other three to the first.  :func:`_step` is its one-step
+in this module, and ``tests/test_simulation.py`` pins each of the other
+three to the first.  One replay of a row's moves lives elsewhere on
+purpose: :func:`~pictomata.onedim.row_departure_oracle` steps them from
+``Compiled.image`` on its own framed tape, as the ground truth that
+:func:`~pictomata.onedim.row_restriction` is checked against, so it
+shares no code with this module.  :func:`_step` is the rule's one-step
 definition, behind traces, replay and :func:`run_deterministic`.
 :func:`_search`, the one depth-first loop behind every reachability
 question, applies it inline, since its searches are mostly a few steps

@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import random
 from itertools import product
 
 import pytest
@@ -217,6 +219,68 @@ def test_unary_col_concat_is_transpose_image():
     col_lang = language_up_to(col_m, bounds)
     row_lang = language_up_to(row_m, bounds)
     assert col_lang == {transpose(w) for w in row_lang}
+
+
+def _random_unary(rng, name, states):
+    """A random unary 2W machine on the given working states, in random order."""
+    states = [*rng.sample(states, len(states)), "acc"]
+    mode = rng.choice(["det", "nondet"])
+    entries = [
+        (q, sym, rng.choice(states), rng.choice("DR"))
+        for q in states[:-1]
+        for sym in "a#"
+        for _ in range(rng.randint(0, 1 if mode == "det" else 2))
+    ]
+    return _mk(name, states, states[0], "acc", entries, mode=mode, ab=UNARY)
+
+
+def test_unary_products_keep_states_with_joined_names_apart():
+    # Joined with "|", (x|y, z) and (x, y|z) read alike; merged into one
+    # state they made the row product accept aa/aa.
+    a = _mk("A", ("x", "x|y", "acc"), "x", "acc",
+            [("x", "#", "x", "D"), ("x", "a", "x|y", "R"), ("x|y", "#", "acc", "D")], ab=UNARY)
+    b = _mk("B", ("y|z", "z", "acc"), "y|z", "acc",
+            [("y|z", "#", "z", "R"), ("y|z", "a", "z", "R"), ("z", "#", "acc", "R")], ab=UNARY)
+    rng = random.Random(20)
+    pairs = [(a, b)] + [
+        (_random_unary(rng, "A", ["x", "x|y"]), _random_unary(rng, "B", ["y|z", "z"])) for _ in range(300)
+    ]
+    bounds = DimBounds(4, 4)
+    for a, b in pairs:
+        for kind, build in ((ConcatKind.ROW, unary_row_concat), (ConcatKind.COL, unary_col_concat)):
+            m = build(a, b)
+            assert validate(m) == []
+            ce = equivalent_up_to(m, lambda w: concat_membership(kind, a, b, w), bounds)
+            assert ce is None, (kind, serialize_automaton(a), serialize_automaton(b), ce.word.rows)
+
+
+#: sha256 of the written products, recorded before the unary row product
+#: was rewritten as one breadth-first walk.  A change that means to alter
+#: a construction's output updates its digest and says why in CHANGES.md.
+_PRODUCT_DIGESTS = {
+    "to_ibr": "f46419de46ac4e7c763fefdd5dfde140290908bb72e731a2d5cc3c234de114cd",
+    "border_normalize": "3e34433b2e7bb3ffb6f31cba0865aee03924a2b32bf0b3cde4bb84adea7baae9",
+    "unary_row_concat": "6a0b9ea089445c3d88a8702588709208766ae78dbfa96c273796dff95ae41a4a",
+    "unary_col_concat": "fd84ad8edba5948006a04a81c9884924a19ddfc554b7c1fee9d9157585d6700d",
+    "diag_concat_nondet_2w": "915972b0701151ad669e37f96b41e60b8de8a08e11580781c9d829bfb31341c9",
+    "diag_concat_separated": "f19661f5778b8ed330a49000a7ca3483e69bbc74f9e71974fe4b1b620dadbe5c",
+}
+
+
+def test_construction_output_bytes_match_recorded_digests():
+    inputs = {
+        to_ibr: [(a,) for a in corpus_2w()],
+        border_normalize: [(a,) for a in corpus_2w()],
+        unary_row_concat: unary_pairs(),
+        unary_col_concat: unary_pairs(),
+        diag_concat_nondet_2w: diag_pairs(),
+        diag_concat_separated: separated_pairs(),
+    }
+    for build, calls in inputs.items():
+        digest = hashlib.sha256()
+        for args in calls:
+            digest.update(serialize_automaton(build(*args)).encode())
+        assert digest.hexdigest() == _PRODUCT_DIGESTS[build.__name__], build.__name__
 
 
 def test_diag_concat_matches_oracle_small():

@@ -1,8 +1,10 @@
-"""Hypothesis fuzzing of the three file parsers and of the CLI verbs that
-read them.  Any text either parses and survives a serialize/parse round
-trip, or is rejected with ``ToolkitError``; a parsed string machine runs
-and converts or raises ``ToolkitError``; the CLI answers 0, 1 or 2 and
-never lets another exception escape."""
+"""Hypothesis fuzzing of the three file parsers, of their writers and of
+the CLI verbs that read them.  Any text either parses and survives a
+serialize/parse round trip, or is rejected with ``ToolkitError``; any
+machine or picture built in code is either refused by its writer with
+``ToolkitError`` or read back equal; a parsed string machine runs and
+converts or raises ``ToolkitError``; the CLI answers 0, 1 or 2 and never
+lets another exception escape."""
 
 import io
 import tempfile
@@ -10,9 +12,30 @@ from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from pictomata import ToolkitError, format_picture, parse_automaton, parse_picture, serialize_automaton
+import pytest
+
+from pictomata import (
+    Alphabet,
+    Automaton2D,
+    Picture,
+    ToolkitError,
+    format_picture,
+    make_delta,
+    parse_automaton,
+    parse_picture,
+    save_automaton,
+    serialize_automaton,
+)
 from pictomata.cli import dispatch
-from pictomata.onedim import TWO_WAY, parse_automaton_1d, serialize_automaton_1d, simulate_1d, two_way_to_one_way
+from pictomata.onedim import (
+    ONE_WAY,
+    TWO_WAY,
+    Automaton1D,
+    parse_automaton_1d,
+    serialize_automaton_1d,
+    simulate_1d,
+    two_way_to_one_way,
+)
 
 STATES = ["q0", "q1", "acc", "zz"]
 _VALUES = {
@@ -141,3 +164,89 @@ def test_cli_exit_status_on_fuzzed_files(text2d, text1d, text_pic, allow_hash):
             ["to-oneway", n, "-o", o],
         ):
             assert dispatch(argv, out=io.StringIO()) in (0, 1, 2), argv
+
+
+def _machine_2d(name="m", states=("q0", "acc"), symbols=("a",), source="q0"):
+    return Automaton2D(
+        name, "2W", "det", Alphabet(symbols), states, states[0], states[-1],
+        make_delta([(source, symbols[0], states[-1], "R")]),
+    )
+
+
+def test_writers_refuse_what_their_readers_cannot_read_back(tmp_path):
+    probes_2d = [
+        _machine_2d(states=("states", "acc"), source="states"),  # read back as another machine
+        _machine_2d(states=("initial", "acc"), source="initial"),
+        _machine_2d(states=("q 0", "acc"), source="q 0"),
+        _machine_2d(states=("q;0", "acc"), source="q;0"),
+        _machine_2d(symbols=(";",)),
+        _machine_2d(symbols=(" ",)),
+        _machine_2d(name="my machine"),
+        _machine_2d(name=""),
+    ]
+    for a in probes_2d:
+        with pytest.raises(ToolkitError):
+            serialize_automaton(a)
+        with pytest.raises(ToolkitError):
+            save_automaton(a, tmp_path / "m.aut")
+        assert not (tmp_path / "m.aut").exists()
+    accept_source = Automaton1D(
+        "n", TWO_WAY, Alphabet(("a",)), ("q0", "accept"), "q0", ("accept",),
+        {("q0", "a"): ("accept", "R"), ("accept", "#"): ("q0", "L")},
+    )
+    with pytest.raises(ToolkitError):
+        serialize_automaton_1d(accept_source)
+    with pytest.raises(ToolkitError):
+        format_picture(Picture((";a",)))
+    # a header key is fine as a state without transitions, and a row may hold ';'
+    a = _machine_2d(states=("q0", "accept"))
+    assert parse_automaton(serialize_automaton(a)) == a
+    assert parse_picture(format_picture(Picture(("a;",)))) == Picture(("a;",))
+
+
+#: Printable characters, with the ones the file formats give a meaning to
+#: drawn often.
+_char = st.one_of(st.characters(blacklist_categories=("C", "Z")), st.sampled_from(" ;#-"))
+_name = st.one_of(st.text(_char, max_size=3), st.sampled_from([*_VALUES, "variant", "->"]))
+_symbols = st.lists(_char.filter(lambda c: c != "#"), min_size=1, max_size=3, unique=True)
+
+
+def _refused_or_read_back(write, read, obj):
+    try:
+        text = write(obj)
+    except ToolkitError:
+        return
+    assert read(text) == obj
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_written_machines_and_pictures_read_back_equal_or_are_refused(data):
+    draw = data.draw
+    states = tuple(draw(st.lists(_name, min_size=1, max_size=3, unique=True)))
+    symbols = tuple(draw(_symbols))
+    keys = st.tuples(st.sampled_from(states), st.sampled_from([*symbols, "#"]))
+    entries = [
+        (q, sym, draw(st.sampled_from(states)), draw(st.sampled_from("DLRU")))
+        for q, sym in draw(st.lists(keys, max_size=4))
+    ]
+    a = Automaton2D(
+        draw(_name), draw(st.sampled_from(["2W", "3W", "4W"])), draw(st.sampled_from(["det", "nondet"])),
+        Alphabet(symbols), states, draw(st.sampled_from(states)), draw(st.sampled_from(states)),
+        make_delta(entries),
+    )
+    _refused_or_read_back(serialize_automaton, parse_automaton, a)
+
+    kind = draw(st.sampled_from([TWO_WAY, ONE_WAY]))
+    if kind == TWO_WAY:
+        accept = (draw(st.sampled_from(states)),)
+        delta = {k: (draw(st.sampled_from(states)), draw(st.sampled_from("LR"))) for k in draw(st.lists(keys))}
+    else:
+        accept = tuple(draw(st.lists(st.sampled_from(states), unique=True)))
+        delta = {k: draw(st.sampled_from(states)) for k in draw(st.lists(keys))}
+    n = Automaton1D(draw(_name), kind, Alphabet(symbols), states, draw(st.sampled_from(states)), accept, delta)
+    _refused_or_read_back(serialize_automaton_1d, parse_automaton_1d, n)
+
+    width = draw(st.integers(1, 3))
+    rows = draw(st.lists(st.text(_char, min_size=width, max_size=width), min_size=1, max_size=3))
+    _refused_or_read_back(format_picture, lambda t: parse_picture(t, allow_hash=True), Picture(tuple(rows), True))

@@ -158,8 +158,9 @@ def test_one_split_loop_behind_both_concat_oracles():
 def test_only_simulate_encodes_the_step_rule():
     # simulate._step defines one step, and simulate._search, its 2W
     # kernel and RowTransfer.step apply the same rule inline, pinned to it
-    # by differential tests; no other module steps configurations, so the
-    # rule stays in one module
+    # by differential tests; no other module calls them, so the rule stays
+    # in one module (onedim.row_departure_oracle replays a row's moves on
+    # its own tape, as the independent ground truth for row_restriction)
     users = {}
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
