@@ -17,7 +17,7 @@ from functools import cached_property
 from types import MappingProxyType
 
 from .errors import ToolkitError, VariantError
-from .picture import BOUNDARY, Alphabet, read_text
+from .picture import BOUNDARY, Alphabet, read_text, write_text
 
 MOVES = {"U": (-1, 0), "D": (1, 0), "L": (0, -1), "R": (0, 1)}
 VARIANT_DIRS = {"4W": {"U", "D", "L", "R"}, "3W": {"D", "L", "R"}, "2W": {"D", "R"}}
@@ -200,34 +200,42 @@ _HEADER = {
 }
 
 
-def header_lines(name, variant, mode, alphabet: Alphabet, states, initial, accept_states, sources) -> list[str]:
-    """The header of the automaton file format; shared by the 2D and 1D formats.
+def automaton_text(name, variant, mode, alphabet: Alphabet, states, initial, accept_states, transitions) -> str:
+    """The automaton file format; shared by the 2D and 1D formats.
 
-    Raises ``ToolkitError`` on a machine that :func:`read_automaton_text`
-    would not read back as written: a value that is empty or holds
-    whitespace or ``;``, or a state in ``sources`` (the states that have
-    transitions) named like a header key, whose transition lines would be
-    read as that header line.
+    Each transition is a token tuple ``(state, symbol, *target)``, as
+    :func:`read_automaton_text` returns it.  Lines go out sorted by
+    declared state, then symbol, undeclared sources last; the sort is
+    stable.  Raises ``ToolkitError`` on a machine that would not be read
+    back as written: a header value or transition token that is empty or
+    holds whitespace or ``;``, or a transition from a state named like a
+    header key, whose line would be read as that header line.
     """
-    values = ((name,), (variant,), (mode,), alphabet.symbols, states, (initial,), accept_states)
-    for key, vs in zip(_HEADER, values):
-        for v in vs:
-            if ";" in v or v.split() != [v]:
-                raise ToolkitError(f"cannot write {key} value {v!r}: empty, or holds whitespace or ';'")
-    for q in sources:
-        if q in _HEADER:
-            raise ToolkitError(f"cannot write transitions from state {q!r}: it is a header key")
-    return [f"{key} " + " ".join(v) for key, v in zip(_HEADER, values)]
+    order = {q: i for i, q in enumerate(states)}
+    transitions = sorted(transitions, key=lambda t: (order.get(t[0], len(order)), t[1]))
+    header = dict(zip(_HEADER, ((name,), (variant,), (mode,), alphabet.symbols, states, (initial,), accept_states)))
+    tokens = [v for vs in (*header.values(), *transitions) for v in vs]
+    joined = "".join(tokens)
+    if ";" in joined or joined.split() != [joined] or not all(tokens):
+        bad = next(v for v in tokens if ";" in v or v.split() != [v])
+        raise ToolkitError(f"cannot write token {bad!r}: empty, or holds whitespace or ';'")
+    clash = _HEADER.keys() & {t[0] for t in transitions}
+    if clash:
+        raise ToolkitError(f"cannot write transitions from state {min(clash)!r}: it is a header key")
+    lines = [f"{key} " + " ".join(v) for key, v in header.items()]
+    lines += [f"{t[0]} {t[1]} -> {' '.join(t[2:])}" for t in transitions]
+    return "\n".join(lines) + "\n"
 
 
-def read_automaton_text(text: str, what: str) -> tuple[list[tuple[str, ...]], list]:
-    """Split an automaton file into its header and its transition lines.
+def read_automaton_text(text: str, what: str) -> tuple[list[tuple[str, ...]], list[tuple[str, ...]]]:
+    """Split an automaton file into its header and its transitions.
 
     ``;`` begins a comment.  Every header key must be present with the
     number of values it takes; a repeated key overrides the earlier line.
     The header comes back as one value tuple per key, in file-format
-    order.  Every other line must contain ``->`` and is returned as a
-    ``(raw line, tokens)`` pair for the format's own transition grammar.
+    order.  Every other line must read ``state symbol -> target...`` and
+    comes back as the token tuple ``(state, symbol, *target)`` that
+    :func:`automaton_text` writes; each format checks the target's length.
     """
     header: dict[str, tuple[str, ...]] = {}
     transitions = []
@@ -240,8 +248,8 @@ def read_automaton_text(text: str, what: str) -> tuple[list[tuple[str, ...]], li
             if (len(parts) == 1 and arity != "*") or (len(parts) > 2 and arity == "1"):
                 raise ToolkitError(f"wrong number of values on {what} line: {raw!r}")
             header[parts[0]] = tuple(parts[1:])
-        elif "->" in parts:
-            transitions.append((raw, parts))
+        elif len(parts) > 3 and parts[2] == "->":
+            transitions.append((parts[0], parts[1], *parts[3:]))
         else:
             raise ToolkitError(f"cannot parse {what} line: {raw!r}")
     missing = [key for key in _HEADER if key not in header]
@@ -252,14 +260,8 @@ def read_automaton_text(text: str, what: str) -> tuple[list[tuple[str, ...]], li
 
 def serialize_automaton(a: Automaton2D) -> str:
     """Render the line-oriented automaton file format."""
-    lines = header_lines(
-        a.name, a.variant, a.mode, a.alphabet, a.states, a.initial, (a.accept,), {q for q, _ in a.delta}
-    )
-    order = {q: i for i, q in enumerate(a.states)}
-    for (q, sym), image in sorted(a.delta.items(), key=lambda kv: (order.get(kv[0][0], 1 << 30), kv[0][1])):
-        for q2, d in sorted(image):
-            lines.append(f"{q} {sym} -> {q2} {d}")
-    return "\n".join(lines) + "\n"
+    transitions = [(q, sym, q2, d) for (q, sym), image in a.delta.items() for q2, d in sorted(image)]
+    return automaton_text(a.name, a.variant, a.mode, a.alphabet, a.states, a.initial, (a.accept,), transitions)
 
 
 def parse_automaton(text: str) -> Automaton2D:
@@ -270,15 +272,13 @@ def parse_automaton(text: str) -> Automaton2D:
     enforces.
     """
     header, transitions = read_automaton_text(text, "automaton")
-    entries = []
-    for raw, parts in transitions:
-        if len(parts) != 5 or parts[2] != "->":
-            raise ToolkitError(f"cannot parse automaton line: {raw!r}")
-        entries.append((parts[0], parts[1], parts[3], parts[4]))
+    for t in transitions:
+        if len(t) != 4:
+            raise ToolkitError(f"cannot parse automaton transition {t!r}: it needs a target state and a move")
     (name,), (variant,), (mode,), symbols, states, (initial,), accept = header
     if len(accept) != 1:
         raise ToolkitError("a 2D machine has exactly one accepting state")
-    return Automaton2D(name, variant, mode, Alphabet(symbols), states, initial, accept[0], make_delta(entries))
+    return Automaton2D(name, variant, mode, Alphabet(symbols), states, initial, accept[0], make_delta(transitions))
 
 
 def load_automaton(path) -> Automaton2D:
@@ -286,6 +286,4 @@ def load_automaton(path) -> Automaton2D:
 
 
 def save_automaton(a: Automaton2D, path) -> None:
-    text = serialize_automaton(a)  # a machine it refuses leaves no file
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    write_text(path, serialize_automaton(a))

@@ -10,7 +10,7 @@ import argparse
 import sys
 
 from . import construct, onedim
-from .automaton import load_automaton, save_automaton, validate
+from .automaton import load_automaton, require_valid, save_automaton, validate
 from .concat import ConcatKind, col_concat, diag_concat_words, row_concat
 from .errors import CapacityError, ToolkitError
 from .oracle import (
@@ -22,10 +22,19 @@ from .oracle import (
     language_up_to,
     refute,
 )
-from .picture import Alphabet, format_picture, load_picture
+from .picture import Alphabet, format_picture, load_picture, write_text
 from .simulate import accepts, first_accepting_trace, format_trace, run_deterministic
 
-_KINDS = {"row": ConcatKind.ROW, "col": ConcatKind.COL, "diag": ConcatKind.DIAG}
+_KINDS = [k.value for k in ConcatKind]
+
+#: ``construct`` kinds that build from factor files: (file count, builder).
+_BUILDERS = {
+    "ibr": (1, construct.to_ibr),
+    "unary-row": (2, construct.unary_row_concat),
+    "unary-col": (2, construct.unary_col_concat),
+    "diag": (2, construct.diag_concat_nondet_2w),
+    "diag-sep": (2, construct.diag_concat_separated),
+}
 
 #: Default ``concat diag --cap``: the most filler words it will build and
 #: print.  Each free filler cell doubles them over two symbols, so without
@@ -41,7 +50,7 @@ BOUND_MAX_N = 683
 def _kind(name: str) -> ConcatKind:
     if name not in _KINDS:
         raise ToolkitError(f"unknown concat kind {name!r}; one of {', '.join(_KINDS)}")
-    return _KINDS[name]
+    return ConcatKind(name)
 
 
 def _refute(cand, target_concat, args) -> Counterexample | None:
@@ -73,14 +82,14 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
 
     p = sub.add_parser("concat", help="concatenate two picture files")
-    p.add_argument("kind", choices=["row", "col", "diag"])
+    p.add_argument("kind", choices=_KINDS)
     p.add_argument("picA")
     p.add_argument("picB")
     p.add_argument("--cap", type=int, default=DIAG_CAP,
                    help=f"most words diag may build; more exit 2 (default {DIAG_CAP})")
 
     p = sub.add_parser("construct", help="build an automaton transformer output")
-    p.add_argument("kind", choices=["ibr", "unary-row", "unary-col", "diag", "diag-sep", "witness"])
+    p.add_argument("kind", choices=[*_BUILDERS, "witness"])
     p.add_argument("inputs", nargs="+")
     p.add_argument("-o", "--output", required=True)
 
@@ -273,24 +282,17 @@ def _run_construct(args, out) -> int:
         (name,) = args.inputs
         built = construct.build_witness(name)
         if isinstance(built, list):
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(f"; family {name}: {len(built)} words\n")
-                for w in built:
-                    fh.write("\n" + format_picture(w))
+            words = "".join("\n" + format_picture(w) for w in built)
+            write_text(args.output, f"; family {name}: {len(built)} words\n{words}")
             return _written(out, args.output, len(built), "words")
         save_automaton(built, args.output)
         return _written(out, args.output, len(built.states))
-    builders = {
-        "ibr": (1, construct.to_ibr),
-        "unary-row": (2, construct.unary_row_concat),
-        "unary-col": (2, construct.unary_col_concat),
-        "diag": (2, construct.diag_concat_nondet_2w),
-        "diag-sep": (2, construct.diag_concat_separated),
-    }
-    arity, builder = builders[kind]
+    arity, builder = _BUILDERS[kind]
     if len(args.inputs) != arity:
         raise ToolkitError(f"construct {kind} takes {arity} automaton file(s)")
     machines = [load_automaton(p) for p in args.inputs]
+    for m in machines:
+        require_valid(m)
     result = builder(*machines)
     save_automaton(result, args.output)
     return _written(out, args.output, len(result.states))

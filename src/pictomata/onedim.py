@@ -31,9 +31,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
 
-from .automaton import Automaton2D, header_lines, read_automaton_text
+from .automaton import Automaton2D, automaton_text, read_automaton_text
 from .errors import ModeError, PreconditionError, ToolkitError, VariantError
-from .picture import BOUNDARY, Alphabet, Picture, read_text
+from .picture import BOUNDARY, Alphabet, Picture, read_text, write_text
 from .simulate import run_deterministic
 
 TWO_WAY = "1D-2W"
@@ -438,17 +438,12 @@ def gadget_k(n: int) -> int:
 
 
 def serialize_automaton_1d(a: Automaton1D) -> str:
-    lines = header_lines(
-        a.name, a.kind, "det", a.alphabet, a.states, a.initial, a.accept_states, {q for q, _ in a.delta}
-    )
-    order = {q: i for i, q in enumerate(a.states)}
-    for (q, sym), step in sorted(a.delta.items(), key=lambda kv: (order[kv[0][0]], kv[0][1])):
-        if a.kind == TWO_WAY:
-            q2, d = step
-            lines.append(f"{q} {sym} -> {q2} {d}")
-        else:
-            lines.append(f"{q} {sym} -> {step}")
-    return "\n".join(lines) + "\n"
+    """Render the 1D automaton file format; refuses what the reader's :func:`_problems` refuses."""
+    problems = _problems(a)
+    if problems:
+        raise ToolkitError(f"cannot write 1D automaton {a.name!r}: " + "; ".join(problems))
+    transitions = [(q, sym, *step) if a.kind == TWO_WAY else (q, sym, step) for (q, sym), step in a.delta.items()]
+    return automaton_text(a.name, a.kind, "det", a.alphabet, a.states, a.initial, a.accept_states, transitions)
 
 
 def parse_automaton_1d(text: str) -> Automaton1D:
@@ -456,7 +451,7 @@ def parse_automaton_1d(text: str) -> Automaton1D:
     :func:`serialize_automaton_1d`.
 
     Checks the file's own syntax here: the variant, the ``det`` mode,
-    the shape of each transition line, one line per (state, symbol)
+    the target count of each transition line, one line per (state, symbol)
     pair.  Then reports, joined by ``"; "``, every problem of the
     machine that the compiled tables reject too (:func:`_problems`).
     """
@@ -467,13 +462,12 @@ def parse_automaton_1d(text: str) -> Automaton1D:
     if mode != "det":
         raise ToolkitError("1D machines are deterministic")
     delta: dict = {}
-    for raw, parts in transitions:
-        if len(parts) != (5 if kind == TWO_WAY else 4) or parts[2] != "->":
-            raise ToolkitError(f"cannot parse 1D transition line: {raw!r}")
-        q, sym, _, q2, *move = parts
+    for q, sym, *target in transitions:
+        if len(target) != (2 if kind == TWO_WAY else 1):
+            raise ToolkitError(f"cannot parse 1D automaton transition {(q, sym, *target)!r} of a {kind} machine")
         if (q, sym) in delta:
             raise ToolkitError(f"duplicate transition for {(q, sym)}")
-        delta[(q, sym)] = (q2, *move) if move else q2
+        delta[(q, sym)] = tuple(target) if kind == TWO_WAY else target[0]
     a = Automaton1D(name, kind, Alphabet(symbols), states, initial, accept_states, delta)
     problems = _problems(a)
     if problems:
@@ -486,6 +480,4 @@ def load_automaton_1d(path) -> Automaton1D:
 
 
 def save_automaton_1d(a: Automaton1D, path) -> None:
-    text = serialize_automaton_1d(a)  # a machine it refuses leaves no file
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    write_text(path, serialize_automaton_1d(a))

@@ -206,5 +206,12 @@ def read_text(path) -> str:
             raise ToolkitError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
+def write_text(path, text: str) -> None:
+    """Write a UTF-8 text file; the twin of :func:`read_text`.  Callers
+    format the whole text first, so a writer that refuses leaves no file."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
 def load_picture(path, allow_hash: bool = False) -> Picture:
     return parse_picture(read_text(path), allow_hash=allow_hash)

@@ -48,6 +48,12 @@ def test_validate_accept_source_and_unknowns():
     assert any("unknown target state" in v for v in msgs)
 
 
+def test_validate_reports_an_empty_image():
+    # the file format cannot express one, so a machine built in code is the only source
+    a = Automaton2D("e", "2W", "det", AB01, ("q0", "acc"), "q0", "acc", {("q0", "0"): frozenset()})
+    assert validate(a) == ["empty image at (q0,'0')"]
+
+
 def test_witness_is_well_formed():
     assert validate(first_row_zeros()) == []
 

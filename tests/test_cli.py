@@ -104,18 +104,41 @@ _AUT_3W = "automaton h\nvariant 3W\nmode det\nalphabet 0 1\nstates q0 acc\niniti
         pytest.param("to-oneway", _AUT_1D + "q0 2 -> q0 R\n", id="1d-foreign-symbol"),
         pytest.param("to-oneway", _AUT_1D + "q0 0 -> q0 X\n", id="1d-bad-move"),
         pytest.param("rowsim", _AUT_3W + "q0 0 -> q0 R\nq0 0 -> acc D\n", id="3w-det-fan-out"),
+        pytest.param("construct ibr", _AUT_2D + "q0 0 -> zz R\n", id="ibr-factor-undeclared-target"),
+        pytest.param("construct diag", _AUT_2D + "q0 0 -> zz R\n", id="diag-factor-undeclared-target"),
     ],
 )
 def test_malformed_machine_files_exit_2(tmp_path, verb, text):
     path = tmp_path / "bad.aut"
     path.write_text(text)
-    extra = {
-        "validate": [],
-        "to-oneway": ["-o", str(tmp_path / "o.aut")],
-        "rowsim": ["--entry-state", "q0", "--side", "left", "--offset", "1", "-o", str(tmp_path / "o.aut")],
+    o = str(tmp_path / "o.aut")
+    args = {
+        "validate": [str(path)],
+        "to-oneway": [str(path), "-o", o],
+        "rowsim": [str(path), "--entry-state", "q0", "--side", "left", "--offset", "1", "-o", o],
+        "construct ibr": [str(path), "-o", o],
+        "construct diag": [str(path), str(path), "-o", o],
     }[verb]
-    status, out = run_cli([verb, str(path), *extra])
+    status, out = run_cli([*verb.split(), *args])
     assert (status, out) == (2, "")
+    assert not (tmp_path / "o.aut").exists()
+
+
+@pytest.mark.parametrize(
+    "edit, violation",
+    [
+        (("variant 2W", "variant 5W"), "unknown variant '5W'"),
+        (("mode det", "mode x"), "unknown mode 'x'"),
+        (("states q0 acc", "states q0 q0 acc"), "duplicate state identifiers"),
+        (("initial q0", "initial ghost"), "initial state 'ghost' not declared"),
+        (("accept acc", "accept ghost"), "accepting state 'ghost' not declared"),
+        (("q0 # -> acc R", "ghost # -> acc R"), "unknown source state at (ghost,'#')"),
+    ],
+)
+def test_validate_reports_each_violation(tmp_path, edit, violation):
+    path = tmp_path / "bad.aut"
+    path.write_text(_AUT_2D.replace(*edit))
+    assert run_cli(["validate", str(path)]) == (1, f"valid: no\nviolation: {violation}\n")
 
 
 def test_enum_report(frz_path):
@@ -135,6 +158,16 @@ def test_concat_row(tmp_path):
     b.write_text("011\n")
     status, _ = run_cli(["concat", "row", str(a), str(b)])
     assert status == 2
+
+
+def test_concat_col(tmp_path, capsys):
+    a, b = tmp_path / "a.pic", tmp_path / "b.pic"
+    a.write_text("0\n1\n")
+    b.write_text("10\n01\n")
+    assert run_cli(["concat", "col", str(a), str(b)]) == (0, "010\n101\n")
+    b.write_text("1\n")
+    assert run_cli(["concat", "col", str(a), str(b)]) == (2, "")
+    assert capsys.readouterr().err == "error: col concat needs equal row counts (2 vs 1)\n"
 
 
 def test_concat_diag_cap(tmp_path):
@@ -238,6 +271,21 @@ def test_refute_ok_for_correct_construction(tmp_path):
     assert out == "verdict: no-counterexample\n"
 
 
+def test_equiv_needs_exactly_one_target(frz_path, capsys):
+    both = ["--against-aut", frz_path, "--against-concat", "row", frz_path, frz_path]
+    for extra in ([], both):
+        assert run_cli(["equiv", frz_path, *extra, "--max-rows", "1", "--max-cols", "1"]) == (2, "")
+        assert capsys.readouterr().err == "error: need exactly one of --against-aut / --against-concat\n"
+
+
+def test_construct_with_the_wrong_number_of_files(tmp_path, frz_path, capsys):
+    out_path = tmp_path / "o.aut"
+    for kind, files, arity in (("ibr", [frz_path, frz_path], 1), ("diag", [frz_path], 2)):
+        assert run_cli(["construct", kind, *files, "-o", str(out_path)]) == (2, "")
+        assert capsys.readouterr().err == f"error: construct {kind} takes {arity} automaton file(s)\n"
+    assert not out_path.exists()
+
+
 def test_unknown_concat_kind_is_a_usage_error(tmp_path, frz_path, capsys):
     for argv in (["equiv", frz_path, "--against-concat", "stack", frz_path, frz_path],
                  ["refute", frz_path, "--target-concat", "stack", frz_path, frz_path]):
@@ -311,6 +359,13 @@ def test_lemma2_check_exits_1_on_a_far_departure(tmp_path, monkeypatch):
     monkeypatch.setattr(onedim, "downward_departures", lambda m2, w, i: far)
     status, out = run_cli(["lemma2-check", str(apath), str(ppath), "--row", "1"])
     assert (status, out) == (1, "departures: 1\ndeparture: col=10 visited_first=true visited_last=false ok=false\n")
+
+
+def test_lemma2_check_on_a_row_never_left(tmp_path):
+    apath, ppath = tmp_path / "h.aut", tmp_path / "w.pic"
+    apath.write_text(_AUT_3W)  # no transitions: the run halts where it starts
+    ppath.write_text("00\n00\n")
+    assert run_cli(["lemma2-check", str(apath), str(ppath), "--row", "1"]) == (0, "departures: 0\n")
 
 
 def test_rowsim_and_to_oneway(tmp_path):

@@ -373,6 +373,7 @@ def _all_pictures(syms, max_cells):
                 yield picture_of([s[i * n : (i + 1) * n] for i in range(m)], allow_hash=True)
 
 
+@pytest.mark.slow
 def test_split_separated_equals_its_definition():
     # every picture over {0,1,#} up to 9 cells and over {0,#} up to 12
     # (1 x n and m x 1 words, separators on an edge, two full '#' rows or

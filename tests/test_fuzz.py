@@ -32,6 +32,7 @@ from pictomata.onedim import (
     TWO_WAY,
     Automaton1D,
     parse_automaton_1d,
+    save_automaton_1d,
     serialize_automaton_1d,
     simulate_1d,
     two_way_to_one_way,
@@ -166,10 +167,10 @@ def test_cli_exit_status_on_fuzzed_files(text2d, text1d, text_pic, allow_hash):
             assert dispatch(argv, out=io.StringIO()) in (0, 1, 2), argv
 
 
-def _machine_2d(name="m", states=("q0", "acc"), symbols=("a",), source="q0"):
+def _machine_2d(name="m", states=("q0", "acc"), symbols=("a",), source="q0", target=None, move="R"):
     return Automaton2D(
         name, "2W", "det", Alphabet(symbols), states, states[0], states[-1],
-        make_delta([(source, symbols[0], states[-1], "R")]),
+        make_delta([(source, symbols[0], target or states[-1], move)]),
     )
 
 
@@ -183,19 +184,28 @@ def test_writers_refuse_what_their_readers_cannot_read_back(tmp_path):
         _machine_2d(symbols=(" ",)),
         _machine_2d(name="my machine"),
         _machine_2d(name=""),
+        _machine_2d(target="p q"),  # written as 'q0 a -> p q R'
+        _machine_2d(target="p;q"),
+        _machine_2d(move=""),
     ]
-    for a in probes_2d:
-        with pytest.raises(ToolkitError):
-            serialize_automaton(a)
-        with pytest.raises(ToolkitError):
-            save_automaton(a, tmp_path / "m.aut")
-        assert not (tmp_path / "m.aut").exists()
-    accept_source = Automaton1D(
-        "n", TWO_WAY, Alphabet(("a",)), ("q0", "accept"), "q0", ("accept",),
-        {("q0", "a"): ("accept", "R"), ("accept", "#"): ("q0", "L")},
-    )
-    with pytest.raises(ToolkitError):
-        serialize_automaton_1d(accept_source)
+    probes_1d = [
+        Automaton1D(
+            "n", TWO_WAY, Alphabet(("a",)), ("q0", "accept"), "q0", ("accept",),
+            {("q0", "a"): ("accept", "R"), ("accept", "#"): ("q0", "L")},
+        ),
+        # an undeclared source, which the reader's check refuses
+        Automaton1D("n", TWO_WAY, Alphabet(("a",)), ("q0", "acc"), "q0", ("acc",), {("zz", "a"): ("acc", "R")}),
+    ]
+    for probes, serialize, save in (
+        (probes_2d, serialize_automaton, save_automaton),
+        (probes_1d, serialize_automaton_1d, save_automaton_1d),
+    ):
+        for a in probes:
+            with pytest.raises(ToolkitError):
+                serialize(a)
+            with pytest.raises(ToolkitError):
+                save(a, tmp_path / "m.aut")
+            assert not (tmp_path / "m.aut").exists()
     with pytest.raises(ToolkitError):
         format_picture(Picture((";a",)))
     # a header key is fine as a state without transitions, and a row may hold ';'
@@ -226,8 +236,9 @@ def test_written_machines_and_pictures_read_back_equal_or_are_refused(data):
     states = tuple(draw(st.lists(_name, min_size=1, max_size=3, unique=True)))
     symbols = tuple(draw(_symbols))
     keys = st.tuples(st.sampled_from(states), st.sampled_from([*symbols, "#"]))
+    targets = st.one_of(st.sampled_from(states), _name)
     entries = [
-        (q, sym, draw(st.sampled_from(states)), draw(st.sampled_from("DLRU")))
+        (q, sym, draw(targets), draw(st.one_of(st.sampled_from("DLRU"), _name)))
         for q, sym in draw(st.lists(keys, max_size=4))
     ]
     a = Automaton2D(
@@ -240,10 +251,11 @@ def test_written_machines_and_pictures_read_back_equal_or_are_refused(data):
     kind = draw(st.sampled_from([TWO_WAY, ONE_WAY]))
     if kind == TWO_WAY:
         accept = (draw(st.sampled_from(states)),)
-        delta = {k: (draw(st.sampled_from(states)), draw(st.sampled_from("LR"))) for k in draw(st.lists(keys))}
+        moves = st.one_of(st.sampled_from("LR"), _name)
+        delta = {k: (draw(targets), draw(moves)) for k in draw(st.lists(keys))}
     else:
         accept = tuple(draw(st.lists(st.sampled_from(states), unique=True)))
-        delta = {k: draw(st.sampled_from(states)) for k in draw(st.lists(keys))}
+        delta = {k: draw(targets) for k in draw(st.lists(keys))}
     n = Automaton1D(draw(_name), kind, Alphabet(symbols), states, draw(st.sampled_from(states)), accept, delta)
     _refused_or_read_back(serialize_automaton_1d, parse_automaton_1d, n)
 

@@ -201,6 +201,7 @@ def _flippable_cells(a, w):
     return found
 
 
+@pytest.mark.slow
 def test_flip_attack_flips_exactly_the_cells_some_accepting_run_avoids():
     # a unary machine has no flip to make
     machines = [a for a in _sweep_machines() if len(a.alphabet) > 1]

@@ -530,6 +530,7 @@ def _assert_kernel_is_the_generic_search(a, cases):
         pytest.fail(f"{a.name}: kernel says {got[first]} on window {windows[first][0]}")
 
 
+@pytest.mark.slow
 def test_two_way_kernel_equals_the_generic_search():
     # the verdicts of a 2W machine from the initial configuration go to
     # a kernel that reads only the window's cells, answers exits past row
