@@ -259,7 +259,17 @@ def read_automaton_text(text: str, what: str) -> tuple[list[tuple[str, ...]], li
 
 
 def serialize_automaton(a: Automaton2D) -> str:
-    """Render the line-oriented automaton file format."""
+    """Render the line-oriented automaton file format.
+
+    Each (state, symbol) pair is written as one line per move of its
+    image, so an empty image would leave no line and be read back as an
+    absent entry: such a machine raises ``ToolkitError``, naming the
+    first pair.  Any other machine is written, valid or not.
+    """
+    empty = [key for key, image in a.delta.items() if not image]
+    if empty:
+        q, sym = min(empty)
+        raise ToolkitError(f"cannot write the empty image at ({q},{sym!r}): the format has no line for it")
     transitions = [(q, sym, q2, d) for (q, sym), image in a.delta.items() for q2, d in sorted(image)]
     return automaton_text(a.name, a.variant, a.mode, a.alphabet, a.states, a.initial, (a.accept,), transitions)
 

@@ -12,12 +12,16 @@ pair of factors yields a whole set of results over a non-unary alphabet.
 factor directly.  It deliberately shares no code with the automaton
 constructions elsewhere in this package: it is the ground truth they are
 tested against, one word at a time, and it keeps nothing between calls.
-It runs its checks, then the one split loop, :func:`_split_search`.
-:func:`_splits` is the split geometry of all three kinds: for each size
-of word, the pair of blocks of every split, as windows of the word, in
-split order, which the split loop searches in place.  A sweep of many
-words (``oracle.refute``) passes the checks on its first word through
-``concat_membership`` and hands every later word to the split loop.
+It runs its checks, then the one split loop, :func:`_split_search`, on
+the word as a group of one.  :func:`_splits` is the split geometry of
+all three kinds: for each size of word, the pair of blocks of every
+split, as windows of the word, in split order, which the split loop
+searches in place.  The split loop takes a group of words of one size
+that share their first m-1 rows, and decides a's block of each split
+once for the whole group when that block lies above the last row (row
+and diagonal splits).  A sweep of many words (``oracle.refute``) passes
+the checks on its first word through ``concat_membership`` and hands
+the split loop one row prefix at a time, with every last row.
 """
 
 import enum
@@ -80,7 +84,7 @@ def diag_concat_words(
 
 
 # keyed by the kind's value, which hashes in C, unlike the member itself
-_TABLES: dict[str, dict[tuple[int, int], tuple]] = {kind.value: {} for kind in ConcatKind}
+_TABLES: dict[tuple[str, int, int], tuple] = {}
 
 
 def _splits(kind: ConcatKind, m: int, n: int) -> tuple:
@@ -95,10 +99,11 @@ def _splits(kind: ConcatKind, m: int, n: int) -> tuple:
     word too small to split has no entry.  Each table is built on first
     use and kept, one per kind and size, so a sweep that calls
     :func:`concat_membership` once per word builds it once per size; it
-    has fewer entries than the word has cells.
+    has fewer entries than the word has cells.  The split loop reads a
+    kept table from ``_TABLES`` itself and calls this only to build one.
     """
-    table = _TABLES[kind._value_]
-    splits = table.get((m, n))
+    key = (kind._value_, m, n)
+    splits = _TABLES.get(key)
     if splits is None:
         # (rows, cols) of a's block, then the rows above and columns left of b's
         if kind is ConcatKind.ROW:
@@ -107,7 +112,7 @@ def _splits(kind: ConcatKind, m: int, n: int) -> tuple:
             cuts = [(m, j, 0, j) for j in range(1, n)]
         else:
             cuts = [(i, j, i, j) for i in range(1, m) for j in range(1, n)]
-        splits = table[m, n] = tuple(((-1, -1, i, j), (r - 1, c - 1, m - r, n - c)) for i, j, r, c in cuts)
+        splits = _TABLES[key] = tuple(((-1, -1, i, j), (r - 1, c - 1, m - r, n - c)) for i, j, r, c in cuts)
     return splits
 
 
@@ -129,41 +134,71 @@ def concat_membership(kind: ConcatKind, a: Automaton2D, b: Automaton2D, w: Pictu
     a ``w`` raises ``AlphabetError``.
 
     Then :func:`_split_search` runs each factor on its block of w in
-    place.  No check is repeated: every block lies inside w by
-    construction, and its symbols are among w's, which have just been
-    checked.  Nothing is remembered across calls, so each call simulates
-    every block it needs afresh.
+    place, with w as a group of one.  No check is repeated: every block
+    lies inside w by construction, and its symbols are among w's, which
+    have just been checked.  Nothing is remembered across calls, so each
+    call simulates every block it needs afresh.
     """
     sa, sb = a.alphabet.symbols, b.alphabet.symbols
     if sa != sb and set(sa) != set(sb):  # a set costs ~7x a tuple compare
         raise AlphabetError("factor machines must share one alphabet")
-    if not a.compiled.legal[False].issuperset("".join(w.rows)):
+    ca, rows = a.compiled, w.rows
+    if not ca.legal[False].issuperset("".join(rows)):
         check_input(a, w, allow_hash=False)  # raises, naming the symbols
     if not isinstance(kind, ConcatKind):
         raise ValueError(f"unknown concat kind {kind!r}")
-    return _split_search(kind, a.compiled, b.compiled, w.rows, w.m, w.n)
+    return not _split_search(kind, ca, b.compiled, (rows,), w.m, w.n)
 
 
-def _split_search(kind: ConcatKind, ca: Compiled, cb: Compiled, rows, m: int, n: int) -> bool:
-    """Whether some split of the m x n word ``rows`` puts its a-block in
-    L(a) and its b-block in L(b): the split loop of
-    :func:`concat_membership`, on the compiled factors, with none of its
-    checks.
+def _split_search(kind: ConcatKind, ca: Compiled, cb: Compiled, words, m: int, n: int):
+    """The words of ``words`` that no split puts in L(a) <kind> L(b), in
+    their order: the split loop of :func:`concat_membership`, on the
+    compiled factors, with none of its checks.
 
-    Each factor runs on its block in place, by the search of
+    ``words`` is a group of m x n words, each a tuple of rows, that share
+    their first m-1 rows, as one row prefix with each of its last rows;
+    :func:`concat_membership` passes its word as a group of one.  The
+    split table and both kernels are resolved once per group.  Each
+    factor runs on its block in place, by the search of
     :func:`~pictomata.simulate.accepts` on a window of the word from
     :func:`_splits`, as if on the block copied out with
     :func:`~pictomata.picture.subpicture`: the 2W kernel for a 2W factor,
-    the generic search for any other, picked once per call.  A caller
-    whose first word passed the oracle's checks may hand it every later
-    word over the same symbols, of the same kind and factors, since those
-    checks cannot fail on them."""
+    the generic search for any other.  Splits go in split order, and each
+    word drops out at its first split that holds.  When a's block lies
+    above the last row, the window says so, and it reads the same cells
+    in every word of the group, so a is run on it once, on the group's
+    first word; a block that reaches the last row (a column split) is
+    run per word, and b's block always is.  While one word is open, as
+    in every call of :func:`concat_membership`, it is searched without a
+    loop over the words, which would cost a group of one a few percent.
+    A caller whose first word passed the oracle's checks may hand it
+    every later word over the same symbols, of the same kind and
+    factors, since those checks cannot fail on them."""
     search_a = _two_way if ca.is2w else _search
     search_b = _two_way if cb.is2w else _search
-    for (r0, c0, m0, n0), (r1, c1, m1, n1) in _splits(kind, m, n):
-        if search_a(ca, rows, r0, c0, m0, n0) and search_b(cb, rows, r1, c1, m1, n1):
-            return True
-    return False
+    splits = _TABLES.get((kind._value_, m, n))
+    if splits is None:
+        splits = _splits(kind, m, n)
+    first = words[0]
+    left = words
+    for (r0, c0, m0, n0), b_window in splits:
+        # a's block runs from the top row down; with fewer than m rows it
+        # lies above the last row, where all the words agree, so a's
+        # verdict on the first word is its verdict on every word
+        if m0 < m and not search_a(ca, first, r0, c0, m0, n0):
+            continue
+        r1, c1, m1, n1 = b_window
+        if len(left) == 1:
+            rows = left[0]
+            if (m0 < m or search_a(ca, rows, r0, c0, m0, n0)) and search_b(cb, rows, r1, c1, m1, n1):
+                return []
+            continue
+        for rows in left:
+            if (m0 < m or search_a(ca, rows, r0, c0, m0, n0)) and search_b(cb, rows, r1, c1, m1, n1):
+                left = [other for other in left if other is not rows]
+        if not left:
+            return left
+    return left
 
 
 def split_separated(p: Picture) -> tuple[int, int, Picture, Picture] | None:

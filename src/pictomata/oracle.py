@@ -16,17 +16,21 @@ prefix once, through the transfer's own memo of steps, and
 from the state it leaves.  :func:`language_up_to` builds a picture for
 the accepted words alone.  A 4W candidate can move up, so rows do not
 cut its runs; it is decided by :func:`~pictomata.simulate.accepts` on
-each picture of :func:`enumerate_pictures`.  Each sweep checks its
-budget when it is called, before it compiles the candidate.
+each word, in the same order and the same prefix groups.  Each sweep
+checks its budget when it is called, before it compiles the candidate.
 
 :func:`equivalent_up_to` and :func:`refute` share one sweep-and-compare
-loop, :func:`_first_difference`, whose target verdict reads a word's
-rows.  The loop builds a :class:`Picture` for the counterexample alone;
-:func:`equivalent_up_to` builds one per word for its target, which
-reads pictures.  :func:`refute` asks
+loop, :func:`_first_difference`, which asks its target about one row
+prefix at a time, with every last row, and compares word by word.  The
+loop builds a :class:`Picture` for the counterexample alone.
+:func:`equivalent_up_to`'s target reads pictures, so it builds one per
+word and asks the target about each word in turn, stopping at the first
+difference.  :func:`refute` asks
 :func:`~pictomata.concat.concat_membership` about the first word only,
 so that every check of the split oracle runs once, in its order, and
-asks the oracle's split loop directly about every later word.
+asks the oracle's split loop about every later prefix with its last
+rows at once, so that a's block of a row or diagonal split is decided
+once per prefix rather than once per word.
 """
 
 from collections.abc import Callable, Iterator
@@ -138,26 +142,29 @@ def enumerate_pictures(
 
 def _swept(
     a: Automaton2D, bounds: DimBounds, budget: int | None
-) -> Iterator[tuple[tuple[str, ...], bool]]:
-    """The rows of every picture within bounds, in the fixed total order,
-    each with the machine's verdict.  The budget is checked at the call,
-    then the machine is compiled, so a sweep raises in that order.
+) -> Iterator[tuple[tuple[str, ...], list[str], list[bool]]]:
+    """Every picture within bounds, in the fixed total order, one row
+    prefix at a time: each size's prefixes of m-1 rows, each with the
+    |alphabet|**n rows that can end it and the machine's verdicts on the
+    words they make.  The budget is checked at the call, then a 2W or 3W
+    machine is compiled, so a sweep raises in that order.
 
-    A 2W or 3W machine is decided by one row transfer: the pictures of
-    one size share their first m-1 rows with the next |alphabet|**n
-    pictures, so :meth:`~pictomata.simulate.RowTransfer.verdicts` folds
-    each such prefix once.  A 4W machine is decided by :func:`accepts`
-    on each picture of :func:`enumerate_pictures`.
+    A 2W or 3W machine is decided by one row transfer:
+    :meth:`~pictomata.simulate.RowTransfer.verdicts` folds each prefix
+    once.  A 4W machine is decided by :func:`accepts` on each word of the
+    group, when the group is reached.
     """
     _check_budget(a.alphabet, bounds, budget)
-    if a.variant not in ("2W", "3W"):
-        return ((w.rows, accepts(a, w)) for w in enumerate_pictures(a.alphabet, bounds, None))
-    verdicts = RowTransfer(a).verdicts
+    if a.variant in ("2W", "3W"):
+        decide = RowTransfer(a).verdicts
+    else:
+        def decide(prefix, lasts):
+            return [accepts(a, _trusted_picture(prefix + (last,))) for last in lasts]
+
     return (
-        (prefix + (last,), got)
+        (prefix, rows, decide(prefix, rows))
         for m, rows in _row_sets(a.alphabet, bounds)
         for prefix in product(rows, repeat=m - 1)
-        for last, got in zip(rows, verdicts(prefix, rows))
     )
 
 
@@ -165,7 +172,12 @@ def language_up_to(
     a: Automaton2D, bounds: DimBounds, budget: int | None = DEFAULT_BUDGET
 ) -> set[Picture]:
     """Exactly the pictures within bounds that the machine accepts."""
-    return {_trusted_picture(rows) for rows, got in _swept(a, bounds, budget) if got}
+    return {
+        _trusted_picture(prefix + (last,))
+        for prefix, lasts, gots in _swept(a, bounds, budget)
+        for last, got in zip(lasts, gots)
+        if got
+    }
 
 
 def equivalent_up_to(
@@ -176,27 +188,37 @@ def equivalent_up_to(
 ) -> Counterexample | None:
     """First word (in enumeration order) where candidate and target differ.
 
-    Returns None when they agree on every picture within bounds.
+    Returns None when they agree on every picture within bounds.  The
+    target is asked about each word in order, up to the first difference.
     """
-    return _first_difference(candidate, lambda rows: bool(target(_trusted_picture(rows))), bounds, budget)
+
+    def expected(prefix, lasts):
+        return lambda last: bool(target(_trusted_picture(prefix + (last,))))
+
+    return _first_difference(candidate, expected, bounds, budget)
 
 
 def _first_difference(
     candidate: Automaton2D,
-    expected: Callable[[tuple[str, ...]], bool],
+    expected: Callable[[tuple[str, ...], list[str]], Callable[[str], bool]],
     bounds: DimBounds,
     budget: int | None,
 ) -> Counterexample | None:
     """The sweep-and-compare loop of :func:`equivalent_up_to` and
-    :func:`refute`: the first word of :func:`_swept` on whose rows the
-    target verdict ``expected`` differs from the candidate's.  Only that
-    word becomes a :class:`Picture`, with an accepting run as evidence
-    when the candidate accepts it."""
-    for rows, got in _swept(candidate, bounds, budget):
-        if got != expected(rows):
-            w = _trusted_picture(rows)
-            evidence = first_accepting_trace(candidate, w) if got else None
-            return Counterexample(w, expected=not got, got=got, evidence=evidence)
+    :func:`refute`: the first word of :func:`_swept` on which the target
+    verdict differs from the candidate's.  For each row prefix,
+    ``expected(prefix, lasts)`` gives the target's verdict on the words
+    it begins as a function of their last row, which the loop asks word
+    by word, so no word past the first difference is asked about.  Only
+    that word becomes a :class:`Picture`, with an accepting run as
+    evidence when the candidate accepts it."""
+    for prefix, lasts, gots in _swept(candidate, bounds, budget):
+        verdict = expected(prefix, lasts)
+        for last, got in zip(lasts, gots):
+            if got != verdict(last):
+                w = _trusted_picture(prefix + (last,))
+                evidence = first_accepting_trace(candidate, w) if got else None
+                return Counterexample(w, expected=not got, got=got, evidence=evidence)
     return None
 
 
@@ -275,10 +297,12 @@ def refute(
     once, in its order.  None of them can fail on a later word: every
     word of the sweep is over the candidate's symbols, which are a's and
     hence b's, and the kind and factors do not change.  So every later
-    word goes to the oracle's split loop on its rows, and no
-    :class:`Picture` is built but the counterexample's.  The first
-    counterexample found is verified against the public oracle, its
-    evidence replayed, and returned.
+    word goes to the oracle's split loop on its rows, one row prefix at
+    a time with all its last rows, so that a's block above the last row
+    is searched once per prefix; no :class:`Picture` is built but the
+    first word's and the counterexample's.  The first counterexample
+    found is verified against the public oracle, its evidence replayed,
+    and returned.
 
     Flipping cells off a run finds nothing more within the same bounds.
     A flip of a cell that an accepting run never visits leaves that run
@@ -291,13 +315,18 @@ def refute(
     check_same_symbols(candidate, a)
     ca = cb = None
 
-    def expected(rows):
+    def expected(prefix, lasts):
         nonlocal ca, cb
+        words = [prefix + (last,) for last in lasts]
+        members = set(lasts)
         if cb is None:  # the first word: every check, once, in the oracle's order
-            verdict = concat_membership(kind, a, b, _trusted_picture(rows))
+            if not concat_membership(kind, a, b, _trusted_picture(words.pop(0))):
+                members.discard(lasts[0])
             ca, cb = a.compiled, b.compiled
-            return verdict
-        return _split_search(kind, ca, cb, rows, len(rows), len(rows[0]))
+        if words:
+            for rows in _split_search(kind, ca, cb, words, len(prefix) + 1, len(lasts[0])):
+                members.discard(rows[-1])
+        return members.__contains__
 
     ce = _first_difference(candidate, expected, bounds, budget)
     target = partial(concat_membership, kind, a, b)

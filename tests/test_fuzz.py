@@ -25,6 +25,7 @@ from pictomata import (
     parse_picture,
     save_automaton,
     serialize_automaton,
+    validate,
 )
 from pictomata.cli import dispatch
 from pictomata.onedim import (
@@ -212,6 +213,34 @@ def test_writers_refuse_what_their_readers_cannot_read_back(tmp_path):
     a = _machine_2d(states=("q0", "accept"))
     assert parse_automaton(serialize_automaton(a)) == a
     assert parse_picture(format_picture(Picture(("a;",)))) == Picture(("a;",))
+
+
+def test_an_empty_image_is_refused_and_no_other_invalid_machine_is(tmp_path):
+    # the format writes one line per move, so an empty image would leave no
+    # line and come back as an absent entry: a machine that validate passes
+    ab = Alphabet(("0", "1"))
+    empty = Automaton2D("m", "2W", "det", ab, ("q0", "acc"), "q0", "acc", {("q0", "0"): frozenset()})
+    assert validate(empty) == ["empty image at (q0,'0')"]
+    with pytest.raises(ToolkitError, match=r"^cannot write the empty image at \(q0,'0'\)"):
+        serialize_automaton(empty)
+    with pytest.raises(ToolkitError, match=r"\(q0,'0'\)"):
+        save_automaton(empty, tmp_path / "m.aut")
+    assert not (tmp_path / "m.aut").exists()
+    # every other invalid machine is written as it is, for validate to report
+    invalid = [
+        _machine_2d(symbols=("0", "1"), move="U"),  # illegal direction for 2W
+        _machine_2d(symbols=("0", "1"), source="acc"),  # transition from the accepting state
+        _machine_2d(symbols=("0", "1"), source="zz"),  # undeclared source
+        Automaton2D("m", "2W", "det", ab, ("q0", "acc"), "q0", "acc",
+                    make_delta([("q0", "0", "acc", "R"), ("q0", "0", "q0", "D")])),  # fan-out in det mode
+    ]
+    for a in invalid:
+        assert validate(a)
+        save_automaton(a, tmp_path / "m.aut")
+        assert parse_automaton((tmp_path / "m.aut").read_text(encoding="utf-8")) == a
+        out = io.StringIO()
+        assert dispatch(["validate", str(tmp_path / "m.aut")], out=out) == 1
+        assert out.getvalue().splitlines()[1:] == [f"violation: {v}" for v in validate(a)]
 
 
 #: Printable characters, with the ones the file formats give a meaning to

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import functools
 import random
@@ -722,3 +723,103 @@ def test_concat_membership_equals_the_oracle_and_the_definition():
             assert got == want, (kind, a.name, b.name)
             members += sum(got)
     assert 0 < members < len(pairs) * len(ConcatKind) * len(words)
+
+
+def _row_groups(max_rows, max_cols):
+    """Every prefix group of the {0,1} words up to max_rows x max_cols:
+    (m, n, prefix, lasts), one-row sizes (empty prefix) included."""
+    for m, n in product(range(1, max_rows + 1), range(1, max_cols + 1)):
+        lasts = ["".join(cells) for cells in product("01", repeat=n)]
+        for prefix in product(lasts, repeat=m - 1):
+            yield m, n, prefix, lasts
+
+
+def test_grouped_split_verdicts_equal_the_oracle_word_by_word():
+    # the split loop decides one row prefix with all its last rows at once,
+    # a's block above the last row once for the group; its verdicts must be
+    # concat_membership's on each word, for every kind, for b of each
+    # variant and mode, on every group up to 3x3 (sizes too small to split
+    # included), and the words it leaves keep their order
+    rng = random.Random(2207)
+    shapes = [("2W", "2W"), ("2W", "3W"), ("3W", "4W"), ("4W", "2W"), ("2W", "4W"), ("3W", "3W")]
+    modes = [("det", "nondet"), ("nondet", "det"), ("nondet", "nondet"), ("det", "det")]
+    pairs = [(random_2d(rng, va, ma), random_2d(rng, vb, mb)) for (va, vb) in shapes for ma, mb in modes[:2]]
+    pairs += [(random_2d(rng, "2W", ma), random_2d(rng, "2W", mb)) for ma, mb in modes[2:]]
+    members = words_seen = 0
+    for a, b in pairs:
+        for kind in ConcatKind:
+            for m, n, prefix, lasts in _row_groups(3, 3):
+                words = [prefix + (last,) for last in lasts]
+                left = concat._split_search(kind, a.compiled, b.compiled, words, m, n)
+                want = [concat_membership(kind, a, b, Picture(rows)) for rows in words]
+                assert [rows not in left for rows in words] == want, (kind, a.name, b.name, prefix)
+                assert list(left) == [rows for rows, member in zip(words, want) if not member]
+                members += sum(want)
+                words_seen += len(words)
+    assert 0 < members < words_seen
+
+
+def test_refute_searches_each_block_above_the_last_row_once_per_prefix(monkeypatch):
+    # a regression guard in counts, not time: over a whole sweep, refute
+    # searches a's block of a row or diagonal split once per row prefix, not
+    # once per word; both refutes below find nothing, so no counterexample
+    # is replayed through the public oracle
+    rng = random.Random(2208)
+    a, b = random_2d(rng, "2W", "nondet"), random_2d(rng, "2W", "det")
+    never = Automaton2D("never", "2W", "det", AB01, ("q0", "acc"), "q0", "acc", {})
+    counts = {}
+
+    def counting(kernel):
+        def search(comp, rows, r0, c0, m, n, *rest):
+            if comp is a.compiled and r0 + m < len(rows) - 1:  # a's block, above the last row
+                key = (kind, rows[:-1], (r0, c0, m, n))
+                counts[key] = counts.get(key, 0) + 1
+            return kernel(comp, rows, r0, c0, m, n, *rest)
+
+        return search
+
+    for name in ("_two_way", "_search"):
+        monkeypatch.setattr(concat, name, counting(getattr(concat, name)))
+    bounds = DimBounds(3, 3)
+    for kind, candidate, target_b in (
+        (ConcatKind.DIAG, diag_concat_nondet_2w(a, b), b),
+        (ConcatKind.ROW, never, never),  # L(never) is empty, so is the target
+    ):
+        before = len(counts)
+        assert refute(candidate, kind, a, target_b, bounds) is None
+        assert len(counts) - before > 50, kind
+    assert set(counts.values()) == {1}
+
+
+def test_refute_equals_the_sweep_against_the_public_oracle_on_many_triples():
+    # refute asks the split loop one prefix at a time; on seeded
+    # (candidate, a, b) triples of every kind, at 2x3 and 3x3, it must
+    # report exactly what equivalent_up_to reports against concat_membership.
+    # The candidates are the diagonal product (right for diag, and for row
+    # and col up to the first word of two rows and columns it rejects), the
+    # product with another b, a machine with an empty language (wrong at
+    # the target's first member) and a random machine, so that many sweeps
+    # reach the words of two rows and columns
+    rng = random.Random(2209)
+    never = Automaton2D("never", "2W", "det", AB01, ("q0", "acc"), "q0", "acc", {})
+    depth = collections.Counter()
+    for i in range(72):
+        a = random_2d(rng, ("2W", "3W")[i % 6 == 5], ("det", "nondet")[i % 2])
+        b = random_2d(rng, ("2W", "3W", "4W")[i // 2 % 3], ("nondet", "det")[i // 6 % 2])
+        other = random_2d(rng, "2W", ("det", "nondet")[i // 3 % 2])
+        if a.variant == "2W" and b.variant == "2W" and i % 4 == 0:
+            c = diag_concat_nondet_2w(a, b)
+        elif a.variant == "2W" and i % 4 == 1:
+            c = diag_concat_nondet_2w(a, other)
+        elif i % 4 == 2:
+            c = never
+        else:
+            c = random_2d(rng, ("2W", "3W", "4W")[i // 4 % 3], ("det", "nondet")[i // 12 % 2])
+        for kind in ConcatKind:
+            target = functools.partial(concat_membership, kind, a, b)
+            for bounds in (DimBounds(2, 3), DimBounds(3, 3)):
+                got = refute(c, kind, a, b, bounds)
+                assert got == equivalent_up_to(c, target, bounds), (i, kind, bounds)
+                depth["none" if got is None else "deep" if min(got.word.m, got.word.n) > 1 else "shallow"] += 1
+    assert sum(depth.values()) >= 400
+    assert depth["none"] + depth["deep"] >= 200 and depth["deep"] and depth["shallow"], depth

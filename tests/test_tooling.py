@@ -2,9 +2,10 @@
 from ``bench/`` without importing the benchmark runner, a caller for
 every export, the separation of the split oracles from what they check,
 the one home of the split geometry, the one split loop behind both
-concatenation oracles, the one module that encodes the step rule and
-the row transfer's states, the README's library example, run as
-written, and the README's CLI block, one line per subcommand."""
+concatenation oracles, the one sweep-and-compare loop behind the bounded
+sweeps, the one module that encodes the step rule and the row
+transfer's states, the README's library example, run as written, and
+the README's CLI block, one line per subcommand."""
 
 import argparse
 import ast
@@ -153,6 +154,14 @@ def test_one_split_loop_behind_both_concat_oracles():
         ("oracle", None),  # the import
         ("oracle", "refute"),
     }
+
+
+def test_one_sweep_and_compare_loop():
+    # oracle._swept walks every picture within bounds one row prefix at a
+    # time; language_up_to reads it, and so does _first_difference, the one
+    # loop that compares a candidate with a target for equivalent_up_to and
+    # refute
+    assert _uses_by_function("_swept") == {("oracle", "language_up_to"), ("oracle", "_first_difference")}
 
 
 def test_only_simulate_encodes_the_step_rule():
