@@ -19,6 +19,13 @@ Conventions used by the product constructions below:
   undefined.  IBR machines read the marker at most once per accepting
   run, which lets a simulating product fuse "final in-word move" with
   "would accept on the next read" into a single transition.
+* Every product is one breadth-first walk, ``_walk``, over states that
+  are tuples of strings.  A state's name is its tuple joined with ``|``,
+  with underscores appended until it differs from every name taken, so
+  states keep distinct names whatever the factors' state names contain.
+  The walk takes a unary product state's edges in the order the product
+  generates them, and a diagonal product state's sorted by symbol, then
+  by the next state's name, then by move.
 """
 
 import enum
@@ -137,8 +144,14 @@ _CASES: dict[str, _CaseCfg] = {
 }
 
 
-def _moves(m: Automaton2D, q: str, sym: str, d: str) -> list[str]:
-    return [q2 for q2, dd in sorted(m.image(q, sym)) if dd == d]
+def _moves(m: Automaton2D, sym: str) -> dict[tuple[str, str], list[str]]:
+    """Sorted targets of the moves on ``sym``, by (state, direction)."""
+    out: dict[tuple[str, str], list[str]] = {}
+    for (q, s), image in m.delta.items():
+        if s == sym:
+            for q2, d in sorted(image):
+                out.setdefault((q, d), []).append(q2)
+    return out
 
 
 def _border_ok(m: Automaton2D, q: str) -> bool:
@@ -148,6 +161,32 @@ def _border_ok(m: Automaton2D, q: str) -> bool:
 def _turn_successors(cfg: _CaseCfg, turn: str) -> tuple[str, ...]:
     first, second = ("Ad", "Bd") if cfg.first == "A" else ("Bd", "Ad")
     return (second, "J") if turn == second else (first, second, "J")
+
+
+_ACCEPT = ("ok",)
+
+
+def _walk(initial: tuple, accept: tuple, edges):
+    """Breadth-first walk of a product over the (symbol, next state, move)
+    triples of ``edges(state)``; see the module docstring.  Returns the
+    state names in the order first reached, ``accept`` last, and the
+    transitions."""
+    names = {initial: "|".join(initial), accept: "|".join(accept)}
+    taken = set(names.values())
+    order = [initial]
+    entries: list[tuple[str, str, str, str]] = []
+    # Breadth first: the loop reaches each state appended to order.
+    for state in order:
+        src = names[state]
+        for s, nxt, move in edges(state):
+            dst = names.get(nxt)
+            if dst is None:
+                dst = _fresh("|".join(nxt), taken)
+                names[nxt] = dst
+                taken.add(dst)
+                order.append(nxt)
+            entries.append((src, s, dst, move))
+    return (*(names[s] for s in order), names[accept]), make_delta(entries)
 
 
 def unary_row_concat(a: Automaton2D, b: Automaton2D) -> Automaton2D:
@@ -176,10 +215,8 @@ def unary_row_concat(a: Automaton2D, b: Automaton2D) -> Automaton2D:
     A product state is a tuple of strings: (case tag, turn, a-state,
     b-state) while both factors run, (case tag, ``p2``, state) while the
     remaining factor runs alone, and (case tag, ``chk``) for the
-    verifier.  Its name joins the tuple with ``|``, with underscores
-    appended until it differs from every name already taken, so product
-    states keep distinct names whatever the factors' state names contain.
-    The initial state is ``go`` and the accepting one ``ok``.
+    verifier, found and named by :func:`_walk`.  The initial state is
+    ``go`` and the accepting one ``ok``.
     """
     _require_pair(a, b)
     if not a.alphabet.unary:
@@ -187,8 +224,9 @@ def unary_row_concat(a: Automaton2D, b: Automaton2D) -> Automaton2D:
     sym = a.alphabet.symbols[0]
     a1 = to_ibr(border_normalize(a))
     b1 = to_ibr(border_normalize(b))
+    moves = {"A": _moves(a1, sym), "B": _moves(b1, sym)}
     right_right = CaseTag.RIGHT_RIGHT.value
-    INIT, ACCEPT = ("go",), ("ok",)
+    INIT = ("go",)
 
     def edges(state: tuple):
         if state == INIT:
@@ -205,7 +243,7 @@ def unary_row_concat(a: Automaton2D, b: Automaton2D) -> Automaton2D:
         tag, phase, qs = state[0], state[1], state[2:]
         cfg = _CASES[tag]
         if phase == "chk":
-            yield BOUNDARY, ACCEPT, "D"
+            yield BOUNDARY, _ACCEPT, "D"
         elif phase == "p2":
             mz = a1 if cfg.phase2 == "A" else b1
             for q2, d in sorted(mz.image(qs[0], sym)):
@@ -213,8 +251,8 @@ def unary_row_concat(a: Automaton2D, b: Automaton2D) -> Automaton2D:
                 if d == cfg.verify and _border_ok(mz, q2):
                     yield sym, (tag, "chk"), d
         elif phase == "J":
-            for qa2 in _moves(a1, qs[0], sym, "R"):
-                for qb2 in _moves(b1, qs[1], sym, "R"):
+            for qa2 in moves["A"].get((qs[0], "R"), ()):
+                for qb2 in moves["B"].get((qs[1], "R"), ()):
                     for t2 in _turn_successors(cfg, "J"):
                         yield sym, (tag, t2, qa2, qb2), "R"
                     if tag == right_right and _border_ok(a1, qa2) and _border_ok(b1, qb2):
@@ -222,32 +260,16 @@ def unary_row_concat(a: Automaton2D, b: Automaton2D) -> Automaton2D:
         else:  # the down-phase "Ad" or "Bd" of one factor
             x = phase[0]
             mx, qx, other = (a1, qs[0], qs[1]) if x == "A" else (b1, qs[1], qs[0])
-            for q2 in _moves(mx, qx, sym, "D"):
+            for q2 in moves[x].get((qx, "D"), ()):
                 na, nb = (q2, other) if x == "A" else (other, q2)
                 for t2 in _turn_successors(cfg, phase):
                     yield sym, (tag, t2, na, nb), "D"
                 if cfg.guesser == x and _border_ok(mx, q2):
                     yield sym, (tag, "p2", other), "D"
 
-    names = {INIT: "go", ACCEPT: "ok"}
-    taken = set(names.values())
-    order = [INIT]
-    delta_entries: list[tuple[str, str, str, str]] = []
-    # Breadth first: the loop reaches each state appended to order.
-    for state in order:
-        src = names[state]
-        for s, nxt, move in edges(state):
-            dst = names.get(nxt)
-            if dst is None:
-                dst = _fresh("|".join(nxt), taken)
-                names[nxt] = dst
-                taken.add(dst)
-                order.append(nxt)
-            delta_entries.append((src, s, dst, move))
-
-    states = (*(names[s] for s in order), "ok")
+    states, delta = _walk(INIT, _ACCEPT, edges)
     return Automaton2D(
-        f"{a.name}_row_{b.name}", "2W", "nondet", a.alphabet, states, "go", "ok", make_delta(delta_entries)
+        f"{a.name}_row_{b.name}", "2W", "nondet", a.alphabet, states, states[0], states[-1], delta
     )
 
 
@@ -260,44 +282,47 @@ def unary_col_concat(a: Automaton2D, b: Automaton2D) -> Automaton2D:
     return replace(out, name=f"{a.name}_col_{b.name}")
 
 
-_ACCEPT = "ok"
-
-
 def _diag_product(a: Automaton2D, b: Automaton2D, tag: str, mode: str, crossings) -> Automaton2D:
-    """Skeleton shared by the two diagonal products.
+    """Skeleton shared by the two diagonal products: one :func:`_walk`,
+    with each state's edges sorted by symbol, next state's name, move.
 
     ``crossings(a1)`` runs the first factor ``a1`` (border-normalized,
-    immediately border-resolving) and crosses the filler; it returns the
-    product's initial state, its transitions so far, and the crossing
-    states from which the second factor starts.  The second factor then
-    runs as-is (border-normalized), since its borders are the input's,
-    and states unreachable from the initial one are dropped.
-    """
+    immediately border-resolving) in states ``("A", q, ...)``.  It returns
+    the initial state, the edges of an ``A`` state, the table of the
+    crossing states, and those from which the second factor starts.  The
+    second factor runs as-is (border-normalized) in states ``("B", q)``,
+    since its borders are the input's."""
     _require_pair(a, b)
     a1 = to_ibr(border_normalize(a))
     b1 = border_normalize(b)
-    initial, entries, starters = crossings(a1)
-
-    def bname(q: str) -> str:
-        return _ACCEPT if q == b1.accept else f"B|{q}"
-
     syms = a.alphabet.symbols
-    for s in syms:
-        for q2, d in sorted(b1.image(b1.initial, s)):
-            for src in starters:
-                entries.append((src, s, bname(q2), d))
-    for q in b1.states:
-        if q == b1.accept:
-            continue
-        for s in (*syms, BOUNDARY):
-            for q2, d in sorted(b1.image(q, s)):
-                entries.append((bname(q), s, bname(q2), d))
+    initial, first, table, starters = crossings(a1)
 
-    delta = make_delta(entries)
-    reachable = _reachable_states(initial, delta, _ACCEPT)
-    delta = {k: v for k, v in delta.items() if k[0] in reachable}
+    def second(q: str, reads):
+        for s in reads:
+            for q2, d in b1.image(q, s):
+                yield s, _ACCEPT if q2 == b1.accept else ("B", q2), d
+
+    def unsorted(state: tuple):
+        kind = state[0]
+        if kind == "A" and state[1] != a1.accept:
+            yield from first(state)
+        elif kind == "B":
+            yield from second(state[1], (*syms, BOUNDARY))
+        if kind in table:
+            nxt, move, border = table[kind]
+            yield from ((s, (nxt,), move) for s in syms)
+            if border:
+                yield BOUNDARY, (border,), move
+        if kind in starters:
+            yield from second(b1.initial, syms)
+
+    def edges(state: tuple):
+        return sorted(unsorted(state), key=lambda e: (e[0], "|".join(e[1]), e[2]))
+
+    states, delta = _walk(initial, _ACCEPT, edges)
     return Automaton2D(
-        f"{a.name}_{tag}_{b.name}", "2W", mode, a.alphabet, tuple(reachable), initial, _ACCEPT, delta
+        f"{a.name}_{tag}_{b.name}", "2W", mode, a.alphabet, states, states[0], states[-1], delta
     )
 
 
@@ -319,42 +344,21 @@ def diag_concat_nondet_2w(a: Automaton2D, b: Automaton2D) -> Automaton2D:
     return _diag_product(a, b, "diag", "nondet", _guessed_crossings)
 
 
+#: Crossing state -> (state after an in-word read, move, state after a
+#: ``#`` read): the slides after a pretended bottom (sR) or right (sD).
+_GUESSED_TABLE = {"sR0": ("sR1", "R", None), "sR1": ("sR1", "R", None),
+                  "sD0": ("sD1", "D", None), "sD1": ("sD1", "D", None)}
+
+
 def _guessed_crossings(a1: Automaton2D):
-    entries: list[tuple[str, str, str, str]] = []
-    for q in a1.states:
-        if q == a1.accept:
-            continue
+    def first(state: tuple):
         for s in a1.alphabet.symbols:
-            for q2, d in sorted(a1.image(q, s)):
-                entries.append((f"A|{q}", s, f"A|{q2}", d))
+            for q2, d in a1.image(state[1], s):
+                yield s, ("A", q2), d
                 if _border_ok(a1, q2):
-                    if d == "D":
-                        entries.append((f"A|{q}", s, "sR0", "D"))
-                    else:
-                        entries.append((f"A|{q}", s, "sD0", "R"))
-    for s in a1.alphabet.symbols:
-        entries.append(("sR0", s, "sR1", "R"))
-        entries.append(("sD0", s, "sD1", "D"))
-        entries.append(("sR1", s, "sR1", "R"))
-        entries.append(("sD1", s, "sD1", "D"))
-    return f"A|{a1.initial}", entries, ("sR1", "sD1")
+                    yield (s, ("sR0",), "D") if d == "D" else (s, ("sD0",), "R")
 
-
-def _reachable_states(initial: str, delta, accept: str) -> list[str]:
-    """Forward reachability in declaration order, accept pinned last."""
-    adj: dict[str, list[str]] = {}
-    for (q, _), image in sorted(delta.items()):
-        adj.setdefault(q, []).extend(q2 for q2, _ in sorted(image))
-    out = [initial]
-    seen = {initial, accept}
-    # Breadth first: the loop reaches each state appended to out.
-    for q in out:
-        for q2 in adj.get(q, ()):
-            if q2 not in seen:
-                seen.add(q2)
-                out.append(q2)
-    out.append(accept)
-    return out
+    return ("A", a1.initial), first, _GUESSED_TABLE, ("sR1", "sD1")
 
 
 def diag_concat_separated(a: Automaton2D, b: Automaton2D) -> Automaton2D:
@@ -377,29 +381,22 @@ def diag_concat_separated(a: Automaton2D, b: Automaton2D) -> Automaton2D:
     return _diag_product(a, b, "dsep", mode, _separator_crossings)
 
 
+#: As above: across the filler and the separator into ``Bs``, after a
+#: bottom-border (x) or right-border (y) accept.
+_SEPARATOR_TABLE = {"xf": ("x1", "R", None), "x1": ("x1", "R", "Bs"),
+                    "yf": ("y1", "D", None), "y1": ("y1", "D", "Bs")}
+
+
 def _separator_crossings(a1: Automaton2D):
-    entries: list[tuple[str, str, str, str]] = []
-    for q in a1.states:
-        if q == a1.accept:
-            continue
-        for last in ("S", "D", "R"):
-            src = f"A|{q}|{last}"
-            for s in a1.alphabet.symbols:
-                for q2, d in sorted(a1.image(q, s)):
-                    entries.append((src, s, f"A|{q2}|{d}", d))
-            if _border_ok(a1, q):
-                if last == "D":
-                    entries.append((src, BOUNDARY, "xf", "D"))
-                elif last == "R":
-                    entries.append((src, BOUNDARY, "yf", "R"))
-    for s in a1.alphabet.symbols:
-        entries.append(("xf", s, "x1", "R"))
-        entries.append(("x1", s, "x1", "R"))
-        entries.append(("yf", s, "y1", "D"))
-        entries.append(("y1", s, "y1", "D"))
-    entries.append(("x1", BOUNDARY, "Bs", "R"))
-    entries.append(("y1", BOUNDARY, "Bs", "D"))
-    return f"A|{a1.initial}|S", entries, ("Bs",)
+    def first(state: tuple):
+        _, q, last = state
+        for s in a1.alphabet.symbols:
+            for q2, d in a1.image(q, s):
+                yield s, ("A", q2, d), d
+        if last in ("D", "R") and _border_ok(a1, q):
+            yield BOUNDARY, ("xf" if last == "D" else "yf",), last
+
+    return ("A", a1.initial, "S"), first, _SEPARATOR_TABLE, ("Bs",)
 
 
 _X_FAMILY = re.compile(r"thm9-X\((\d+)\)")

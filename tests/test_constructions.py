@@ -12,6 +12,7 @@ from corpus import (
     corpus_2w,
     diag_pairs,
     is_ibr,
+    random_2d,
     separated_layouts,
     separated_member,
     separated_pairs,
@@ -281,6 +282,37 @@ def test_construction_output_bytes_match_recorded_digests():
         for args in calls:
             digest.update(serialize_automaton(build(*args)).encode())
         assert digest.hexdigest() == _PRODUCT_DIGESTS[build.__name__], build.__name__
+
+
+#: sha256 of the products of seeded random pairs, recorded before the
+#: diagonal products became one breadth-first walk.  The corpus pairs
+#: above leave few states a choice of place, so these pin the state order.
+_RANDOM_PAIR_DIGESTS = {
+    "unary_row_concat": "e18429132580ebb3a2c234ebfe7431c4746aac20ef53006e505a146576b71b11",
+    "unary_col_concat": "d404745145ecec046b6af7e8efede21faeedee03a975fe2c1cd86d31cf4293b6",
+    "diag_concat_nondet_2w": "c7814ad6c3a29afac1afd73237f87210da5766ab32b9933d7afc905611c28744",
+    "diag_concat_separated": "a45c9952c56e43d1cb09426e0a0d38984491718eda5a0f8ef464923e1a1b6a60",
+}
+
+
+def test_construction_output_bytes_on_random_pairs_match_recorded_digests():
+    rng = random.Random(23)
+    modes = ("det", "nondet")
+    pairs = [(random_2d(rng, "2W", rng.choice(modes)), random_2d(rng, "2W", rng.choice(modes))) for _ in range(400)]
+    unary = [
+        (_random_unary(rng, "A", ["x", "x|y", "p"]), _random_unary(rng, "B", ["y|z", "z", "q0"])) for _ in range(200)
+    ]
+    inputs = {
+        unary_row_concat: unary,
+        unary_col_concat: unary,
+        diag_concat_nondet_2w: pairs,
+        diag_concat_separated: pairs,
+    }
+    for build, calls in inputs.items():
+        digest = hashlib.sha256()
+        for args in calls:
+            digest.update(serialize_automaton(build(*args)).encode())
+        assert digest.hexdigest() == _RANDOM_PAIR_DIGESTS[build.__name__], build.__name__
 
 
 def test_diag_concat_matches_oracle_small():

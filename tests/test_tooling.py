@@ -3,9 +3,10 @@ from ``bench/`` without importing the benchmark runner, a caller for
 every export, the separation of the split oracles from what they check,
 the one home of the split geometry, the one split loop behind both
 concatenation oracles, the one sweep-and-compare loop behind the bounded
-sweeps, the one module that encodes the step rule and the row
-transfer's states, the README's library example, run as written, and
-the README's CLI block, one line per subcommand."""
+sweeps, the one breadth-first walk that builds the products, the one
+module that encodes the step rule and the row transfer's states, the
+README's library example, run as written, and the README's CLI block,
+one line per subcommand."""
 
 import argparse
 import ast
@@ -162,6 +163,15 @@ def test_one_sweep_and_compare_loop():
     # loop that compares a candidate with a target for equivalent_up_to and
     # refute
     assert _uses_by_function("_swept") == {("oracle", "language_up_to"), ("oracle", "_first_difference")}
+
+
+def test_one_product_walk():
+    # construct._walk is the one breadth-first walk that finds and names
+    # the states of the unary row product and of both diagonal products
+    # (the column product is the row product's transpose); _fresh names
+    # its states, and border_normalize's sweep state
+    assert _uses_by_function("_walk") == {("construct", "unary_row_concat"), ("construct", "_diag_product")}
+    assert _uses_by_function("_fresh") == {("construct", "_walk"), ("construct", "border_normalize")}
 
 
 def test_only_simulate_encodes_the_step_rule():
