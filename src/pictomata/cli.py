@@ -27,13 +27,26 @@ from .simulate import accepts, first_accepting_trace, format_trace, run_determin
 
 _KINDS = [k.value for k in ConcatKind]
 
-#: ``construct`` kinds that build from factor files: (file count, builder).
+
+def _on_files(builder):
+    """``builder`` over automaton files: all are loaded, then each must be valid."""
+    def build(*paths):
+        machines = [load_automaton(p) for p in paths]
+        for m in machines:
+            require_valid(m)
+        return builder(*machines)
+    return build
+
+
+#: ``construct`` kinds: (input count, what an input is, builder over the inputs).
+_FILES = "automaton file(s)"
 _BUILDERS = {
-    "ibr": (1, construct.to_ibr),
-    "unary-row": (2, construct.unary_row_concat),
-    "unary-col": (2, construct.unary_col_concat),
-    "diag": (2, construct.diag_concat_nondet_2w),
-    "diag-sep": (2, construct.diag_concat_separated),
+    "ibr": (1, _FILES, _on_files(construct.to_ibr)),
+    "unary-row": (2, _FILES, _on_files(construct.unary_row_concat)),
+    "unary-col": (2, _FILES, _on_files(construct.unary_col_concat)),
+    "diag": (2, _FILES, _on_files(construct.diag_concat_nondet_2w)),
+    "diag-sep": (2, _FILES, _on_files(construct.diag_concat_separated)),
+    "witness": (1, "witness name", construct.build_witness),
 }
 
 #: Default ``concat diag --cap``: the most filler words it will build and
@@ -47,19 +60,26 @@ DIAG_CAP = 2**16
 BOUND_MAX_N = 683
 
 
-def _kind(name: str) -> ConcatKind:
-    if name not in _KINDS:
-        raise ToolkitError(f"unknown concat kind {name!r}; one of {', '.join(_KINDS)}")
-    return ConcatKind(name)
-
-
 def _refute(cand, target_concat, args) -> Counterexample | None:
     """``refute`` against the ``KIND A B`` of ``equiv --against-concat``
     or ``refute --target-concat``: the kind is parsed before the factor
     files are loaded, so both verbs report a bad kind first."""
     name, pa, pb = target_concat
-    kind = _kind(name)
+    if name not in _KINDS:
+        raise ToolkitError(f"unknown concat kind {name!r}; one of {', '.join(_KINDS)}")
+    kind = ConcatKind(name)
     return refute(cand, kind, load_automaton(pa), load_automaton(pb), DimBounds(args.max_rows, args.max_cols))
+
+
+def _bounds(p) -> None:
+    """The sweep bounds of ``enum``, ``equiv`` and ``refute``."""
+    p.add_argument("--max-rows", type=int, required=True)
+    p.add_argument("--max-cols", type=int, required=True)
+
+
+def _output(p) -> None:
+    """The file that ``construct``, ``rowsim`` and ``to-oneway`` write."""
+    p.add_argument("-o", "--output", required=True)
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -77,8 +97,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enum", help="list accepted pictures within bounds")
     p.add_argument("aut")
-    p.add_argument("--max-rows", type=int, required=True)
-    p.add_argument("--max-cols", type=int, required=True)
+    _bounds(p)
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
 
     p = sub.add_parser("concat", help="concatenate two picture files")
@@ -89,22 +108,20 @@ def _parser() -> argparse.ArgumentParser:
                    help=f"most words diag may build; more exit 2 (default {DIAG_CAP})")
 
     p = sub.add_parser("construct", help="build an automaton transformer output")
-    p.add_argument("kind", choices=[*_BUILDERS, "witness"])
+    p.add_argument("kind", choices=list(_BUILDERS))
     p.add_argument("inputs", nargs="+")
-    p.add_argument("-o", "--output", required=True)
+    _output(p)
 
     p = sub.add_parser("equiv", help="compare a candidate against a target within bounds")
     p.add_argument("cand")
     p.add_argument("--against-aut", metavar="B")
     p.add_argument("--against-concat", nargs=3, metavar=("KIND", "A", "B"))
-    p.add_argument("--max-rows", type=int, required=True)
-    p.add_argument("--max-cols", type=int, required=True)
+    _bounds(p)
 
     p = sub.add_parser("refute", help="search for a concatenation counterexample")
     p.add_argument("cand")
     p.add_argument("--target-concat", nargs=3, metavar=("KIND", "A", "B"), required=True)
-    p.add_argument("--max-rows", type=int, required=True)
-    p.add_argument("--max-cols", type=int, required=True)
+    _bounds(p)
 
     p = sub.add_parser("lemma2-check", help="report downward departures from a uniform row")
     p.add_argument("aut3w")
@@ -116,24 +133,30 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--entry-state", required=True)
     p.add_argument("--side", choices=["left", "right"], required=True)
     p.add_argument("--offset", type=int, required=True)
-    p.add_argument("-o", "--output", required=True)
+    _output(p)
 
     p = sub.add_parser("to-oneway", help="convert a two-way string machine")
     p.add_argument("aut1d")
-    p.add_argument("-o", "--output", required=True)
+    _output(p)
 
     p = sub.add_parser("bound", help="print the conversion state bound")
     p.add_argument("n", type=int)
     return top
 
 
-def _print_counterexample(ce: Counterexample, a, out) -> None:
+def _report(ce: Counterexample | None, verdict: str, out) -> int:
+    """The outcome of ``equiv`` or ``refute``: ``verdict: <verdict>`` and 0
+    when no counterexample was found, else the counterexample and 1."""
+    if ce is None:
+        print(f"verdict: {verdict}", file=out)
+        return 0
     print("verdict: counterexample", file=out)
     print(f"expected: {str(ce.expected).lower()}", file=out)
     print(f"got: {str(ce.got).lower()}", file=out)
     print(format_picture(ce.word), end="", file=out)
     if ce.evidence is not None:
-        print(format_trace(a, ce.word, ce.evidence, "evidence"), end="", file=out)
+        print(format_trace(ce.word, ce.evidence, "evidence"), end="", file=out)
+    return 1
 
 
 def _print_words(words: list, out) -> None:
@@ -183,10 +206,7 @@ def _run(args, out) -> int:
             # accepting run.
             verdict = "accepted" if accepts(a, w) else "rejected"
             trace = first_accepting_trace(a, w) if args.trace and verdict == "accepted" else ()
-        if args.trace:
-            print(format_trace(a, w, trace, verdict), end="", file=out)
-        else:
-            print(f"verdict: {verdict}", file=out)
+        print(format_trace(w, trace if args.trace else (), verdict), end="", file=out)
         return 0 if verdict == "accepted" else 1
 
     if cmd == "enum":
@@ -198,18 +218,27 @@ def _run(args, out) -> int:
     if cmd == "concat":
         a = load_picture(args.picA)
         b = load_picture(args.picB)
-        if args.kind == "row":
-            print(format_picture(row_concat(a, b)), end="", file=out)
-        elif args.kind == "col":
-            print(format_picture(col_concat(a, b)), end="", file=out)
-        else:
+        if args.kind == "diag":
             syms = sorted({ch for w in (a, b) for row in w.rows for ch in row})
             words = diag_concat_words(a, b, Alphabet(tuple(syms)), cap=args.cap)
             _print_words(sorted(words, key=lambda w: w.rows), out)
+        else:
+            print(format_picture((row_concat if args.kind == "row" else col_concat)(a, b)), end="", file=out)
         return 0
 
     if cmd == "construct":
-        return _run_construct(args, out)
+        # one arity check, one build and one write for every kind: a list
+        # of words becomes a family file, a machine an automaton file
+        arity, what, build = _BUILDERS[args.kind]
+        if len(args.inputs) != arity:
+            raise ToolkitError(f"construct {args.kind} takes {arity} {what}")
+        built = build(*args.inputs)
+        if isinstance(built, list):
+            words = "".join("\n" + format_picture(w) for w in built)
+            write_text(args.output, f"; family {args.inputs[0]}: {len(built)} words\n{words}")
+            return _written(out, args.output, len(built), "words")
+        save_automaton(built, args.output)
+        return _written(out, args.output, len(built.states))
 
     if cmd == "equiv":
         cand = load_automaton(args.cand)
@@ -221,20 +250,10 @@ def _run(args, out) -> int:
             ce = equivalent_up_to(cand, lambda w: accepts(other, w), DimBounds(args.max_rows, args.max_cols))
         else:
             ce = _refute(cand, args.against_concat, args)
-        if ce is None:
-            print("verdict: ok", file=out)
-            return 0
-        _print_counterexample(ce, cand, out)
-        return 1
+        return _report(ce, "ok", out)
 
     if cmd == "refute":
-        cand = load_automaton(args.cand)
-        ce = _refute(cand, args.target_concat, args)
-        if ce is None:
-            print("verdict: no-counterexample", file=out)
-            return 0
-        _print_counterexample(ce, cand, out)
-        return 1
+        return _report(_refute(load_automaton(args.cand), args.target_concat, args), "no-counterexample", out)
 
     if cmd == "lemma2-check":
         m2 = load_automaton(args.aut3w)
@@ -274,28 +293,6 @@ def _run(args, out) -> int:
         return 0
 
     raise ToolkitError(f"unknown command {cmd!r}")
-
-
-def _run_construct(args, out) -> int:
-    kind = args.kind
-    if kind == "witness":
-        (name,) = args.inputs
-        built = construct.build_witness(name)
-        if isinstance(built, list):
-            words = "".join("\n" + format_picture(w) for w in built)
-            write_text(args.output, f"; family {name}: {len(built)} words\n{words}")
-            return _written(out, args.output, len(built), "words")
-        save_automaton(built, args.output)
-        return _written(out, args.output, len(built.states))
-    arity, builder = _BUILDERS[kind]
-    if len(args.inputs) != arity:
-        raise ToolkitError(f"construct {kind} takes {arity} automaton file(s)")
-    machines = [load_automaton(p) for p in args.inputs]
-    for m in machines:
-        require_valid(m)
-    result = builder(*machines)
-    save_automaton(result, args.output)
-    return _written(out, args.output, len(result.states))
 
 
 def main() -> None:

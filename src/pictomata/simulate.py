@@ -344,8 +344,9 @@ def replay_accepts(a: Automaton2D, w: Picture, trace: RunTrace) -> bool:
     return trace[-1].state == a.accept
 
 
-def format_trace(a: Automaton2D, w: Picture, trace: RunTrace, verdict: str) -> str:
-    """Human-readable trace block: one line per step, then the verdict."""
+def format_trace(w: Picture, trace: RunTrace, verdict: str) -> str:
+    """Human-readable trace block of a run on ``w``: one line per step,
+    then the verdict line; an empty trace gives the verdict line alone."""
     lines = []
     for cfg in trace:
         if cfg.loc is None:

@@ -286,6 +286,19 @@ def test_construct_with_the_wrong_number_of_files(tmp_path, frz_path, capsys):
     assert not out_path.exists()
 
 
+def test_construct_witness_takes_one_name(tmp_path, capsys):
+    # a witness name is construct's one input like a factor file is, so a
+    # wrong count is an input error and writes nothing
+    out_path = tmp_path / "w.aut"
+    assert run_cli(["construct", "witness", "first-row-zeros", "top-left-one", "-o", str(out_path)]) == (2, "")
+    assert capsys.readouterr().err == "error: construct witness takes 1 witness name\n"
+    assert run_cli(["construct", "witness", "-o", str(out_path)]) == (2, "")
+    assert capsys.readouterr().err.endswith(
+        "pictomata construct: error: the following arguments are required: inputs\n"
+    )
+    assert not out_path.exists()
+
+
 def test_unknown_concat_kind_is_a_usage_error(tmp_path, frz_path, capsys):
     for argv in (["equiv", frz_path, "--against-concat", "stack", frz_path, frz_path],
                  ["refute", frz_path, "--target-concat", "stack", frz_path, frz_path]):

@@ -5,8 +5,9 @@ the one home of the split geometry, the one split loop behind both
 concatenation oracles, the one sweep-and-compare loop behind the bounded
 sweeps, the one breadth-first walk that builds the products, the one
 module that encodes the step rule and the row transfer's states, the
-README's library example, run as written, and the README's CLI block,
-one line per subcommand."""
+README's library example, run as written, the README's CLI block, one
+line per subcommand, and the CLI's options, each declared once
+(``test_each_cli_option_is_declared_once``)."""
 
 import argparse
 import ast
@@ -14,6 +15,7 @@ import importlib
 import importlib.util
 import inspect
 import re
+from collections import Counter
 from pathlib import Path
 
 import pictomata
@@ -235,3 +237,18 @@ def test_the_readme_cli_block_names_every_subcommand():
     assert all(line.startswith("pictomata ") for line in lines)
     (sub,) = [a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction)]
     assert {line.split()[1] for line in lines} == set(sub.choices)
+
+
+def test_each_cli_option_is_declared_once():
+    # an option several verbs share is declared in one helper that each of
+    # them calls, so its type, default and help cannot drift between verbs
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    declared = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "add_argument":
+            declared += [
+                arg.value for arg in node.args
+                if isinstance(arg, ast.Constant) and isinstance(arg.value, str) and arg.value.startswith("-")
+            ]
+    assert {"--max-rows", "--max-cols", "-o", "--output"} <= set(declared)  # the walk sees them
+    assert [option for option, count in Counter(declared).items() if count > 1] == []
