@@ -66,12 +66,26 @@ class Compiled:
     past the word's last row or column it reads ``#`` forever, so that
     move accepts exactly when its target state is in ``reach``; the 2W
     kernel of ``simulate`` and :class:`~pictomata.simulate.RowTransfer`
-    answer such exits from it.  ``det`` is true when every (state,
-    symbol) has at most one move, as :func:`validate` ensures in det
-    mode; the 2W kernel then walks the one run.
+    answer such exits from it.
+
+    ``dead`` holds the states from which no sequence of moves, on any
+    symbols, ``#`` included, reaches the accepting state: the complement
+    of the predecessor closure of ``accept`` in the symbol-blind
+    transition graph.  A run that enters one can only reject.  ``live``
+    is ``image`` with every move into a dead state removed, and a symbol
+    left with no move dropped; a state that loses no move shares its dict
+    with ``image``, and ``live is image`` when no state is dead.  Only the
+    verdict paths of ``simulate`` read them (the 2W kernel and
+    :class:`~pictomata.simulate.RowTransfer`); every trace, replay and
+    ground-truth path reads the full ``image``.  ``det`` is true when
+    every (state, symbol) of ``live`` has exactly one move, as
+    :func:`validate` ensures of ``image`` in det mode; the 2W kernel then
+    walks the one run.
     """
 
-    __slots__ = ("states", "index", "initial", "accept", "image", "is2w", "is4w", "det", "reach", "legal")
+    __slots__ = (
+        "states", "index", "initial", "accept", "image", "live", "dead", "is2w", "is4w", "det", "reach", "legal",
+    )
 
     def __init__(self, a: Automaton2D):
         require_valid(a)
@@ -91,7 +105,21 @@ class Compiled:
             # Sorted images keep run enumeration deterministic across
             # processes regardless of set iteration order.
             self.image[self.index[q]][sym] = tuple((self.index[q2], *MOVES[d]) for q2, d in sorted(img))
-        self.det = all(len(img) == 1 for moves in self.image for img in moves.values())
+        alive = _reaching(a)
+        self.dead = frozenset(i for i, q in enumerate(a.states) if q not in alive)
+        self.live = self.image
+        if self.dead:
+            self.live = [self._trimmed(moves) for moves in self.image]
+        self.det = all(len(img) == 1 for moves in self.live for img in moves.values())
+
+    def _trimmed(self, moves: dict[str, tuple]) -> dict[str, tuple]:
+        """``moves`` without its moves into dead states; ``moves`` itself
+        when it has none."""
+        dead = self.dead
+        if not any(mv[0] in dead for img in moves.values() for mv in img):
+            return moves
+        kept = {sym: tuple(mv for mv in img if mv[0] not in dead) for sym, img in moves.items()}
+        return {sym: img for sym, img in kept.items() if img}
 
 
 def make_delta(entries) -> Delta:
@@ -152,12 +180,18 @@ def boundary_reach(a: Automaton2D) -> set[str]:
     """States from which the accepting state is reachable by reading only
     boundary markers: the closure of {accept} backwards over ``#``
     transitions, whatever the variant."""
+    return _reaching(a, BOUNDARY)
+
+
+def _reaching(a: Automaton2D, symbol: str | None = None) -> set[str]:
+    """The closure of {accept} backwards over the transitions on
+    ``symbol``, or on every symbol when it is None."""
     reach = {a.accept}
     changed = True
     while changed:
         changed = False
         for (q, sym), image in a.delta.items():
-            if sym != BOUNDARY or q in reach:
+            if (symbol is not None and sym != symbol) or q in reach:
                 continue
             if any(q2 in reach for q2, _ in image):
                 reach.add(q)

@@ -7,6 +7,7 @@ counterexamples, 2 for usage or input errors.
 """
 
 import argparse
+import functools
 import sys
 
 from . import construct, onedim
@@ -82,7 +83,10 @@ def _output(p) -> None:
     p.add_argument("-o", "--output", required=True)
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The one parser of the process: parsing leaves it as it was, so
+    every call of :func:`dispatch` reuses it."""
     top = argparse.ArgumentParser(prog="pictomata", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 

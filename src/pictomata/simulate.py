@@ -42,7 +42,10 @@ past the last row or column reads ``#`` from then on, in the frame or
 the escape sink alike, so the move accepts exactly when its target
 state is in ``Compiled.reach``, the ``#``-reachability of
 :func:`~pictomata.automaton.boundary_reach`.
-The kernel follows a deterministic machine's one run, which leaves the
+The kernel reads ``Compiled.live``, the moves that do not enter a state
+of ``Compiled.dead``, from which no run accepts; dropping them drops
+only runs that reject.  It follows a machine that is deterministic on
+those moves (``Compiled.det``) along its one run, which leaves the
 window within m + n - 1 moves, with no set of visited configurations.
 :meth:`RowTransfer.step` is the fourth: it closes a set of
 configurations on a one-row window, below.
@@ -65,6 +68,10 @@ last row's verdict is read off its entry.  The memo starts over once it
 holds ``_MEMO_CAP`` entries, which bounds its memory however many
 distinct rows and states it meets.  A prefix keeps its state in hand
 while its last rows are stepped, so the memo may start over among them.
+The memo stores each step without its pairs in ``Compiled.dead``, which
+can only reject, so a fold whose runs can no longer accept reaches the
+empty state, and the fold treats it as sticky rejection, as it treats
+``ACCEPTED`` as sticky acceptance.  The step itself keeps every pair.
 
 Everything here is a pure function of (automaton, picture), and every run
 terminates: the configuration space has at most |Q|*((m+2)(n+2)+1)
@@ -217,11 +224,14 @@ def _two_way(comp: Compiled, rows, r0: int, c0: int, m: int, n: int) -> bool:
     takes it to the frame or the escape sink, where it reads ``#`` for
     good and only its state evolves: that move accepts exactly when its
     target is in ``comp.reach``.  A ``#`` cell inside the window is read
-    like any other cell.  When ``comp.det`` holds, the search is a walk
-    along the one run, which needs no visited set: r + c grows on every
-    move, so the run leaves the window within m + n - 1 moves.
+    like any other cell.  The moves come from ``comp.live``: a move into
+    a state of ``comp.dead`` starts only runs that reject, so the search
+    skips it.  When ``comp.det`` holds, every entry of ``comp.live`` has
+    one move and the search is a walk along the one run, which needs no
+    visited set: r + c grows on every move, so the run leaves the window
+    within m + n - 1 moves.
     """
-    si, accept, reach, image = comp.initial, comp.accept, comp.reach, comp.image
+    si, accept, reach, image = comp.initial, comp.accept, comp.reach, comp.live
     if si == accept:
         return True
     if comp.det:
@@ -429,8 +439,11 @@ class RowTransfer:
     :meth:`final` therefore gives :func:`accepts` exactly, at every width.
     :meth:`verdicts` does that for many pictures that share all rows but
     the last, through one cache of at most ``_MEMO_CAP`` entries,
-    :attr:`memo`: the step of each (state, row) and the verdict of the
-    state it leaves.
+    :attr:`memo`: the step of each (state, row), without the pairs whose
+    state is in ``Compiled.dead``, and the verdict of the state it
+    leaves.  Dropping those pairs changes no verdict, since no run from
+    them accepts, and it makes the empty state, like ``ACCEPTED``,
+    sticky: :meth:`verdicts` steps neither any further.
     """
 
     __slots__ = ("start", "memo", "_comp")
@@ -499,24 +512,28 @@ class RowTransfer:
         """:func:`accepts` of each picture ``(*prefix, last)``, for each
         ``last`` in ``lasts``, all of one width.  ``prefix`` is folded once,
         and every step goes through :attr:`memo`, whose entry for a last
-        row holds its verdict.  A prefix already ``ACCEPTED`` steps no
-        further.  Like :meth:`step`, it checks no symbols: a picture from
-        outside goes through :func:`accepts`."""
+        row holds its verdict.  A prefix whose state is already
+        ``ACCEPTED`` or empty steps no further.  Like :meth:`step`, it
+        checks no symbols: a picture from outside goes through
+        :func:`accepts`."""
         memo, state = self.memo, self.start
         for row in prefix:
-            if state is ACCEPTED:
+            if state is ACCEPTED or not state:
                 break
             state = (memo.get((state, row)) or self._remember(state, row))[0]
-        if state is ACCEPTED:
-            return [True] * len(lasts)
+        if state is ACCEPTED or not state:
+            return [state is ACCEPTED] * len(lasts)
         return [(memo.get((state, row)) or self._remember(state, row))[1] for row in lasts]
 
     def _remember(self, state, row):
-        """A memo miss: the step and the verdict of the state it leaves,
+        """A memo miss: the step without its pairs in ``Compiled.dead``,
+        which can only reject, and the verdict of the state it leaves,
         stored; the memo starts over when full."""
-        memo = self.memo
+        memo, dead = self.memo, self._comp.dead
         if len(memo) >= _MEMO_CAP:
             memo.clear()
         nxt = self.step(state, row)
+        if dead and nxt is not ACCEPTED:
+            nxt = frozenset([p for p in nxt if p[0] not in dead])
         entry = memo[state, row] = (nxt, self.final(nxt))
         return entry

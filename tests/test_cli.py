@@ -493,3 +493,33 @@ def test_witness_family_over_the_cap_exits_2_promptly(tmp_path, capsys):
     assert time.perf_counter() - start < 1.0
     assert not path.exists()
     assert capsys.readouterr().err == "error: family thm9-X(k) with a k of 5000 digits exceeds the cap of 65536\n"
+
+
+def test_one_parser_serves_every_call_of_a_process(frz_path, capsys, monkeypatch):
+    # dispatch reuses one parser; a valid call, an argparse error and -h
+    # leave it as they found it, so each call prints what a fresh parser
+    # prints, and the valid call after them what it printed before them
+    calls = [
+        ["enum", frz_path, "--max-rows", "2", "--max-cols", "2"],
+        ["enum", frz_path, "--max-rows", "two", "--max-cols", "2"],
+        ["enum", "-h"],
+        ["enum", frz_path, "--max-rows", "2", "--max-cols", "2"],
+    ]
+
+    def outcomes():
+        seen = []
+        for argv in calls:
+            status = dispatch(argv)
+            seen.append((status, *capsys.readouterr()))
+        return seen
+
+    assert cli._parser() is cli._parser()
+    shared = outcomes()
+    (ok, out, _), (bad, _, err), (helped, usage, _), again = shared
+    assert (ok, bad, helped) == (0, 2, 0)
+    assert out.startswith("count: ")
+    assert err.startswith("usage: pictomata enum ") and "invalid int value: 'two'" in err
+    assert usage.startswith("usage: pictomata enum ")
+    assert again == shared[0]
+    monkeypatch.setattr(cli, "_parser", cli._parser.__wrapped__)
+    assert outcomes() == shared

@@ -1,4 +1,6 @@
 import random
+from dataclasses import replace
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -544,6 +546,133 @@ def test_two_way_kernel_equals_the_generic_search():
             cases[a.alphabet] = _kernel_cases(a.alphabet)
         _assert_kernel_is_the_generic_search(a, cases[a.alphabet])
     assert {a.compiled.det for a in machines} == {True, False}
+
+
+# -- dead states and the live table ---------------------------------------
+
+
+def _brute_dead(a):
+    """The states of ``a`` from which no sequence of moves, whatever each
+    reads, reaches ``a.accept``: one search of ``delta`` per state."""
+    dead = set()
+    for q in a.states:
+        seen, todo = {q}, [q]
+        while todo:
+            p = todo.pop()
+            for (src, _), image in a.delta.items():
+                if src == p:
+                    for q2, _ in image:
+                        if q2 not in seen:
+                            seen.add(q2)
+                            todo.append(q2)
+        if a.accept not in seen:
+            dead.add(q)
+    return dead
+
+
+def _with_trap(rng, variant, mode):
+    """A ``random_2d`` machine with a state ``trap`` that moves only to
+    itself: some moves are sent into it (added beside the others in
+    nondet mode), and some missing entries lead to it, so ``trap`` and
+    every state that reaches only it are dead."""
+    a = random_2d(rng, variant, mode)
+    dirs = {"2W": "DR", "3W": "DLR"}[variant]
+    delta = {}
+    for key, image in a.delta.items():
+        if rng.random() < 0.3:
+            trapped = {("trap", rng.choice(dirs))}
+            image = image | trapped if mode == "nondet" else frozenset(trapped)
+        delta[key] = image
+    for q in a.states[:-1]:
+        for sym in "01#":
+            if (q, sym) not in delta and rng.random() < 0.5:
+                delta[q, sym] = frozenset({("trap", rng.choice(dirs))})
+    for sym in "01#":
+        if rng.random() < 0.7:
+            delta["trap", sym] = frozenset({("trap", rng.choice(dirs))})
+    return replace(a, name=f"{a.name}-trap", states=(*a.states[:-1], "trap", a.accept), delta=delta)
+
+
+def _trap_machines(variants):
+    return [
+        _with_trap(random.Random(seed), variant, mode)
+        for seed in range(40)
+        for variant in variants
+        for mode in ("det", "nondet")
+    ]
+
+
+def test_dead_states_are_those_that_reach_no_acceptance():
+    # Compiled.dead against its definition; live is image without the
+    # moves into dead states, shared where nothing is dropped, and det
+    # counts the moves live keeps
+    machines = corpus_2w() + corpus_3w_det() + corpus_edge_walkers() + _trap_machines(("2W", "3W"))
+    for seed in range(200):
+        machines.append(random_2d(random.Random(seed), ("2W", "3W", "4W")[seed % 3], ("det", "nondet")[seed // 3 % 2]))
+    shared = trimmed = 0
+    for a in machines:
+        comp = a.compiled
+        assert {comp.states[si] for si in comp.dead} == _brute_dead(a), a.name
+        assert (comp.live is comp.image) == (not comp.dead)
+        for moves, kept in zip(comp.image, comp.live):
+            want = {sym: tuple(mv for mv in img if mv[0] not in comp.dead) for sym, img in moves.items()}
+            assert kept == {sym: img for sym, img in want.items() if img}
+            if comp.dead:
+                shared += kept is moves
+                trimmed += kept != moves
+        assert comp.det == all(len(img) == 1 for moves in comp.live for img in moves.values())
+    assert shared and trimmed
+
+
+def test_two_way_kernel_on_dead_states_equals_the_generic_search():
+    # the kernel reads Compiled.live, the generic search every move: on
+    # machines with a trap state they decide the same, on every picture up
+    # to 3x3 and each of its windows
+    machines = _trap_machines(("2W",))
+    assert all(a.compiled.dead for a in machines[:4])
+    assert {a.compiled.det for a in machines if a.mode == "nondet"} == {True, False}
+    cases = _kernel_cases(AB01)
+    for a in machines:
+        _assert_kernel_is_the_generic_search(a, cases)
+
+
+def test_row_transfer_on_dead_states_equals_accepts():
+    # verdicts folds each prefix through steps that drop dead pairs, and
+    # judges the empty state rejected without stepping it
+    words = list(enumerate_pictures(AB01, DimBounds(3, 3)))
+    for a in _trap_machines(("2W", "3W")):
+        comp, t = a.compiled, RowTransfer(a)
+        for w in words:
+            rows = w.rows
+            want = accepts(a, w)
+            assert _search(comp, rows, -1, -1, w.m, w.n) == want
+            assert t.verdicts(rows[:-1], rows[-1:]) == [want], (a.name, rows)
+        for state, _ in t.memo.values():
+            assert state is ACCEPTED or not {si for si, _ in state} & comp.dead
+
+
+def test_a_dead_prefix_steps_no_further(monkeypatch):
+    # a first row holding a 1 sends this first_row_zeros twin into its
+    # trap: the step keeps the trap's pair, the memo drops it, and no later
+    # row is stepped or judged; the twin of
+    # test_oracle.py::test_an_accepted_prefix_steps_no_further
+    a = Automaton2D(
+        "first-row-zeros-trap", "2W", "det", AB01, ("q0", "trap", "acc"), "q0", "acc",
+        make_delta([("q0", "0", "q0", "R"), ("q0", "1", "trap", "R"), ("q0", "#", "acc", "R"),
+                    ("trap", "0", "trap", "R"), ("trap", "1", "trap", "R"), ("trap", "#", "trap", "D")]),
+    )
+    t = RowTransfer(a)
+    assert t.step(t.start, "01") == frozenset({(1, 3)})
+    stepped = []
+    step = RowTransfer.step
+    monkeypatch.setattr(RowTransfer, "step", lambda self, state, row: stepped.append(row) or step(self, state, row))
+    lasts = ["".join(cells) for cells in product("01", repeat=2)]
+    assert t.verdicts(("01", "00"), lasts) == [False] * 4
+    assert stepped == ["01"]
+    assert t.memo == {(t.start, "01"): (frozenset(), False)}
+    assert t.verdicts(("00",), lasts) == [True] * 4
+    assert t.verdicts(("10",), lasts) == [False] * 4
+    assert stepped == ["01", "00", "10"]
 
 
 # -- the escape sink against a padded band ---------------------------------

@@ -6,8 +6,10 @@ concatenation oracles, the one sweep-and-compare loop behind the bounded
 sweeps, the one breadth-first walk that builds the products, the one
 module that encodes the step rule and the row transfer's states, the
 README's library example, run as written, the README's CLI block, one
-line per subcommand, and the CLI's options, each declared once
-(``test_each_cli_option_is_declared_once``)."""
+line per subcommand, the CLI's options, each declared once
+(``test_each_cli_option_is_declared_once``), and the table of live
+moves, read only by the verdict paths
+(``test_only_the_verdict_paths_read_the_live_table``)."""
 
 import argparse
 import ast
@@ -195,6 +197,17 @@ def test_only_simulate_encodes_the_step_rule():
                 users.setdefault(name, set()).add(path.name)
     assert "concat.py" in users["_search"]  # the walk sees the imports that are there
     assert users.get("_step", set()) <= {"simulate.py"}
+
+
+def test_only_the_verdict_paths_read_the_live_table():
+    # Compiled.live drops every move into Compiled.dead, so only verdicts
+    # may read either: the 2W kernel and the row transfer's fold.  _step,
+    # _search, the traces, replay and onedim's row oracle keep every move
+    outside = {("simulate", "_two_way"), ("simulate", "RowTransfer")}
+    for name in ("live", "dead"):
+        assert {use for use in _uses_by_function(name) if use[0] != "automaton"} <= outside, name
+    assert ("simulate", "_two_way") in _uses_by_function("live")  # the walk sees the reads there are
+    assert ("simulate", "RowTransfer") in _uses_by_function("dead")
 
 
 def test_only_simulate_names_the_transfer_states():
