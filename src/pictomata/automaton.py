@@ -62,25 +62,19 @@ class Compiled:
     """Integer-indexed transition tables for the hot simulation loops.
 
     ``reach`` is :func:`boundary_reach` as state indices: the states from
-    which reads of ``#`` alone lead to acceptance.  Once a 2W head moves
-    past the word's last row or column it reads ``#`` forever, so that
-    move accepts exactly when its target state is in ``reach``; the 2W
-    kernel of ``simulate`` and :class:`~pictomata.simulate.RowTransfer`
-    answer such exits from it.
-
-    ``dead`` holds the states from which no sequence of moves, on any
-    symbols, ``#`` included, reaches the accepting state: the complement
-    of the predecessor closure of ``accept`` in the symbol-blind
-    transition graph.  A run that enters one can only reject.  ``live``
-    is ``image`` with every move into a dead state removed, and a symbol
-    left with no move dropped; a state that loses no move shares its dict
-    with ``image``, and ``live is image`` when no state is dead.  Only the
-    verdict paths of ``simulate`` read them (the 2W kernel and
-    :class:`~pictomata.simulate.RowTransfer`); every trace, replay and
-    ground-truth path reads the full ``image``.  ``det`` is true when
-    every (state, symbol) of ``live`` has exactly one move, as
-    :func:`validate` ensures of ``image`` in det mode; the 2W kernel then
-    walks the one run.
+    which reads of ``#`` alone lead to acceptance.  ``dead`` holds the
+    states from which no sequence of moves, on any symbols, ``#``
+    included, reaches the accepting state: the complement of the
+    predecessor closure of ``accept`` in the symbol-blind transition
+    graph.  A run that enters one can only reject, so dropping the moves
+    into them changes no verdict.  ``live`` is ``image`` with every such
+    move removed, and a symbol left with no move dropped; a state that
+    loses no move shares its dict with ``image``, and ``live is image``
+    when no state is dead.  Only the verdict paths of ``simulate`` read
+    them (its 2W kernel and :class:`~pictomata.simulate.RowTransfer`);
+    every trace, replay and ground-truth path reads the full ``image``.
+    ``det`` is true when every (state, symbol) of ``live`` has exactly
+    one move, as :func:`validate` ensures of ``image`` in det mode.
     """
 
     __slots__ = (
@@ -96,9 +90,8 @@ class Compiled:
         self.is2w = a.variant == "2W"
         self.is4w = a.variant == "4W"
         self.reach = frozenset(self.index[q] for q in boundary_reach(a))
-        #: Symbols a picture may use, indexed by its ``allow_hash``.
-        symbols = frozenset(a.alphabet.symbols)
-        self.legal = (symbols, symbols | {BOUNDARY})
+        #: Symbols a picture may hold: the alphabet's and ``#``.
+        self.legal = frozenset((*a.alphabet.symbols, BOUNDARY))
         #: image[state index][symbol] = ((target index, row step, column step), ...)
         self.image: list[dict[str, tuple]] = [{} for _ in a.states]
         for (q, sym), img in a.delta.items():

@@ -289,14 +289,12 @@ def _run(args, out) -> int:
         onedim.save_automaton_1d(converted, args.output)
         return _written(out, args.output, len(converted.states))
 
-    if cmd == "bound":
-        if args.n > BOUND_MAX_N:
-            raise CapacityError(f"bound {args.n}: h(2n+3) has too many digits to print; n is at most {BOUND_MAX_N}")
-        print(f"h({args.n}) = {onedim.kapoutsis_bound(args.n)}", file=out)
-        print(f"k = h(2n+3) + 1 = {onedim.gadget_k(args.n)}", file=out)
-        return 0
-
-    raise ToolkitError(f"unknown command {cmd!r}")
+    # bound: argparse's required subcommand leaves no other command
+    if args.n > BOUND_MAX_N:
+        raise CapacityError(f"bound {args.n}: h(2n+3) has too many digits to print; n is at most {BOUND_MAX_N}")
+    print(f"h({args.n}) = {onedim.kapoutsis_bound(args.n)}", file=out)
+    print(f"k = h(2n+3) + 1 = {onedim.gadget_k(args.n)}", file=out)
+    return 0
 
 
 def main() -> None:

@@ -7,21 +7,11 @@ top-left corner, the right factor in the bottom-right corner, and the
 remaining two corner blocks range over every filler word, so a single
 pair of factors yields a whole set of results over a non-unary alphabet.
 
-``concat_membership`` decides membership in the concatenation of two
-*automaton* languages by enumerating split points and simulating each
-factor directly.  It deliberately shares no code with the automaton
+:func:`concat_membership` decides membership in the concatenation of
+two *automaton* languages by enumerating split points and simulating
+each factor directly.  It deliberately shares no code with the automaton
 constructions elsewhere in this package: it is the ground truth they are
 tested against, one word at a time, and it keeps nothing between calls.
-It runs its checks, then the one split loop, :func:`_split_search`, on
-the word as a group of one.  :func:`_splits` is the split geometry of
-all three kinds: for each size of word, the pair of blocks of every
-split, as windows of the word, in split order, which the split loop
-searches in place.  The split loop takes a group of words of one size
-that share their first m-1 rows, and decides a's block of each split
-once for the whole group when that block lies above the last row (row
-and diagonal splits).  A sweep of many words (``oracle.refute``) passes
-the checks on its first word through ``concat_membership`` and hands
-the split loop one row prefix at a time, with every last row.
 """
 
 import enum
@@ -29,8 +19,8 @@ from itertools import product
 
 from .automaton import Automaton2D, Compiled
 from .errors import AlphabetError, CapacityError, DimensionError
-from .picture import Alphabet, Picture, _trusted_picture
-from .simulate import _search, _two_way, check_input
+from .picture import BOUNDARY, Alphabet, Picture, _trusted_picture
+from .simulate import _search, _two_way
 
 
 class ConcatKind(enum.Enum):
@@ -91,16 +81,14 @@ def _splits(kind: ConcatKind, m: int, n: int) -> tuple:
     """The (a-window, b-window) pair of every split of an m x n word, in
     split order: row cut outer, column cut inner.
 
-    A window is the ``(r0, c0, rows, cols)`` of :func:`_search`, whose
-    cell (i, j) is ``rows[r0 + i][c0 + j]`` of the word.  Row: the top i
-    rows go to a and the rest to b.  Col: the left j columns to a and the
-    rest to b.  Diag: the top-left i x j block to a and the bottom-right
-    (m-i) x (n-j) block to b, the other two corners unconstrained.  A
-    word too small to split has no entry.  Each table is built on first
-    use and kept, one per kind and size, so a sweep that calls
-    :func:`concat_membership` once per word builds it once per size; it
-    has fewer entries than the word has cells.  The split loop reads a
-    kept table from ``_TABLES`` itself and calls this only to build one.
+    A window is the ``(r0, c0, rows, cols)`` of :func:`_search`.  Row: the
+    top i rows go to a and the rest to b.  Col: the left j columns to a
+    and the rest to b.  Diag: the top-left i x j block to a and the
+    bottom-right (m-i) x (n-j) block to b, the other two corners
+    unconstrained.  A word too small to split has no entry.  Each table
+    is built on first use and kept in ``_TABLES``, one per kind and size,
+    so a sweep builds it once per size; it has fewer entries than the
+    word has cells.
     """
     key = (kind._value_, m, n)
     splits = _TABLES.get(key)
@@ -126,25 +114,21 @@ def concat_membership(kind: ConcatKind, a: Automaton2D, b: Automaton2D, w: Pictu
     simply not members.
 
     The checks come first, in this order: the factors read the same set
-    of symbols, w's cells lie in it without ``#``, and the kind is a
-    :class:`ConcatKind`.  Then b is compiled, so a factor b that fails to
-    compile raises too, before any split is tried.  The alphabet never
-    holds ``#``, whatever ``w.allow_hash`` says: L(a) and L(b) contain no
-    word with a ``#`` cell, so neither does their concatenation, and such
-    a ``w`` raises ``AlphabetError``.
-
-    Then :func:`_split_search` runs each factor on its block of w in
-    place, with w as a group of one.  No check is repeated: every block
-    lies inside w by construction, and its symbols are among w's, which
-    have just been checked.  Nothing is remembered across calls, so each
-    call simulates every block it needs afresh.
+    of symbols, a compiles, w's cells lie in that set, and the kind is a
+    :class:`ConcatKind`.  A ``#`` cell raises ``AlphabetError`` whatever
+    ``w.allow_hash`` says: L(a) and L(b) contain no word with one, so
+    neither does their concatenation.  Then b is compiled, so a factor b
+    that fails to compile raises before any split is tried, and
+    :func:`_split_search` decides w as a group of one, with no check
+    repeated: every block lies inside w, and its symbols are among w's.
     """
     sa, sb = a.alphabet.symbols, b.alphabet.symbols
     if sa != sb and set(sa) != set(sb):  # a set costs ~7x a tuple compare
         raise AlphabetError("factor machines must share one alphabet")
     ca, rows = a.compiled, w.rows
-    if not ca.legal[False].issuperset("".join(rows)):
-        check_input(a, w, allow_hash=False)  # raises, naming the symbols
+    cells = "".join(rows)
+    if BOUNDARY in cells or not ca.legal.issuperset(cells):
+        raise AlphabetError(f"picture uses symbols {sorted(set(cells).difference(sa))} unknown to {a.name!r}")
     if not isinstance(kind, ConcatKind):
         raise ValueError(f"unknown concat kind {kind!r}")
     return not _split_search(kind, ca, b.compiled, (rows,), w.m, w.n)
@@ -152,28 +136,21 @@ def concat_membership(kind: ConcatKind, a: Automaton2D, b: Automaton2D, w: Pictu
 
 def _split_search(kind: ConcatKind, ca: Compiled, cb: Compiled, words, m: int, n: int):
     """The words of ``words`` that no split puts in L(a) <kind> L(b), in
-    their order: the split loop of :func:`concat_membership`, on the
-    compiled factors, with none of its checks.
+    their order: the split loop, on the compiled factors, with none of
+    the checks of :func:`concat_membership`.
 
-    ``words`` is a group of m x n words, each a tuple of rows, that share
-    their first m-1 rows, as one row prefix with each of its last rows;
-    :func:`concat_membership` passes its word as a group of one.  The
-    split table and both kernels are resolved once per group.  Each
-    factor runs on its block in place, by the search of
-    :func:`~pictomata.simulate.accepts` on a window of the word from
+    ``words`` is a *prefix group*: m x n words, each a tuple of rows, that
+    share their first m-1 rows.  Each factor runs on its block in place,
+    by the search of :func:`~pictomata.simulate.accepts` on a window from
     :func:`_splits`, as if on the block copied out with
-    :func:`~pictomata.picture.subpicture`: the 2W kernel for a 2W factor,
-    the generic search for any other.  Splits go in split order, and each
-    word drops out at its first split that holds.  When a's block lies
-    above the last row, the window says so, and it reads the same cells
-    in every word of the group, so a is run on it once, on the group's
-    first word; a block that reaches the last row (a column split) is
-    run per word, and b's block always is.  While one word is open, as
-    in every call of :func:`concat_membership`, it is searched without a
-    loop over the words, which would cost a group of one a few percent.
-    A caller whose first word passed the oracle's checks may hand it
-    every later word over the same symbols, of the same kind and
-    factors, since those checks cannot fail on them."""
+    :func:`~pictomata.picture.subpicture`.  Splits go in split order, and
+    each word drops out at its first split that holds.  a's block above
+    the last row (row and diagonal splits) reads the same cells in every
+    word of the group, so a runs on it once, on the first word; every
+    other block is run per word.  While one word is open it is searched
+    without a loop over the words, which would cost a group of one a few
+    percent.  Words that share the symbols, kind and factors of a word
+    that passed those checks cannot fail them."""
     search_a = _two_way if ca.is2w else _search
     search_b = _two_way if cb.is2w else _search
     splits = _TABLES.get((kind._value_, m, n))
@@ -182,9 +159,7 @@ def _split_search(kind: ConcatKind, ca: Compiled, cb: Compiled, words, m: int, n
     first = words[0]
     left = words
     for (r0, c0, m0, n0), b_window in splits:
-        # a's block runs from the top row down; with fewer than m rows it
-        # lies above the last row, where all the words agree, so a's
-        # verdict on the first word is its verdict on every word
+        # a's block runs from the top row down, so m0 < m puts it above the last row
         if m0 < m and not search_a(ca, first, r0, c0, m0, n0):
             continue
         r1, c1, m1, n1 = b_window

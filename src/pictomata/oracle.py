@@ -4,33 +4,10 @@ and the flip-style counterexample search.
 Enumeration order is total and fixed: row counts ascend, then column
 counts, then cell assignments lexicographically in alphabet order.  Every
 search in this module returns the first hit in that order, so repeated
-runs produce identical reports.
-
-A sweep (:func:`language_up_to`, :func:`equivalent_up_to`) still visits
-every picture in that order, but decides a 2W or 3W candidate without a
-configuration search per picture.  The pictures of one size are every
-prefix of m-1 rows followed by every last row, so one
-:class:`~pictomata.simulate.RowTransfer` of the candidate folds each
-prefix once, through the transfer's own memo of steps, and
-:meth:`~pictomata.simulate.RowTransfer.verdicts` steps all last rows
-from the state it leaves.  :func:`language_up_to` builds a picture for
-the accepted words alone.  A 4W candidate can move up, so rows do not
-cut its runs; it is decided by :func:`~pictomata.simulate.accepts` on
-each word, in the same order and the same prefix groups.  Each sweep
-checks its budget when it is called, before it compiles the candidate.
-
-:func:`equivalent_up_to` and :func:`refute` share one sweep-and-compare
-loop, :func:`_first_difference`, which asks its target about one row
-prefix at a time, with every last row, and compares word by word.  The
-loop builds a :class:`Picture` for the counterexample alone.
-:func:`equivalent_up_to`'s target reads pictures, so it builds one per
-word and asks the target about each word in turn, stopping at the first
-difference.  :func:`refute` asks
-:func:`~pictomata.concat.concat_membership` about the first word only,
-so that every check of the split oracle runs once, in its order, and
-asks the oracle's split loop about every later prefix with its last
-rows at once, so that a's block of a row or diagonal split is decided
-once per prefix rather than once per word.
+runs produce identical reports.  The sweeps (:func:`language_up_to`,
+:func:`equivalent_up_to`, :func:`refute`) walk that order one row
+prefix at a time, through :func:`_swept`; the last two compare through
+one loop, :func:`_first_difference`.
 """
 
 from collections.abc import Callable, Iterator
@@ -46,6 +23,7 @@ from .simulate import (
     RowTransfer,
     RunTrace,
     _first_trace,
+    _search,
     accepts,
     first_accepting_trace,
     replay_accepts,
@@ -146,20 +124,24 @@ def _swept(
     """Every picture within bounds, in the fixed total order, one row
     prefix at a time: each size's prefixes of m-1 rows, each with the
     |alphabet|**n rows that can end it and the machine's verdicts on the
-    words they make.  The budget is checked at the call, then a 2W or 3W
-    machine is compiled, so a sweep raises in that order.
+    words they make.  This sets the sweeps' error order: the budget is
+    checked at the call, then the machine is compiled.
 
-    A 2W or 3W machine is decided by one row transfer:
-    :meth:`~pictomata.simulate.RowTransfer.verdicts` folds each prefix
-    once.  A 4W machine is decided by :func:`accepts` on each word of the
-    group, when the group is reached.
+    A 2W or 3W machine is decided by one
+    :class:`~pictomata.simulate.RowTransfer`, which folds each prefix
+    once.  A 4W machine can move up, so rows do not cut its runs: each
+    word is decided by the search of :func:`accepts` on its rows, without
+    the symbol check, which words joined from the machine's own alphabet
+    cannot fail.
     """
     _check_budget(a.alphabet, bounds, budget)
+    comp = a.compiled
     if a.variant in ("2W", "3W"):
         decide = RowTransfer(a).verdicts
     else:
         def decide(prefix, lasts):
-            return [accepts(a, _trusted_picture(prefix + (last,))) for last in lasts]
+            m, n = len(prefix) + 1, len(lasts[0])
+            return [_search(comp, prefix + (last,), -1, -1, m, n) for last in lasts]
 
     return (
         (prefix, rows, decide(prefix, rows))
@@ -186,11 +168,8 @@ def equivalent_up_to(
     bounds: DimBounds,
     budget: int | None = DEFAULT_BUDGET,
 ) -> Counterexample | None:
-    """First word (in enumeration order) where candidate and target differ.
-
-    Returns None when they agree on every picture within bounds.  The
-    target is asked about each word in order, up to the first difference.
-    """
+    """First word (in enumeration order) where candidate and target differ;
+    None when they agree on every picture within bounds."""
 
     def expected(prefix, lasts):
         return lambda last: bool(target(_trusted_picture(prefix + (last,))))
@@ -204,9 +183,8 @@ def _first_difference(
     bounds: DimBounds,
     budget: int | None,
 ) -> Counterexample | None:
-    """The sweep-and-compare loop of :func:`equivalent_up_to` and
-    :func:`refute`: the first word of :func:`_swept` on which the target
-    verdict differs from the candidate's.  For each row prefix,
+    """The first word of :func:`_swept` on which the target's verdict
+    differs from the candidate's.  For each row prefix,
     ``expected(prefix, lasts)`` gives the target's verdict on the words
     it begins as a function of their last row, which the loop asks word
     by word, so no word past the first difference is asked about.  Only
@@ -290,19 +268,15 @@ def refute(
 
     One deterministic pass: exhaustive comparison against
     :func:`~pictomata.concat.concat_membership`, the split-enumeration
-    oracle, over every picture within bounds.  The candidate must read
-    the factors' symbols (:func:`check_same_symbols`), checked before the
-    budget.  The first word goes through the oracle itself, so its
-    checks (the factors' symbols, the word's, the kind, b compiling) run
-    once, in its order.  None of them can fail on a later word: every
-    word of the sweep is over the candidate's symbols, which are a's and
-    hence b's, and the kind and factors do not change.  So every later
-    word goes to the oracle's split loop on its rows, one row prefix at
-    a time with all its last rows, so that a's block above the last row
-    is searched once per prefix; no :class:`Picture` is built but the
-    first word's and the counterexample's.  The first counterexample
-    found is verified against the public oracle, its evidence replayed,
-    and returned.
+    oracle, over every picture within bounds.  The checks raise in this
+    order: the candidate reads the factors' symbols
+    (:func:`check_same_symbols`), the sweep's checks, then the oracle's,
+    once, on the first word.  Every later word is over the candidate's
+    symbols, which are a's and hence b's, with the same kind and factors,
+    so the oracle's checks cannot fail on it, and every word is decided
+    by the oracle's split loop, one prefix group at a time.  The first
+    counterexample found is verified against the public oracle, its
+    evidence replayed, and returned.
 
     Flipping cells off a run finds nothing more within the same bounds.
     A flip of a cell that an accepting run never visits leaves that run
@@ -318,14 +292,12 @@ def refute(
     def expected(prefix, lasts):
         nonlocal ca, cb
         words = [prefix + (last,) for last in lasts]
-        members = set(lasts)
-        if cb is None:  # the first word: every check, once, in the oracle's order
-            if not concat_membership(kind, a, b, _trusted_picture(words.pop(0))):
-                members.discard(lasts[0])
+        if cb is None:  # the oracle's checks, once
+            concat_membership(kind, a, b, _trusted_picture(words[0]))
             ca, cb = a.compiled, b.compiled
-        if words:
-            for rows in _split_search(kind, ca, cb, words, len(prefix) + 1, len(lasts[0])):
-                members.discard(rows[-1])
+        members = set(lasts)
+        for rows in _split_search(kind, ca, cb, words, len(prefix) + 1, len(lasts[0])):
+            members.discard(rows[-1])
         return members.__contains__
 
     ce = _first_difference(candidate, expected, bounds, budget)

@@ -132,11 +132,6 @@ def picture_of(rows, allow_hash: bool = False) -> Picture:
     return Picture(tuple(rows), allow_hash=allow_hash)
 
 
-def in_band(w: Picture, pos: Position) -> bool:
-    row, col = pos
-    return 0 <= row <= w.m + 1 and 0 <= col <= w.n + 1
-
-
 def read_cell(w: Picture, pos: Position) -> str:
     """Read a cell of the bordered band.
 
@@ -144,9 +139,9 @@ def read_cell(w: Picture, pos: Position) -> str:
     for frame positions.  Positions outside the band are an error: a head
     out there is modelled by the simulator's escape sink, not by a position.
     """
-    if not in_band(w, pos):
-        raise OutOfBandError(f"position {pos} outside band of {w.m}x{w.n} word")
     row, col = pos
+    if not (0 <= row <= w.m + 1 and 0 <= col <= w.n + 1):
+        raise OutOfBandError(f"position {pos} outside band of {w.m}x{w.n} word")
     if 1 <= row <= w.m and 1 <= col <= w.n:
         return w.rows[row - 1][col - 1]
     return BOUNDARY

@@ -3,75 +3,31 @@
 The head lives in the bordered band ``[0..m+1] x [0..n+1]``.  For the 2W
 and 3W variants a move that leaves the band enters the *escape sink*, the
 off-band position (-1, -1), where the head reads ``#`` for good and only
-its state evolves: no step has a branch for it, since every move from it
-lands off the band again.  A 2W head moves only down and right, so once
-it leaves past the bottom or right border it can never re-enter the
-band, and the collapse is exact for 2W: it gives the verdicts of a head
-on the word embedded in a wide enough band of ``#``.
-It is not exact for 3W.  A 3W head that leaves past the right border
-could step left again, back across the frame and onto the word, which
-the sink forgoes, as it forgoes marching back in after walking left out
-of the band; so a 3W machine can reject here a picture that it accepts
-on a padded band (``tests/test_simulation.py`` pins such a machine).
-For 4W machines a band-exiting move is treated as undefined, keeping the
-configuration space finite.
+its state evolves: every move from it lands off the band again, so no
+step has a branch for it.  The sink is exact for 2W: a head that moves
+only down and right never re-enters the band, so the verdicts are those
+on the word embedded in a wide enough band of ``#``.  It is not exact
+for 3W: on a padded band, a head that left past the right border could
+step back left onto the word, as it could march back in after walking
+left out of the band, and the sink forgoes both; so a 3W machine can
+reject here a picture that it accepts on a padded band
+(``tests/test_simulation.py`` pins such a machine).  A 4W move off the
+band is undefined, which keeps the configuration space finite.
 
-Cells are read where they are: one step rule reads the word through a
-window (row and column offset plus size) into the rows of a picture, and
-answers ``#`` for every band position outside the window.  No bordered
-band and no block picture is ever built.  The rule has four encodings
-in this module, and ``tests/test_simulation.py`` pins each of the other
-three to the first.  One replay of a row's moves lives elsewhere on
-purpose: :func:`~pictomata.onedim.row_departure_oracle` steps them from
-``Compiled.image`` on its own framed tape, as the ground truth that
-:func:`~pictomata.onedim.row_restriction` is checked against, so it
-shares no code with this module.  :func:`_step` is the rule's one-step
-definition, behind traces, replay and :func:`run_deterministic`.
-:func:`_search`, the one depth-first loop behind every reachability
-question, applies it inline, since its searches are mostly a few steps
-long and a call per step would cost more than the step: :func:`accepts`
-on the whole picture, the split loop of ``concat`` on each block in
-place, and the trace walk of :func:`first_accepting_trace` (also behind
-:func:`~pictomata.oracle.flip_attack`) from a configuration on its path
-with a set of configurations it must not enter.  A verdict on a 2W
-machine, from its initial configuration with no set to avoid, goes to
-:func:`_two_way` instead: :func:`accepts` and the split loop of
-``concat`` pick the kernel once per call from ``Compiled.is2w``.  It
-visits the window's cells alone.  That is exact: a 2W head that moves
-past the last row or column reads ``#`` from then on, in the frame or
-the escape sink alike, so the move accepts exactly when its target
-state is in ``Compiled.reach``, the ``#``-reachability of
-:func:`~pictomata.automaton.boundary_reach`.
-The kernel reads ``Compiled.live``, the moves that do not enter a state
-of ``Compiled.dead``, from which no run accepts; dropping them drops
-only runs that reject.  It follows a machine that is deterministic on
-those moves (``Compiled.det``) along its one run, which leaves the
-window within m + n - 1 moves, with no set of visited configurations.
-:meth:`RowTransfer.step` is the fourth: it closes a set of
-configurations on a one-row window, below.
-
-:class:`RowTransfer` folds a picture row by row instead.  A 2W or 3W
-head never moves up, so a run cuts exactly at each row boundary: what
-rows 1..i hand on to row i+1 is the set of (state, column) pairs
-stepping down into it, and the transfer closes such a set under the
-step rule, applied inline, on a one-row window.  The cut stays exact
-below the last row, because the bottom frame row and the escape sink
-read only ``#``, so what is left there is whether a state is in
-``Compiled.reach``.  4W machines have no such cut.  A step reads the width off its row, so one
-transfer per machine serves every width.  :meth:`~RowTransfer.verdicts`
-is the one fold, behind the sweeps of ``oracle``.  A sweep meets the
-pictures of one size in row-lexicographic order, each prefix of m-1
-rows followed by every last row, so the fold takes a prefix once and
-steps each last row from the state it leaves.  Its one memo maps each (state, row) to the state the
-row leaves and that state's verdict, so most steps are memo hits and a
-last row's verdict is read off its entry.  The memo starts over once it
-holds ``_MEMO_CAP`` entries, which bounds its memory however many
-distinct rows and states it meets.  A prefix keeps its state in hand
-while its last rows are stepped, so the memo may start over among them.
-The memo stores each step without its pairs in ``Compiled.dead``, which
-can only reject, so a fold whose runs can no longer accept reaches the
-empty state, and the fold treats it as sticky rejection, as it treats
-``ACCEPTED`` as sticky acceptance.  The step itself keeps every pair.
+The step rule reads the word in place, through a window (row and column
+offset plus size) into the rows of a picture, and answers ``#`` for
+every band position outside the window, so no bordered band or block
+picture is built.  It has four encodings, and ``tests/test_simulation.py``
+pins the others to the first, :func:`_step`, the one-step definition
+behind traces, replay and :func:`run_deterministic`.  :func:`_search`,
+the one depth-first loop behind every reachability question, its 2W
+kernel :func:`_two_way` and :meth:`RowTransfer.step` apply the rule
+inline: their searches are mostly a few steps long, and a call per step
+would cost more than the step.  One replay of a row's moves lives
+elsewhere on purpose: :func:`~pictomata.onedim.row_departure_oracle`
+steps them from ``Compiled.image`` on its own framed tape, as the ground
+truth for :func:`~pictomata.onedim.row_restriction`, so it shares no
+code with this module.
 
 Everything here is a pure function of (automaton, picture), and every run
 terminates: the configuration space has at most |Q|*((m+2)(n+2)+1)
@@ -112,13 +68,11 @@ class RunResult:
         return self.kind == ACCEPTED
 
 
-def check_input(a: Automaton2D, w: Picture, *, allow_hash: bool | None = None) -> None:
-    """Reject pictures that use symbols outside the machine's alphabet.
-
-    ``#`` cells are legal when ``allow_hash`` is true; it defaults to
-    ``w.allow_hash``.
-    """
-    ok = a.compiled.legal[w.allow_hash if allow_hash is None else allow_hash]
+def check_input(a: Automaton2D, w: Picture) -> None:
+    """Reject pictures that use symbols outside the machine's alphabet;
+    ``#`` cells pass, since a picture holds them only when built with
+    ``allow_hash``."""
+    ok = a.compiled.legal
     cells = "".join(w.rows)
     if not ok.issuperset(cells):
         raise AlphabetError(f"picture uses symbols {sorted(set(cells) - ok)} unknown to {a.name!r}")
@@ -143,8 +97,7 @@ def _step(comp: Compiled, rows, r0: int, c0: int, m: int, n: int, si: int, r: in
         if 0 <= r2 <= m + 1 and 0 <= c2 <= n + 1:
             out.append((q2, r2, c2))
         elif not comp.is4w:
-            # the escape sink reads '#' and absorbs: no D, L or R move from
-            # (-1, -1) reaches the band, while D from (-1, 0) would reach (0, 0)
+            # the escape sink: a D move from (-1, 0) would re-enter at (0, 0)
             out.append((q2, -1, -1))
     return out
 
@@ -172,14 +125,8 @@ def _search(comp: Compiled, rows, r0: int, c0: int, m: int, n: int, start=None, 
     ``start`` defaults to the initial configuration.  A caller's ``seen``
     set holds configurations the run must not enter (``start`` must not be
     among them), accepting ones included; the search adds every
-    configuration it enters.  For a 2W machine from the initial
-    configuration with no ``seen`` set, :func:`_two_way` decides the same
-    on the window's cells alone, and the verdicts call it instead.
-
-    This is the hot loop of every other verdict, so it applies the rule
-    of :func:`_step` inline rather than calling it: the same successors,
-    in the same order, hence the same search.  ``tests/test_simulation.py``
-    pins the three together.
+    configuration it enters.  It meets the successors of :func:`_step` in
+    their order, so it searches as a loop over :func:`_step` would.
     """
     if start is None:
         start = (comp.initial, 1, 1)
@@ -217,19 +164,18 @@ def _search(comp: Compiled, rows, r0: int, c0: int, m: int, n: int, start=None, 
 
 
 def _two_way(comp: Compiled, rows, r0: int, c0: int, m: int, n: int) -> bool:
-    """:func:`_search` from the initial configuration, for a 2W machine,
-    on the window's cells alone.
+    """:func:`_search` from the initial configuration with no ``seen``
+    set, for a 2W machine, on the window's cells alone; :func:`accepts`
+    and the split loop of ``concat`` pick it once per call from
+    ``comp.is2w``.
 
     A 2W head moves only down and right, so a move past row m or column n
     takes it to the frame or the escape sink, where it reads ``#`` for
-    good and only its state evolves: that move accepts exactly when its
-    target is in ``comp.reach``.  A ``#`` cell inside the window is read
-    like any other cell.  The moves come from ``comp.live``: a move into
-    a state of ``comp.dead`` starts only runs that reject, so the search
-    skips it.  When ``comp.det`` holds, every entry of ``comp.live`` has
-    one move and the search is a walk along the one run, which needs no
-    visited set: r + c grows on every move, so the run leaves the window
-    within m + n - 1 moves.
+    good: that move accepts exactly when its target is in ``comp.reach``.
+    A ``#`` cell inside the window is read like any other.  The moves come
+    from ``comp.live``.  When ``comp.det`` holds, the search walks the one
+    run with no visited set: r + c grows on every move, so the run leaves
+    the window within m + n - 1 moves.
     """
     si, accept, reach, image = comp.initial, comp.accept, comp.reach, comp.live
     if si == accept:
@@ -424,26 +370,22 @@ def _first_trace(comp: Compiled, rows, m: int, n: int, blocked: set) -> RunTrace
 class RowTransfer:
     """A 2W or 3W machine as a deterministic automaton over rows.
 
-    Such a head never moves up, so all that rows 1..i pass on to row i+1
-    is which states step down into which band column.  A transfer state
-    is that set of (state index, column) pairs, or the sticky
-    ``ACCEPTED`` once some run has accepted.  :meth:`step` closes the
-    pairs entering a row under the step rule of :func:`_step`, applied
-    inline, on a one-row window holding that row, as wide as the row: a
-    successor in row 2 of the window has moved down, and an escaped one
-    reads ``#`` forever.  Below the last row a head reads only ``#``
-    too, in the frame row or in the escape sink, so :meth:`final` asks
-    whether a surviving state can reach acceptance on ``#`` reads alone,
-    that is, lies in ``Compiled.reach``.
-    Folding a picture's rows from :attr:`start` and applying
-    :meth:`final` therefore gives :func:`accepts` exactly, at every width.
-    :meth:`verdicts` does that for many pictures that share all rows but
-    the last, through one cache of at most ``_MEMO_CAP`` entries,
-    :attr:`memo`: the step of each (state, row), without the pairs whose
-    state is in ``Compiled.dead``, and the verdict of the state it
-    leaves.  Dropping those pairs changes no verdict, since no run from
-    them accepts, and it makes the empty state, like ``ACCEPTED``,
-    sticky: :meth:`verdicts` steps neither any further.
+    Such a head never moves up, so a run cuts exactly at each row
+    boundary: all that rows 1..i pass on to row i+1 is which states step
+    down into which band column.  A transfer state is that set of (state
+    index, column) pairs, or the sticky ``ACCEPTED`` once some run has
+    accepted.  :meth:`step` reads the width off its row, so one transfer
+    per machine serves every width.  Folding a picture's rows from
+    :attr:`start` and applying :meth:`final` gives :func:`accepts`
+    exactly.
+
+    :meth:`verdicts`, the one fold, behind the sweeps of ``oracle``, goes
+    through :attr:`memo`, which maps each (state, row) to the state the
+    row leaves, without its pairs in ``Compiled.dead``, and that state's
+    verdict.  Dropping those pairs makes the empty state, like
+    ``ACCEPTED``, sticky.  The memo starts over once it holds
+    ``_MEMO_CAP`` entries, which bounds its memory however many distinct
+    rows and states it meets.
     """
 
     __slots__ = ("start", "memo", "_comp")
@@ -457,18 +399,14 @@ class RowTransfer:
         self.memo: dict = {}
 
     def step(self, state, row: str):
-        """The transfer state below ``row``, at the width ``len(row)``.
-
-        This is the closure under :func:`_step` on the one-row window
-        holding ``row``, with the rule applied inline, as :func:`_search`
-        applies it: a pair (state, column) stands for the configuration in
-        the window's row 1, the frame columns 0 and n+1 read ``#``, a down
+        """The transfer state below ``row``, at the width ``len(row)``: the
+        closure under :func:`_step` on the one-row window holding ``row``.
+        A pair (state, column) stands for the configuration in the
+        window's row 1, the frame columns 0 and n+1 read ``#``, a down
         move lands in the pairs below, and a move off the band escapes.
         A successor in the accepting state, or an escape into a state of
-        ``Compiled.reach``, makes the step ``ACCEPTED``.
-        ``tests/test_simulation.py`` pins it to a closure over
-        :func:`_step`.
-        """
+        ``Compiled.reach``, makes the step ``ACCEPTED``.  The step keeps
+        every pair, dead ones included."""
         if state is ACCEPTED:
             return ACCEPTED
         comp = self._comp
@@ -484,7 +422,7 @@ class RowTransfer:
                 if q2 == accept:
                     return ACCEPTED
                 c2 = c + dc
-                if c2 < 0 or c2 > n1:  # the escape sink reads '#' for good
+                if c2 < 0 or c2 > n1:  # the escape sink
                     if q2 in reach:
                         return ACCEPTED
                 elif dr:
@@ -497,7 +435,9 @@ class RowTransfer:
         return frozenset(below)
 
     def final(self, state) -> bool:
-        """Whether a picture that left the fold in ``state`` is accepted."""
+        """Whether a picture that left the fold in ``state`` is accepted:
+        below the last row a head reads only ``#``, in the frame row or the
+        escape sink, so it is iff some pair's state is in ``Compiled.reach``."""
         # runs on every memo miss: a plain loop costs less than any() over
         # a generator on states of a few pairs
         if state is ACCEPTED:
@@ -510,12 +450,13 @@ class RowTransfer:
 
     def verdicts(self, prefix, lasts) -> list[bool]:
         """:func:`accepts` of each picture ``(*prefix, last)``, for each
-        ``last`` in ``lasts``, all of one width.  ``prefix`` is folded once,
-        and every step goes through :attr:`memo`, whose entry for a last
-        row holds its verdict.  A prefix whose state is already
-        ``ACCEPTED`` or empty steps no further.  Like :meth:`step`, it
-        checks no symbols: a picture from outside goes through
-        :func:`accepts`."""
+        ``last`` in ``lasts``, all of one width.  ``prefix`` is folded once
+        and each last row is stepped from the state it leaves, every step
+        through :attr:`memo`; a state that is ``ACCEPTED`` or empty steps
+        no further.  That state stays in hand while the last rows are
+        stepped, so the memo may start over among them.  Like
+        :meth:`step`, it checks no symbols: a picture from outside goes
+        through :func:`accepts`."""
         memo, state = self.memo, self.start
         for row in prefix:
             if state is ACCEPTED or not state:
@@ -526,9 +467,7 @@ class RowTransfer:
         return [(memo.get((state, row)) or self._remember(state, row))[1] for row in lasts]
 
     def _remember(self, state, row):
-        """A memo miss: the step without its pairs in ``Compiled.dead``,
-        which can only reject, and the verdict of the state it leaves,
-        stored; the memo starts over when full."""
+        """A memo miss: the entry :attr:`memo` describes, stored."""
         memo, dead = self.memo, self._comp.dead
         if len(memo) >= _MEMO_CAP:
             memo.clear()

@@ -525,3 +525,22 @@ def test_constructions_validate_clean():
         got = diag_concat_separated(a, b)
         assert validate(got) == []
         assert got.variant == "2W"
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (
+            lambda: diag_concat_nondet_2w(build_witness("first-row-zeros"), dataclasses.replace(
+                build_witness("first-row-zeros"), alphabet=Alphabet(("0", "2")))),
+            AlphabetError,
+            "factor machines must share one alphabet",
+        ),
+        (lambda: thm9_x_family(0), ToolkitError, "family parameter must be at least 1"),
+    ],
+    ids=["factors-over-other-symbols", "empty-family"],
+)
+def test_construction_preconditions_raise_their_errors(call, error, message):
+    with pytest.raises(error) as got:
+        call()
+    assert type(got.value) is error and str(got.value) == message

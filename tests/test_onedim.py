@@ -6,13 +6,16 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from corpus import _mk, boustro3w, corpus_1d, corpus_3w_det, descend3w, drift3w, left_probe3w, random_2d, t9a
+from corpus import (
+    _mk, boustro3w, corpus_1d, corpus_3w_det, descend3w, drift3w, first_row_zeros, left_probe3w, random_2d, t9a,
+)
 from pictomata import (
     Alphabet,
     Departure,
     ModeError,
     PreconditionError,
     ToolkitError,
+    VariantError,
     downward_departures,
     kapoutsis_bound,
     picture_of,
@@ -434,3 +437,78 @@ def test_simulate_1d_equals_its_spec_on_random_machines(m):
 @settings(max_examples=60, deadline=None)
 def test_row_departure_oracle_equals_its_spec_on_random_machines(m2):
     _assert_oracles_agree(m2, 8)
+
+
+def _ends_zero_text():
+    return serialize_automaton_1d(corpus_1d()[0])
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (
+            lambda: Automaton1D("zeros", ONE_WAY, AB, ("q0",), "q0", ("q0",), {}).accept,
+            ModeError,
+            "single accepting state is a two-way notion",
+        ),
+        (
+            lambda: downward_departures(first_row_zeros(), picture_of(["00"]), 1),
+            VariantError,
+            "departure replay is defined for three-way machines",
+        ),
+        (
+            lambda: downward_departures(descend3w(), picture_of(["00"]), 2),
+            PreconditionError,
+            "row 2 outside the 1x2 word",
+        ),
+        (
+            lambda: downward_departures(descend3w(), picture_of(["00"]), 0),
+            PreconditionError,
+            "row 0 outside the 1x2 word",
+        ),
+        (
+            lambda: row_restriction(dataclasses.replace(descend3w(), mode="nondet"), "q0", "left", 1),
+            PreconditionError,
+            "row restriction is defined for det three-way machines",
+        ),
+        (
+            lambda: row_departure_oracle(first_row_zeros(), "q0", "left", 1, "00"),
+            PreconditionError,
+            "row restriction is defined for det three-way machines",
+        ),
+        (
+            lambda: row_restriction(descend3w(), "zz", "left", 1),
+            PreconditionError,
+            "unknown entry state 'zz'",
+        ),
+        (
+            lambda: row_restriction(descend3w(), "q0", "up", 1),
+            PreconditionError,
+            "side must be 'left' or 'right'",
+        ),
+        (
+            lambda: parse_automaton_1d(_ends_zero_text().replace("mode det", "mode nondet")),
+            ToolkitError,
+            "1D machines are deterministic",
+        ),
+        (
+            lambda: parse_automaton_1d(_ends_zero_text() + "q1 1 -> acc\n"),
+            ToolkitError,
+            "cannot parse 1D automaton transition ('q1', '1', 'acc') of a 1D-2W machine",
+        ),
+        (
+            lambda: parse_automaton_1d(_ends_zero_text() + "q0 0 -> q1 L\n"),
+            ToolkitError,
+            "duplicate transition for ('q0', '0')",
+        ),
+    ],
+    ids=[
+        "one-way-accept", "departures-of-2w", "departures-below-the-word", "departures-above-the-word",
+        "row-machine-nondet", "row-machine-2w", "row-machine-entry-state", "row-machine-side",
+        "parse-mode", "parse-target-count", "parse-duplicate-pair",
+    ],
+)
+def test_one_dimensional_preconditions_raise_their_errors(call, error, message):
+    with pytest.raises(error) as got:
+        call()
+    assert type(got.value) is error and str(got.value) == message

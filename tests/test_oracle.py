@@ -823,3 +823,71 @@ def test_refute_equals_the_sweep_against_the_public_oracle_on_many_triples():
                 depth["none" if got is None else "deep" if min(got.word.m, got.word.n) > 1 else "shallow"] += 1
     assert sum(depth.values()) >= 400
     assert depth["none"] + depth["deep"] >= 200 and depth["deep"] and depth["shallow"], depth
+
+
+def test_a_four_way_sweep_checks_no_word_and_calls_no_accepts(monkeypatch):
+    # a 4W sweep decides each word by the search of accepts on its rows:
+    # the words are joined from the machine's own alphabet, so the symbol
+    # check cannot fail on them, and neither it nor accepts runs per word
+    from pictomata import simulate
+
+    calls = collections.Counter()
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[f"{module.__name__}.{name}"] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    machines = [wander4w(), random_2d(random.Random(41), "4W", "det"), random_2d(random.Random(42), "4W", "nondet")]
+    want = {a.name: _old_language_up_to(a, DimBounds(3, 3)) for a in machines}
+    for module, name in ((oracle, "accepts"), (simulate, "accepts"), (simulate, "check_input")):
+        counted(module, name)
+    for a in machines:
+        got = language_up_to(a, DimBounds(3, 3))
+        assert equivalent_up_to(a, got.__contains__, DimBounds(3, 3)) is None, a.name
+        assert got == want[a.name], a.name
+    assert calls == collections.Counter()
+
+
+def test_refute_asks_the_public_oracle_once_and_the_split_loop_for_every_word(monkeypatch):
+    # the first word goes through concat_membership for its checks alone;
+    # every word, the first included, is decided by the split loop, so a
+    # sweep with no counterexample asks the public oracle exactly once
+    rng = random.Random(2610)
+    a, b = random_2d(rng, "2W", "nondet"), random_2d(rng, "2W", "det")
+    never = Automaton2D("never", "2W", "det", AB01, ("q0", "acc"), "q0", "acc", {})
+    asked, split = [], collections.Counter()
+    real_oracle, real_split = oracle.concat_membership, oracle._split_search
+
+    def public(*args):
+        asked.append(args[3].rows)
+        return real_oracle(*args)
+
+    def loop(kind, ca, cb, words, m, n):
+        split.update(words)
+        return real_split(kind, ca, cb, words, m, n)
+
+    monkeypatch.setattr(oracle, "concat_membership", public)
+    monkeypatch.setattr(oracle, "_split_search", loop)
+    bounds = DimBounds(3, 3)
+    every = [w.rows for w in enumerate_pictures(AB01, bounds)]
+    for kind, candidate, target_b in (
+        (ConcatKind.DIAG, diag_concat_nondet_2w(a, b), b),
+        (ConcatKind.ROW, never, never),  # L(never) is empty, so is the target
+    ):
+        asked.clear()
+        split.clear()
+        assert refute(candidate, kind, a, target_b, bounds) is None
+        assert asked == [("0",)], kind
+        assert split == collections.Counter(every), kind
+
+
+@pytest.mark.parametrize("rows, cols", [(0, 1), (1, 0), (0, 0), (-1, 3)])
+def test_bounds_below_one_by_one_raise(rows, cols):
+    with pytest.raises(PreconditionError) as got:
+        DimBounds(rows, cols)
+    assert type(got.value) is PreconditionError and str(got.value) == "bounds must be at least 1x1"

@@ -177,3 +177,22 @@ def test_sizes_stay_out_of_identity_and_repr():
         dataclasses.replace(w, n=1)
     with pytest.raises(dataclasses.FrozenInstanceError):
         w.m = 3
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: Alphabet(("0", "ab")), AlphabetError, "bad symbol 'ab': need one printable character"),
+        (lambda: Alphabet(("0", "\t")), AlphabetError, "bad symbol '\\t': need one printable character"),
+        (lambda: Picture(()), WindowError, "picture must have at least one row"),
+        (lambda: Picture(("",)), WindowError, "picture must have at least one column"),
+        (lambda: Picture(("", "")), WindowError, "picture must have at least one column"),
+        (lambda: picture_of(["01"]).cell(0, 1), OutOfBandError, "cell (0,1) outside 1x2 word"),
+        (lambda: picture_of(["01"]).cell(1, 3), OutOfBandError, "cell (1,3) outside 1x2 word"),
+    ],
+    ids=["long-symbol", "unprintable-symbol", "no-rows", "empty-row", "empty-rows", "cell-above", "cell-right"],
+)
+def test_picture_preconditions_raise_their_errors(call, error, message):
+    with pytest.raises(error) as got:
+        call()
+    assert type(got.value) is error and str(got.value) == message

@@ -730,3 +730,14 @@ def test_escape_sink_is_not_a_padded_band_for_three_way():
         assert not accepts(a, w)
         assert not _transfer_accepts(a, w)
     assert not _padded_accepts(a, picture_of(["10"]))
+
+
+@pytest.mark.parametrize("limit", [0, -1])
+def test_accepting_runs_with_no_room_returns_no_trace(limit):
+    # a limit below one asks for no trace, so none is searched for, even
+    # when the machine accepts at its initial configuration
+    a, w = first_row_zeros(), picture_of(["00"])
+    assert accepting_runs(a, w)  # the word has an accepting run to withhold
+    assert accepting_runs(a, w, limit=limit) == []
+    starts_accepted = Automaton2D("at-once", "2W", "det", a.alphabet, ("acc",), "acc", "acc", {})
+    assert accepting_runs(starts_accepted, w, limit=limit) == []

@@ -7,9 +7,11 @@ sweeps, the one breadth-first walk that builds the products, the one
 module that encodes the step rule and the row transfer's states, the
 README's library example, run as written, the README's CLI block, one
 line per subcommand, the CLI's options, each declared once
-(``test_each_cli_option_is_declared_once``), and the table of live
+(``test_each_cli_option_is_declared_once``), the table of live
 moves, read only by the verdict paths
-(``test_only_the_verdict_paths_read_the_live_table``)."""
+(``test_only_the_verdict_paths_read_the_live_table``), and the ``slow``
+marker, on a fixed list of tests that README names
+(``test_the_slow_marker_is_on_a_fixed_list``)."""
 
 import argparse
 import ast
@@ -33,6 +35,16 @@ CALLED_FROM_OUTSIDE = {
     "picture_of": "the README's library example builds its picture with it",
     "transpose": "the picture half of the row/column duality; criterion 03"
     " checks transpose_automaton against it",
+}
+
+#: The tests that carry the ``slow`` marker, which ``pytest -m "not slow"``
+#: deselects.  A fixed list, since which tests pass five seconds depends on
+#: the machine's load when they are timed.
+SLOW = {
+    "test_acceptance.py::test_criterion_05_separated_diagonal",
+    "test_constructions.py::test_split_separated_equals_its_definition",
+    "test_oracle.py::test_flip_attack_flips_exactly_the_cells_some_accepting_run_avoids",
+    "test_simulation.py::test_two_way_kernel_equals_the_generic_search",
 }
 
 
@@ -265,3 +277,23 @@ def test_each_cli_option_is_declared_once():
             ]
     assert {"--max-rows", "--max-cols", "-o", "--output"} <= set(declared)  # the walk sees them
     assert [option for option, count in Counter(declared).items() if count > 1] == []
+
+
+def test_the_slow_marker_is_on_a_fixed_list():
+    # a test is marked slow by a decorator on its function and nowhere
+    # else, the marked tests are exactly SLOW, and README names each
+    marked = set()
+    for path in sorted((ROOT / "tests").glob("test_*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        marks = [node for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr == "slow"]
+        decorated = [
+            node.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef)
+            and any(ast.unparse(d) == "pytest.mark.slow" for d in node.decorator_list)
+        ]
+        assert len(marks) == len(decorated), path.name
+        marked.update(f"{path.name}::{name}" for name in decorated)
+    assert marked == SLOW
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    assert all(f"`{name.partition('::')[2]}`" in readme for name in SLOW)
