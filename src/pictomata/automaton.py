@@ -207,8 +207,9 @@ def transpose_automaton(a: Automaton2D) -> Automaton2D:
     Every downward move becomes rightward and vice versa (likewise U/L),
     so acceptance commutes with transposing the input picture.  A 3W
     machine has no counterpart with {D, L, R} transposed, hence only the
-    2W and 4W variants are supported.
+    2W and 4W variants are supported, and only valid machines.
     """
+    require_valid(a)
     if a.variant == "3W":
         raise VariantError("cannot transpose a three-way machine")
     delta = {

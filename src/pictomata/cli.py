@@ -11,7 +11,7 @@ import functools
 import sys
 
 from . import construct, onedim
-from .automaton import load_automaton, require_valid, save_automaton, validate
+from .automaton import load_automaton, save_automaton, validate
 from .concat import ConcatKind, col_concat, diag_concat_words, row_concat
 from .errors import CapacityError, ToolkitError
 from .oracle import (
@@ -30,13 +30,8 @@ _KINDS = [k.value for k in ConcatKind]
 
 
 def _on_files(builder):
-    """``builder`` over automaton files: all are loaded, then each must be valid."""
-    def build(*paths):
-        machines = [load_automaton(p) for p in paths]
-        for m in machines:
-            require_valid(m)
-        return builder(*machines)
-    return build
+    """``builder`` over automaton files, all loaded first; it checks them."""
+    return lambda *paths: builder(*[load_automaton(p) for p in paths])
 
 
 #: ``construct`` kinds: (input count, what an input is, builder over the inputs).

@@ -13,12 +13,12 @@ Conventions used by the product constructions below:
   accepts on a boundary-marker read (an in-word accepting move becomes a
   rightward sweep to the border).  This makes "where does the accepting
   run end" a total case split.
-* ``to_ibr`` makes a machine *immediately border-resolving*: its first
-  boundary read either jumps straight to the accepting state (when
-  acceptance was still reachable through boundary reads alone) or is
-  undefined.  IBR machines read the marker at most once per accepting
-  run, which lets a simulating product fuse "final in-word move" with
-  "would accept on the next read" into a single transition.
+* A factor's *border set* is ``_border_set(bn)`` of its
+  border-normalized form ``bn``: the states other than acceptance from
+  which boundary reads alone reach acceptance, exactly the states whose
+  ``#`` read ``to_ibr(bn)`` turns into a jump to acceptance.  A product
+  fuses "final in-word move" with "would accept on the next read" into a
+  single transition into a state of that set.
 * Every product is one breadth-first walk, ``_walk``, over states that
   are tuples of strings.  A state's name is its tuple joined with ``|``,
   with underscores appended until it differs from every name taken, so
@@ -33,23 +33,25 @@ import re
 from dataclasses import dataclass, replace
 from itertools import product
 
-from .automaton import Automaton2D, boundary_reach, make_delta, transpose_automaton
+from .automaton import Automaton2D, boundary_reach, make_delta, require_valid, transpose_automaton
 from .errors import AlphabetError, CapacityError, ToolkitError, VariantError
 from .picture import BOUNDARY, Alphabet, Picture
 
 
 def _require_2w(a: Automaton2D) -> None:
+    """A valid two-way machine; every transform below checks its input here."""
+    require_valid(a)
     if a.variant != "2W":
         raise VariantError(f"{a.name!r}: operation defined for two-way machines only")
 
 
-def _require_pair(a: Automaton2D, b: Automaton2D) -> None:
-    """Precondition of the product constructions: two two-way factors
-    over one set of symbols, listed in any order."""
-    _require_2w(a)
-    _require_2w(b)
+def _normalized_pair(a: Automaton2D, b: Automaton2D) -> tuple[Automaton2D, Automaton2D]:
+    """Both factors border-normalized, which checks each, ``a`` first;
+    then they must list one set of symbols, in any order."""
+    a1, b1 = border_normalize(a), border_normalize(b)
     if set(a.alphabet.symbols) != set(b.alphabet.symbols):
         raise AlphabetError("factor machines must share one alphabet")
+    return a1, b1
 
 
 def to_ibr(a: Automaton2D) -> Automaton2D:
@@ -154,8 +156,9 @@ def _moves(m: Automaton2D, sym: str) -> dict[tuple[str, str], list[str]]:
     return out
 
 
-def _border_ok(m: Automaton2D, q: str) -> bool:
-    return bool(m.image(q, BOUNDARY))
+def _border_set(bn: Automaton2D) -> set[str]:
+    """The border set of a border-normalized factor; see the module docstring."""
+    return boundary_reach(bn) - {bn.accept}
 
 
 def _turn_successors(cfg: _CaseCfg, turn: str) -> tuple[str, ...]:
@@ -204,13 +207,13 @@ def unary_row_concat(a: Automaton2D, b: Automaton2D) -> Automaton2D:
     "in-word or border".  The factor boundary between the two stacked
     words is invisible, so the guessing machine's bottom-border read is
     *pretended*: fused with its final downward move, legal exactly when
-    that machine (made immediately border-resolving first) would accept
-    on the marker.  The closing border read of the remaining machine is
-    real and is demanded by a verifier state entered together with the
-    final move in the case's closing direction; the right-right case
-    instead closes on a joint rightward move with both components ready
-    to accept, after spending one mandatory extra downward move so that
-    the word is tall enough to contain both factors.
+    that machine would accept on the marker (its border set).  The
+    closing border read of the remaining machine is real and is demanded
+    by a verifier state entered together with the final move in the
+    case's closing direction; the right-right case instead closes on a
+    joint rightward move with both components ready to accept, after
+    spending one mandatory extra downward move so that the word is tall
+    enough to contain both factors.
 
     A product state is a tuple of strings: (case tag, turn, a-state,
     b-state) while both factors run, (case tag, ``p2``, state) while the
@@ -218,13 +221,12 @@ def unary_row_concat(a: Automaton2D, b: Automaton2D) -> Automaton2D:
     verifier, found and named by :func:`_walk`.  The initial state is
     ``go`` and the accepting one ``ok``.
     """
-    _require_pair(a, b)
+    a1, b1 = _normalized_pair(a, b)
     if not a.alphabet.unary:
         raise AlphabetError("row-concatenation closure construction needs a unary alphabet")
     sym = a.alphabet.symbols[0]
-    a1 = to_ibr(border_normalize(a))
-    b1 = to_ibr(border_normalize(b))
     moves = {"A": _moves(a1, sym), "B": _moves(b1, sym)}
+    border = {"A": _border_set(a1), "B": _border_set(b1)}
     right_right = CaseTag.RIGHT_RIGHT.value
     INIT = ("go",)
 
@@ -248,23 +250,23 @@ def unary_row_concat(a: Automaton2D, b: Automaton2D) -> Automaton2D:
             mz = a1 if cfg.phase2 == "A" else b1
             for q2, d in sorted(mz.image(qs[0], sym)):
                 yield sym, (tag, "p2", q2), d
-                if d == cfg.verify and _border_ok(mz, q2):
+                if d == cfg.verify and q2 in border[cfg.phase2]:
                     yield sym, (tag, "chk"), d
         elif phase == "J":
             for qa2 in moves["A"].get((qs[0], "R"), ()):
                 for qb2 in moves["B"].get((qs[1], "R"), ()):
                     for t2 in _turn_successors(cfg, "J"):
                         yield sym, (tag, t2, qa2, qb2), "R"
-                    if tag == right_right and _border_ok(a1, qa2) and _border_ok(b1, qb2):
+                    if tag == right_right and qa2 in border["A"] and qb2 in border["B"]:
                         yield sym, (tag, "chk"), "R"
         else:  # the down-phase "Ad" or "Bd" of one factor
             x = phase[0]
-            mx, qx, other = (a1, qs[0], qs[1]) if x == "A" else (b1, qs[1], qs[0])
+            qx, other = (qs[0], qs[1]) if x == "A" else (qs[1], qs[0])
             for q2 in moves[x].get((qx, "D"), ()):
                 na, nb = (q2, other) if x == "A" else (other, q2)
                 for t2 in _turn_successors(cfg, phase):
                     yield sym, (tag, t2, na, nb), "D"
-                if cfg.guesser == x and _border_ok(mx, q2):
+                if cfg.guesser == x and q2 in border[x]:
                     yield sym, (tag, "p2", other), "D"
 
     states, delta = _walk(INIT, _ACCEPT, edges)
@@ -286,17 +288,15 @@ def _diag_product(a: Automaton2D, b: Automaton2D, tag: str, mode: str, crossings
     """Skeleton shared by the two diagonal products: one :func:`_walk`,
     with each state's edges sorted by symbol, next state's name, move.
 
-    ``crossings(a1)`` runs the first factor ``a1`` (border-normalized,
-    immediately border-resolving) in states ``("A", q, ...)``.  It returns
-    the initial state, the edges of an ``A`` state, the table of the
-    crossing states, and those from which the second factor starts.  The
-    second factor runs as-is (border-normalized) in states ``("B", q)``,
-    since its borders are the input's."""
-    _require_pair(a, b)
-    a1 = to_ibr(border_normalize(a))
-    b1 = border_normalize(b)
+    ``crossings(a1, border)`` runs the first factor ``a1``
+    (border-normalized, with its border set ``border``) in states
+    ``("A", q, ...)``.  It returns the initial state, the edges of an
+    ``A`` state, the table of the crossing states, and those from which
+    the second factor starts.  The second factor runs border-normalized in
+    states ``("B", q)``, since its borders are the input's."""
+    a1, b1 = _normalized_pair(a, b)
     syms = a.alphabet.symbols
-    initial, first, table, starters = crossings(a1)
+    initial, first, table, starters = crossings(a1, _border_set(a1))
 
     def second(q: str, reads):
         for s in reads:
@@ -305,7 +305,7 @@ def _diag_product(a: Automaton2D, b: Automaton2D, tag: str, mode: str, crossings
 
     def unsorted(state: tuple):
         kind = state[0]
-        if kind == "A" and state[1] != a1.accept:
+        if kind == "A":
             yield from first(state)
         elif kind == "B":
             yield from second(state[1], (*syms, BOUNDARY))
@@ -330,16 +330,16 @@ def diag_concat_nondet_2w(a: Automaton2D, b: Automaton2D) -> Automaton2D:
     """Nondeterministic two-way machine for the diagonal concatenation of
     two general-alphabet languages.
 
-    Simulates the first factor (border-normalized, immediately
-    border-resolving) on the top-left corner, but may at any point treat
-    the current in-word move as the move onto the factor's own bottom or
-    right border: the border read is pretended, fused with the final real
-    move, legal when the factor would accept on it.  After a pretended
-    bottom the head slides right at least one cell, after a pretended
-    right it slides down, and wherever the slide stops the second factor
-    starts running; its borders are the real ones, so no further guessing
-    is needed.  The filler corners are only ever crossed, never checked,
-    which is exactly the freedom diagonal concatenation grants.
+    Simulates the first factor (border-normalized) on the top-left
+    corner, but may at any point treat the current in-word move as the
+    move onto the factor's own bottom or right border: the border read is
+    pretended, fused with the final real move, legal when the factor
+    would accept on it.  After a pretended bottom the head slides right
+    at least one cell, after a pretended right it slides down, and
+    wherever the slide stops the second factor starts running; its
+    borders are the real ones, so no further guessing is needed.  The
+    filler corners are only ever crossed, never checked, which is exactly
+    the freedom diagonal concatenation grants.
     """
     return _diag_product(a, b, "diag", "nondet", _guessed_crossings)
 
@@ -350,12 +350,12 @@ _GUESSED_TABLE = {"sR0": ("sR1", "R", None), "sR1": ("sR1", "R", None),
                   "sD0": ("sD1", "D", None), "sD1": ("sD1", "D", None)}
 
 
-def _guessed_crossings(a1: Automaton2D):
+def _guessed_crossings(a1: Automaton2D, border: set[str]):
     def first(state: tuple):
         for s in a1.alphabet.symbols:
             for q2, d in a1.image(state[1], s):
                 yield s, ("A", q2), d
-                if _border_ok(a1, q2):
+                if q2 in border:
                     yield (s, ("sR0",), "D") if d == "D" else (s, ("sD0",), "R")
 
     return ("A", a1.initial), first, _GUESSED_TABLE, ("sR1", "sD1")
@@ -367,15 +367,15 @@ def diag_concat_separated(a: Automaton2D, b: Automaton2D) -> Automaton2D:
 
     With the separators physically present, the first factor's borders
     are real marker reads: the simulation tracks the direction of the
-    last move, and on a marker read that the (immediately
-    border-resolving) factor would accept, the head crosses into the
-    second factor's corner: down once and rightward across the filler and
-    the separating column after a bottom-border accept, rightward once
-    and downward after a right-border accept.  The second factor then
-    runs as-is, since its borders coincide with the input's.  Inputs with
-    an empty quadrant die on the crossing states, which insist on seeing
-    at least one in-word symbol before and after the crossed marker.
-    Determinism is preserved.
+    last move, and on a marker read that the factor would accept (in a
+    state of its border set), the head crosses into the second factor's
+    corner: down once and rightward across the filler and the separating
+    column after a bottom-border accept, rightward once and downward after
+    a right-border accept.  The second factor then runs as-is, since its
+    borders coincide with the input's.  Inputs with an empty quadrant die
+    on the crossing states, which insist on seeing at least one in-word
+    symbol before and after the crossed marker.  Determinism is
+    preserved.
     """
     mode = "det" if a.mode == b.mode == "det" else "nondet"
     return _diag_product(a, b, "dsep", mode, _separator_crossings)
@@ -387,13 +387,13 @@ _SEPARATOR_TABLE = {"xf": ("x1", "R", None), "x1": ("x1", "R", "Bs"),
                     "yf": ("y1", "D", None), "y1": ("y1", "D", "Bs")}
 
 
-def _separator_crossings(a1: Automaton2D):
+def _separator_crossings(a1: Automaton2D, border: set[str]):
     def first(state: tuple):
         _, q, last = state
         for s in a1.alphabet.symbols:
             for q2, d in a1.image(q, s):
                 yield s, ("A", q2, d), d
-        if last in ("D", "R") and _border_ok(a1, q):
+        if last in ("D", "R") and q in border:
             yield BOUNDARY, ("xf" if last == "D" else "yf",), last
 
     return ("A", a1.initial, "S"), first, _SEPARATOR_TABLE, ("Bs",)

@@ -286,6 +286,33 @@ def test_construct_with_the_wrong_number_of_files(tmp_path, frz_path, capsys):
     assert not out_path.exists()
 
 
+def test_construct_reports_the_first_factor_the_construction_refuses(tmp_path, capsys):
+    # each construction checks its factors in order, so a valid three-way
+    # first factor is refused before a malformed second one is read
+    h_path, bad_path, out_path = (tmp_path / n for n in ("h.aut", "bad.aut", "o.aut"))
+    save_automaton(Automaton2D(
+        "h", "3W", "det", Alphabet(("a",)), ("q0", "acc"), "q0", "acc",
+        make_delta([("q0", "a", "q0", "L"), ("q0", "#", "acc", "D")]),
+    ), h_path)
+    bad_path.write_text(
+        "automaton bad\nvariant 2W\nmode det\nalphabet a\nstates q0 acc\n"
+        "initial q0\naccept acc\nq0 a -> zz R\nq0 # -> acc R\n"
+    )
+    two_way_only = "error: 'h': operation defined for two-way machines only\n"
+    bad_first = "error: invalid automaton 'bad': unknown target state 'zz' at (q0,'a')\n"
+    for kind, files, err in (
+        ("diag", [h_path, bad_path], two_way_only),
+        ("diag-sep", [h_path, bad_path], two_way_only),
+        ("unary-row", [h_path, bad_path], two_way_only),
+        ("unary-col", [h_path, bad_path], "error: cannot transpose a three-way machine\n"),
+        ("diag", [bad_path, h_path], bad_first),
+        ("unary-col", [bad_path, h_path], bad_first),
+    ):
+        assert run_cli(["construct", kind, *map(str, files), "-o", str(out_path)]) == (2, ""), kind
+        assert capsys.readouterr().err == err, (kind, files)
+    assert not out_path.exists()
+
+
 def test_construct_witness_takes_one_name(tmp_path, capsys):
     # a witness name is construct's one input like a factor file is, so a
     # wrong count is an input error and writes nothing

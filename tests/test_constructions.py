@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import inspect
 import random
 from itertools import product
 
@@ -48,11 +49,12 @@ from pictomata import (
     subpicture,
     thm9_x_family,
     to_ibr,
+    transpose_automaton,
     unary_col_concat,
     unary_row_concat,
     validate,
 )
-from pictomata.automaton import boundary_reach
+from pictomata.automaton import boundary_reach, require_valid
 
 
 def _mk(name, states, init, acc, trans, mode="det", ab=AB01, variant="2W"):
@@ -544,3 +546,31 @@ def test_construction_preconditions_raise_their_errors(call, error, message):
     with pytest.raises(error) as got:
         call()
     assert type(got.value) is error and str(got.value) == message
+
+
+#: Two malformed machines over {a}: a move to the undeclared state ``zz``,
+#: and a move in the unknown direction ``Z``.
+_MALFORMED = [
+    _mk("to_zz", ("q0", "acc"), "q0", "acc", [("q0", "a", "zz", "R"), ("q0", "#", "acc", "R")], ab=UNARY),
+    _mk("move_Z", ("q0", "acc"), "q0", "acc", [("q0", "a", "q0", "Z"), ("q0", "#", "acc", "R")], ab=UNARY),
+]
+
+
+@pytest.mark.parametrize("bad", _MALFORMED, ids=lambda m: m.name)
+@pytest.mark.parametrize(
+    "transform",
+    [to_ibr, border_normalize, transpose_automaton, unary_row_concat, unary_col_concat,
+     diag_concat_nondet_2w, diag_concat_separated],
+    ids=lambda f: f.__name__,
+)
+def test_every_transform_rejects_a_malformed_machine_as_given(transform, bad):
+    # each transform checks its inputs itself, with require_valid's message
+    # naming the machine as it was passed in, whichever factor it is
+    with pytest.raises(ToolkitError) as want:
+        require_valid(bad)
+    good = u_all_rows()
+    calls = [(bad,)] if len(inspect.signature(transform).parameters) == 1 else [(bad, good), (good, bad)]
+    for args in calls:
+        with pytest.raises(ToolkitError) as got:
+            transform(*args)
+        assert type(got.value) is ToolkitError and str(got.value) == str(want.value), args

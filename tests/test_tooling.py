@@ -5,6 +5,9 @@ the one home of the split geometry, the one split loop behind both
 concatenation oracles, the one sweep-and-compare loop behind the bounded
 sweeps, the one breadth-first walk that builds the products, the one
 module that encodes the step rule and the row transfer's states, the
+modules that run the searches
+(``test_only_the_verdict_layer_runs_the_searches``), the factors'
+border sets, which replace an IBR machine in every product, the
 README's library example, run as written, the README's CLI block, one
 line per subcommand, the CLI's options, each declared once
 (``test_each_cli_option_is_declared_once``), the table of live
@@ -18,12 +21,16 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import random
 import re
 from collections import Counter
 from pathlib import Path
 
 import pictomata
+from corpus import random_2d
+from pictomata import BOUNDARY, border_normalize, serialize_automaton, to_ibr
 from pictomata.cli import _parser
+from pictomata.construct import _border_set
 
 ROOT = Path(__file__).resolve().parent.parent
 SPANS = ROOT / "bench" / "spans.py"
@@ -193,9 +200,11 @@ def test_one_product_walk():
 def test_only_simulate_encodes_the_step_rule():
     # simulate._step defines one step, and simulate._search, its 2W
     # kernel and RowTransfer.step apply the same rule inline, pinned to it
-    # by differential tests; no other module calls them, so the rule stays
-    # in one module (onedim.row_departure_oracle replays a row's moves on
-    # its own tape, as the independent ground truth for row_restriction)
+    # by differential tests; no other module calls _step, and the modules
+    # that run _search or the 2W kernel are fixed by
+    # test_only_the_verdict_layer_runs_the_searches, so the rule stays in
+    # one module (onedim.row_departure_oracle replays a row's moves on its
+    # own tape, as the independent ground truth for row_restriction)
     users = {}
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -209,6 +218,31 @@ def test_only_simulate_encodes_the_step_rule():
                 users.setdefault(name, set()).add(path.name)
     assert "concat.py" in users["_search"]  # the walk sees the imports that are there
     assert users.get("_step", set()) <= {"simulate.py"}
+
+
+def test_only_the_verdict_layer_runs_the_searches():
+    # simulate defines _search and its 2W kernel _two_way; concat's split
+    # loop runs both, and oracle's 4W sweep runs _search, and no other
+    # module runs either
+    assert {module for module, _ in _uses_by_function("_search")} == {"simulate", "concat", "oracle"}
+    assert {module for module, _ in _uses_by_function("_two_way")} == {"simulate", "concat"}
+
+
+def test_no_construction_builds_an_ibr_machine():
+    # the products read each factor's border set (construct._border_set)
+    # and build no to_ibr machine; to_ibr serves `construct ibr` alone,
+    # besides its re-export
+    assert _uses_by_function("to_ibr") - {("__init__", None)} == {("cli", None)}
+
+
+def test_the_border_set_is_what_to_ibr_resolves():
+    # a factor's border set holds exactly the states whose '#' read
+    # to_ibr of its border-normalized form turns into a jump to acceptance
+    rng = random.Random(27)
+    for _ in range(300):
+        bn = border_normalize(random_2d(rng, "2W", rng.choice(("det", "nondet"))))
+        resolved = {q for (q, sym), image in to_ibr(bn).delta.items() if sym == BOUNDARY and image}
+        assert _border_set(bn) == resolved, serialize_automaton(bn)
 
 
 def test_only_the_verdict_paths_read_the_live_table():
