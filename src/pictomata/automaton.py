@@ -70,9 +70,11 @@ class Compiled:
     into them changes no verdict.  ``live`` is ``image`` with every such
     move removed, and a symbol left with no move dropped; a state that
     loses no move shares its dict with ``image``, and ``live is image``
-    when no state is dead.  Only the verdict paths of ``simulate`` read
-    them (its 2W kernel and :class:`~pictomata.simulate.RowTransfer`);
-    every trace, replay and ground-truth path reads the full ``image``.
+    when no state is dead.  ``dead`` is read only here, to build
+    ``live``.  Only the verdict paths of ``simulate`` read ``live``: its
+    2W kernel, and :meth:`~pictomata.simulate.RowTransfer.step`, whose
+    states therefore never hold a dead pair.  Every trace, replay and
+    ground-truth path reads the full ``image``.
     ``det`` is true when every (state, symbol) of ``live`` has exactly
     one move, as :func:`validate` ensures of ``image`` in det mode.
     """
@@ -130,7 +132,9 @@ def validate(a: Automaton2D) -> list[str]:
     """Check every structural invariant; an empty list means well-formed.
 
     Violations are returned as data rather than raised, so callers can
-    report all of them at once.
+    report all of them at once.  A machine built in code may hold
+    entries that are not ``(state, symbol) -> {(state, move), ...}`` in
+    strings: each is reported by name, after the other entries' problems.
     """
     bad = []
     if a.variant not in VARIANT_DIRS:
@@ -147,26 +151,46 @@ def validate(a: Automaton2D) -> list[str]:
         bad.append(f"accepting state {a.accept!r} not declared")
     legal_dirs = VARIANT_DIRS[a.variant]
     legal_syms = set(a.alphabet.symbols) | {BOUNDARY}
-    for (q, sym), image in sorted(a.delta.items()):
-        where = f"({q},{sym!r})"
-        if q == a.accept:
-            bad.append(f"transition from accepting state at {where}")
-        if q not in known:
-            bad.append(f"unknown source state at {where}")
-        if sym not in legal_syms:
-            bad.append(f"unknown symbol at {where}")
-        if not image:
-            bad.append(f"empty image at {where}")
-        if a.mode == "det" and len(image) > 1:
-            bad.append(f"nondeterministic fan-out in det mode at {where}")
-        for q2, d in sorted(image):
-            if q2 not in known:
-                bad.append(f"unknown target state {q2!r} at {where}")
-            if d not in MOVES:
-                bad.append(f"unknown direction {d!r} at {where}")
-            elif d not in legal_dirs:
-                bad.append(f"illegal direction {d!r} for variant {a.variant} at {where}")
+    try:
+        for (q, sym), image in sorted(a.delta.items()):
+            where = f"({q},{sym!r})"
+            if q == a.accept:
+                bad.append(f"transition from accepting state at {where}")
+            if q not in known:
+                bad.append(f"unknown source state at {where}")
+            if sym not in legal_syms:
+                bad.append(f"unknown symbol at {where}")
+            if not image:
+                bad.append(f"empty image at {where}")
+            if a.mode == "det" and len(image) > 1:
+                bad.append(f"nondeterministic fan-out in det mode at {where}")
+            for q2, d in sorted(image):
+                if q2 not in known:
+                    bad.append(f"unknown target state {q2!r} at {where}")
+                if d not in MOVES:
+                    bad.append(f"unknown direction {d!r} at {where}")
+                elif d not in legal_dirs:
+                    bad.append(f"illegal direction {d!r} for variant {a.variant} at {where}")
+    except (TypeError, ValueError):  # the sort or an unpacking met a malformed entry
+        faults = {key: _malformed(key, image) for key, image in a.delta.items()}
+        shaped = replace(a, delta={key: image for key, image in a.delta.items() if faults[key] is None})
+        return validate(shaped) + sorted(fault for fault in faults.values() if fault)
     return bad
+
+
+def _string_pair(x) -> bool:
+    return isinstance(x, tuple) and len(x) == 2 and all(isinstance(s, str) for s in x)
+
+
+def _malformed(key, image) -> str | None:
+    """What is wrong with the shape of a transition entry; None if nothing."""
+    if not _string_pair(key):
+        return f"malformed transition key {key!r}"
+    where = f"({key[0]},{key[1]!r})"
+    if not isinstance(image, (frozenset, set, tuple, list)):
+        return f"malformed image {image!r} at {where}"
+    moves = sorted(repr(mv) for mv in image if not _string_pair(mv))
+    return f"malformed move {', '.join(moves)} at {where}" if moves else None
 
 
 def boundary_reach(a: Automaton2D) -> set[str]:

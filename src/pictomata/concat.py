@@ -60,6 +60,7 @@ def diag_concat_words(
     if cap is not None and k ** min(free, cap.bit_length()) > cap:
         raise CapacityError(f"diagonal filler set of {k}**{free} members exceeds the cap of {cap}")
     syms = alphabet.symbols
+    allow_hash = w.allow_hash or v.allow_hash
     out = set()
     for fill in product(syms, repeat=free):
         top = fill[: w.m * v.n]
@@ -69,7 +70,7 @@ def diag_concat_words(
             rows.append(w.rows[i] + "".join(top[i * v.n : (i + 1) * v.n]))
         for i in range(v.m):
             rows.append("".join(bottom[i * w.n : (i + 1) * w.n]) + v.rows[i])
-        out.add(Picture(tuple(rows)))
+        out.add(Picture(tuple(rows), allow_hash=allow_hash))
     return out
 
 

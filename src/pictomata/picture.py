@@ -97,9 +97,12 @@ class Picture:
         return self.rows[row - 1][col - 1]
 
     def with_cell(self, pos: Position, sym: str) -> "Picture":
-        """Copy of this picture with one cell replaced."""
+        """Copy of this picture with one cell replaced by ``sym``, which
+        must be one character."""
         row, col = pos
         self.cell(row, col)
+        if len(sym) != 1:
+            raise AlphabetError(f"bad symbol {sym!r}: need one printable character")
         new = list(self.rows)
         new[row - 1] = new[row - 1][: col - 1] + sym + new[row - 1][col:]
         return Picture(tuple(new), allow_hash=self.allow_hash or sym == BOUNDARY)

@@ -379,13 +379,21 @@ class RowTransfer:
     :attr:`start` and applying :meth:`final` gives :func:`accepts`
     exactly.
 
-    :meth:`verdicts`, the one fold, behind the sweeps of ``oracle``, goes
-    through :attr:`memo`, which maps each (state, row) to the state the
-    row leaves, without its pairs in ``Compiled.dead``, and that state's
-    verdict.  Dropping those pairs makes the empty state, like
-    ``ACCEPTED``, sticky.  The memo starts over once it holds
-    ``_MEMO_CAP`` entries, which bounds its memory however many distinct
-    rows and states it meets.
+    It is an NFA over rows whose states are the pairs, determinized:
+
+    * :attr:`start` is ``{(initial, 1)}``, or ``ACCEPTED`` when the
+      initial state accepts;
+    * :meth:`step` ``(S, row)`` is ``ACCEPTED`` if some singleton step
+      ``step({p}, row)``, p in S, is, and otherwise the union of the
+      singleton steps.  It steps on ``Compiled.live``, so it never holds a
+      pair in ``Compiled.dead``, and the empty state is sticky, like
+      ``ACCEPTED``;
+    * :meth:`final` holds iff some pair's state is in ``Compiled.reach``;
+    * :meth:`verdicts`, the one fold, behind the sweeps of ``oracle``,
+      goes through :attr:`memo`, which maps each (state, row) to its step
+      and that step's :meth:`final`.  The memo starts over once it holds
+      ``_MEMO_CAP`` entries, which bounds its memory however many distinct
+      rows and states it meets.
     """
 
     __slots__ = ("start", "memo", "_comp")
@@ -405,12 +413,12 @@ class RowTransfer:
         window's row 1, the frame columns 0 and n+1 read ``#``, a down
         move lands in the pairs below, and a move off the band escapes.
         A successor in the accepting state, or an escape into a state of
-        ``Compiled.reach``, makes the step ``ACCEPTED``.  The step keeps
-        every pair, dead ones included."""
+        ``Compiled.reach``, makes the step ``ACCEPTED``.  The moves come
+        from ``comp.live``, so no pair enters a dead state."""
         if state is ACCEPTED:
             return ACCEPTED
         comp = self._comp
-        accept, reach, image = comp.accept, comp.reach, comp.image
+        accept, reach, image = comp.accept, comp.reach, comp.live
         cells = BOUNDARY + row + BOUNDARY  # band columns 0..n+1
         n1 = len(row) + 1
         below = set()
@@ -468,11 +476,9 @@ class RowTransfer:
 
     def _remember(self, state, row):
         """A memo miss: the entry :attr:`memo` describes, stored."""
-        memo, dead = self.memo, self._comp.dead
+        memo = self.memo
         if len(memo) >= _MEMO_CAP:
             memo.clear()
         nxt = self.step(state, row)
-        if dead and nxt is not ACCEPTED:
-            nxt = frozenset([p for p in nxt if p[0] not in dead])
         entry = memo[state, row] = (nxt, self.final(nxt))
         return entry

@@ -7,6 +7,7 @@ from corpus import AB01, UNARY, corpus_2w, first_row_zeros, top_left_one, u_all_
 from pictomata import (
     Automaton2D,
     DimBounds,
+    ToolkitError,
     VariantError,
     accepts,
     enumerate_pictures,
@@ -52,6 +53,34 @@ def test_validate_reports_an_empty_image():
     # the file format cannot express one, so a machine built in code is the only source
     a = Automaton2D("e", "2W", "det", AB01, ("q0", "acc"), "q0", "acc", {("q0", "0"): frozenset()})
     assert validate(a) == ["empty image at (q0,'0')"]
+
+
+_SHAPED = {("q0", "0"): frozenset({("q0", "R")}), ("q0", "#"): frozenset({("acc", "R")})}
+
+
+@pytest.mark.parametrize(
+    "entries, problems",
+    [
+        ({("q0", "0", "x"): frozenset({("q0", "R")})}, ["malformed transition key ('q0', '0', 'x')"]),
+        ({("q0", "1"): frozenset({("acc", "R", "x")})}, ["malformed move ('acc', 'R', 'x') at (q0,'1')"]),
+        ({(1, "1"): frozenset({("acc", "R")})}, ["malformed transition key (1, '1')"]),
+        ({("q0", "1"): None}, ["malformed image None at (q0,'1')"]),
+        (
+            {("zz", "1"): frozenset({("acc", "R", "x"), ("acc", "R")}), ("q0", "1"): frozenset({("q9", "R")})},
+            ["unknown target state 'q9' at (q0,'1')", "malformed move ('acc', 'R', 'x') at (zz,'1')"],
+        ),
+    ],
+    ids=["long-key", "long-move", "int-state", "no-image", "after-the-shaped-entries"],
+)
+def test_validate_names_a_malformed_entry_and_accepts_refuses_it(entries, problems):
+    # a machine built in code may hold entries of the wrong shape, which
+    # the sort and the unpacking of validate cannot take: each is a
+    # problem, never a ValueError or TypeError out of validate or accepts
+    a = Automaton2D("m", "2W", "nondet", AB01, ("q0", "acc"), "q0", "acc", {**_SHAPED, **entries})
+    assert validate(a) == problems
+    with pytest.raises(ToolkitError) as got:
+        accepts(a, picture_of(["0"]))
+    assert str(got.value) == "invalid automaton 'm': " + "; ".join(problems)
 
 
 def test_witness_is_well_formed():

@@ -512,3 +512,19 @@ def test_one_dimensional_preconditions_raise_their_errors(call, error, message):
     with pytest.raises(error) as got:
         call()
     assert type(got.value) is error and str(got.value) == message
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda a: a.compiled, "invalid 1D automaton 'ends_zero': unknown kind '1D-3W'"),
+        (lambda a: simulate_1d(a, "0"), "invalid 1D automaton 'ends_zero': unknown kind '1D-3W'"),
+        (serialize_automaton_1d, "cannot write 1D automaton 'ends_zero': unknown kind '1D-3W'"),
+    ],
+    ids=["compiled", "simulate", "serialize"],
+)
+def test_a_machine_of_unknown_kind_is_refused(call, message):
+    a = dataclasses.replace(corpus_1d()[0], kind="1D-3W")
+    with pytest.raises(ToolkitError) as got:
+        call(a)
+    assert type(got.value) is ToolkitError and str(got.value) == message

@@ -72,6 +72,14 @@ def test_enumeration_order_is_total_and_deterministic():
     assert dims == sorted(dims, key=lambda d: (d[0], d[1]))
 
 
+@pytest.mark.parametrize(
+    "symbols, rows, cols", [(("a",), 1, 1), (("a",), 5, 3), (("0", "1"), 1, 4), (("0", "1"), 3, 3), (("a", "b", "c"), 2, 3)]
+)
+def test_count_pictures_is_the_number_enumeration_yields(symbols, rows, cols):
+    alphabet, bounds = Alphabet(symbols), DimBounds(rows, cols)
+    assert oracle.count_pictures(alphabet, bounds) == sum(1 for _ in enumerate_pictures(alphabet, bounds, budget=None))
+
+
 def test_enumeration_budget():
     with pytest.raises(CapacityError):
         list(enumerate_pictures(AB01, DimBounds(4, 4), budget=100))

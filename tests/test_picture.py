@@ -129,6 +129,17 @@ def test_with_cell():
     assert w.rows == ("00", "00")
 
 
+@pytest.mark.parametrize("rows", [["01"], ["01", "10"]])
+@pytest.mark.parametrize("sym", ["", "ab"])
+def test_with_cell_refuses_a_symbol_that_is_not_one_character(rows, sym):
+    # on one row, the parent spliced such a symbol in and got a picture of
+    # another width
+    with pytest.raises(AlphabetError) as got:
+        picture_of(rows).with_cell((1, 1), sym)
+    assert type(got.value) is AlphabetError
+    assert str(got.value) == f"bad symbol {sym!r}: need one printable character"
+
+
 def test_parse_and_format_round_trip():
     text = "; comment line\n010\n101\n"
     w = parse_picture(text)

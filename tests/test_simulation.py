@@ -362,13 +362,14 @@ def _closure_step(comp, state, row, reach=None):
 def test_row_transfer_step_equals_a_closure_over_step():
     # step applies the rule inline; on states that folding rows of width
     # 1-6 reaches, and on arbitrary sets of pairs over the band columns
-    # 0..n+1, it must give the closure's state, frame columns and escapes
-    # into Compiled.reach included
+    # 0..n+1, it must give the closure's state without its dead pairs,
+    # frame columns and escapes into Compiled.reach included
     frames = escapes = 0
     for seed in range(240):
         rng = random.Random(seed)
         a = random_2d(rng, ("2W", "3W")[seed % 2], ("det", "nondet")[seed // 2 % 2])
         comp, t = a.compiled, RowTransfer(a)
+        dead = {si for si, q in enumerate(comp.states) if q in _brute_dead(a)}
         for _ in range(6):
             n = rng.randint(1, 6)
             rows = ["".join(rng.choice("01") for _ in range(n)) for _ in range(rng.randint(1, 4))]
@@ -379,6 +380,8 @@ def test_row_transfer_step_equals_a_closure_over_step():
             for state in states:
                 row = rng.choice(rows)
                 want = _closure_step(comp, state, row)
+                if want is not ACCEPTED:
+                    want = frozenset(p for p in want if p[0] not in dead)
                 assert t.step(state, row) == want, (a.name, sorted(state), row)
                 if state is not ACCEPTED and any(c in (0, n + 1) for _, c in state):
                     frames += 1
@@ -653,8 +656,8 @@ def test_row_transfer_on_dead_states_equals_accepts():
 
 def test_a_dead_prefix_steps_no_further(monkeypatch):
     # a first row holding a 1 sends this first_row_zeros twin into its
-    # trap: the step keeps the trap's pair, the memo drops it, and no later
-    # row is stepped or judged; the twin of
+    # trap: the step drops the trap's pair, and no later row is stepped or
+    # judged; the twin of
     # test_oracle.py::test_an_accepted_prefix_steps_no_further
     a = Automaton2D(
         "first-row-zeros-trap", "2W", "det", AB01, ("q0", "trap", "acc"), "q0", "acc",
@@ -662,7 +665,7 @@ def test_a_dead_prefix_steps_no_further(monkeypatch):
                     ("trap", "0", "trap", "R"), ("trap", "1", "trap", "R"), ("trap", "#", "trap", "D")]),
     )
     t = RowTransfer(a)
-    assert t.step(t.start, "01") == frozenset({(1, 3)})
+    assert t.step(t.start, "01") == frozenset()
     stepped = []
     step = RowTransfer.step
     monkeypatch.setattr(RowTransfer, "step", lambda self, state, row: stepped.append(row) or step(self, state, row))
@@ -673,6 +676,46 @@ def test_a_dead_prefix_steps_no_further(monkeypatch):
     assert t.verdicts(("00",), lasts) == [True] * 4
     assert t.verdicts(("10",), lasts) == [False] * 4
     assert stepped == ["01", "00", "10"]
+
+
+def _random_steps():
+    """(machine, transfer, state, row) for 300 seeded random 2W/3W det and
+    nondet machines: rows of width 1-4, each with random sets of pairs
+    over the band columns 0..n+1, dead states' pairs among them."""
+    for seed in range(300):
+        rng = random.Random(seed)
+        a = random_2d(rng, ("2W", "3W")[seed % 2], ("det", "nondet")[seed // 2 % 2])
+        t = RowTransfer(a)
+        for n in range(1, 5):
+            pairs = [(si, c) for si in range(len(a.states)) for c in range(n + 2)]
+            for _ in range(5):
+                row = "".join(rng.choice("01") for _ in range(n))
+                yield a, t, frozenset(rng.sample(pairs, rng.randint(0, 4))), row
+
+
+def test_row_transfer_step_is_the_union_of_singleton_steps():
+    # the row-NFA protocol: ACCEPTED if some singleton step is, otherwise
+    # the union of the singleton steps
+    with_dead = 0
+    for a, t, state, row in _random_steps():
+        singles = [t.step(frozenset({p}), row) for p in state]
+        want = ACCEPTED if ACCEPTED in singles else frozenset().union(*singles)
+        assert t.step(state, row) == want, (a.name, sorted(state), row)
+        with_dead += any(p[0] in a.compiled.dead for p in state)
+    assert with_dead
+
+
+def test_row_transfer_step_holds_no_dead_pair():
+    # a step reads Compiled.live, so it holds no pair of a state that
+    # cannot reach acceptance, though the closure over _step may
+    dropped = 0
+    for a, t, state, row in _random_steps():
+        nxt = t.step(state, row)
+        if nxt is not ACCEPTED:
+            dead = _brute_dead(a)
+            assert not [p for p in nxt if a.states[p[0]] in dead], (a.name, sorted(state), row)
+            dropped += nxt != _closure_step(a.compiled, state, row)
+    assert dropped
 
 
 # -- the escape sink against a padded band ---------------------------------

@@ -247,13 +247,13 @@ def test_the_border_set_is_what_to_ibr_resolves():
 
 def test_only_the_verdict_paths_read_the_live_table():
     # Compiled.live drops every move into Compiled.dead, so only verdicts
-    # may read either: the 2W kernel and the row transfer's fold.  _step,
-    # _search, the traces, replay and onedim's row oracle keep every move
+    # may read it: the 2W kernel and the row transfer's step.  _step,
+    # _search, the traces, replay and onedim's row oracle keep every move.
+    # Dead states are dropped in one place: automaton builds live from
+    # dead, and no other module reads dead
     outside = {("simulate", "_two_way"), ("simulate", "RowTransfer")}
-    for name in ("live", "dead"):
-        assert {use for use in _uses_by_function(name) if use[0] != "automaton"} <= outside, name
-    assert ("simulate", "_two_way") in _uses_by_function("live")  # the walk sees the reads there are
-    assert ("simulate", "RowTransfer") in _uses_by_function("dead")
+    assert {use for use in _uses_by_function("live") if use[0] != "automaton"} == outside
+    assert {use[0] for use in _uses_by_function("dead")} == {"automaton"}
 
 
 def test_only_simulate_names_the_transfer_states():

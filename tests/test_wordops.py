@@ -96,6 +96,19 @@ def test_diag_concat_cap_is_exact_and_never_formats_the_count():
     assert len(str(info.value)) < 100
 
 
+def test_every_concatenation_keeps_its_factors_hash_permission():
+    # a factor built with allow_hash may hold '#' cells; row_concat,
+    # col_concat and diag_concat_words all pass the permission on
+    w, v = picture_of(["0#"], allow_hash=True), picture_of(["1"])
+    assert row_concat(w, picture_of(["11"])).allow_hash
+    assert col_concat(w, v).allow_hash
+    for first, second in ((w, v), (v, w)):
+        out = diag_concat_words(first, second, AB01)
+        assert len(out) == 2 ** (first.m * second.n + second.m * first.n)
+        assert all(p.allow_hash and "#" in "".join(p.rows) for p in out)
+    assert not any(p.allow_hash for p in diag_concat_words(v, v, AB01))
+
+
 def test_row_membership_witness_words():
     L = first_row_zeros()
     assert concat_membership(ConcatKind.ROW, L, L, picture_of(["00", "00"]))
