@@ -23,9 +23,9 @@ Conventions used by the product constructions below:
   are tuples of strings.  A state's name is its tuple joined with ``|``,
   with underscores appended until it differs from every name taken, so
   states keep distinct names whatever the factors' state names contain.
-  The walk takes a unary product state's edges in the order the product
-  generates them, and a diagonal product state's sorted by symbol, then
-  by the next state's name, then by move.
+  The walk takes each state's edges in the order the product generates
+  them, and a product reads each factor's moves in sorted order, so no
+  set order reaches the output.
 """
 
 import enum
@@ -285,8 +285,8 @@ def unary_col_concat(a: Automaton2D, b: Automaton2D) -> Automaton2D:
 
 
 def _diag_product(a: Automaton2D, b: Automaton2D, tag: str, mode: str, crossings) -> Automaton2D:
-    """Skeleton shared by the two diagonal products: one :func:`_walk`,
-    with each state's edges sorted by symbol, next state's name, move.
+    """Skeleton shared by the two diagonal products: one :func:`_walk`
+    over edges in generation order, each factor's moves read sorted.
 
     ``crossings(a1, border)`` runs the first factor ``a1``
     (border-normalized, with its border set ``border``) in states
@@ -300,10 +300,10 @@ def _diag_product(a: Automaton2D, b: Automaton2D, tag: str, mode: str, crossings
 
     def second(q: str, reads):
         for s in reads:
-            for q2, d in b1.image(q, s):
+            for q2, d in sorted(b1.image(q, s)):
                 yield s, _ACCEPT if q2 == b1.accept else ("B", q2), d
 
-    def unsorted(state: tuple):
+    def edges(state: tuple):
         kind = state[0]
         if kind == "A":
             yield from first(state)
@@ -316,9 +316,6 @@ def _diag_product(a: Automaton2D, b: Automaton2D, tag: str, mode: str, crossings
                 yield BOUNDARY, (border,), move
         if kind in starters:
             yield from second(b1.initial, syms)
-
-    def edges(state: tuple):
-        return sorted(unsorted(state), key=lambda e: (e[0], "|".join(e[1]), e[2]))
 
     states, delta = _walk(initial, _ACCEPT, edges)
     return Automaton2D(
@@ -353,7 +350,7 @@ _GUESSED_TABLE = {"sR0": ("sR1", "R", None), "sR1": ("sR1", "R", None),
 def _guessed_crossings(a1: Automaton2D, border: set[str]):
     def first(state: tuple):
         for s in a1.alphabet.symbols:
-            for q2, d in a1.image(state[1], s):
+            for q2, d in sorted(a1.image(state[1], s)):
                 yield s, ("A", q2), d
                 if q2 in border:
                     yield (s, ("sR0",), "D") if d == "D" else (s, ("sD0",), "R")
@@ -391,7 +388,7 @@ def _separator_crossings(a1: Automaton2D, border: set[str]):
     def first(state: tuple):
         _, q, last = state
         for s in a1.alphabet.symbols:
-            for q2, d in a1.image(q, s):
+            for q2, d in sorted(a1.image(q, s)):
                 yield s, ("A", q2, d), d
         if last in ("D", "R") and q in border:
             yield BOUNDARY, ("xf" if last == "D" else "yf",), last

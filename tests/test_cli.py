@@ -1,10 +1,14 @@
 import io
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from corpus import spray01, u_all_rows, u_one_row
-from pictomata import Alphabet, Automaton2D, build_witness, cli, make_delta, save_automaton
+from pictomata import Alphabet, Automaton2D, build_witness, cli, construct, make_delta, save_automaton
 from pictomata.cli import dispatch
 from pictomata.onedim import load_automaton_1d, save_automaton_1d, simulate_1d
 from pictomata.automaton import load_automaton
@@ -500,7 +504,9 @@ def test_bound_past_the_printable_values_exits_2_promptly(capsys):
 
 
 def test_witness_family_over_the_cap_exits_2_promptly(tmp_path, capsys):
-    # thm9-X(k) has 4**k words; past 4**8 none is built and no file written
+    # thm9-X(k) has 4**k words; past 4**8 none is built and no file written.
+    # That cap is the default cap of concat diag, and the two must not drift.
+    assert 4**construct._X_FAMILY_MAX_K == cli.DIAG_CAP
     path = tmp_path / "fam.pics"
     assert run_cli(["construct", "witness", "thm9-X(8)", "-o", str(path)]) == (
         0, f"written: {path}\nwords: 65536\n"
@@ -550,3 +556,26 @@ def test_one_parser_serves_every_call_of_a_process(frz_path, capsys, monkeypatch
     assert again == shared[0]
     monkeypatch.setattr(cli, "_parser", cli._parser.__wrapped__)
     assert outcomes() == shared
+
+
+def test_console_entry_point_exits_with_the_status_of_dispatch(monkeypatch, capsys):
+    # pyproject's pictomata script calls main, which reads sys.argv
+    monkeypatch.setattr(sys, "argv", ["pictomata", "bound", "1"])
+    with pytest.raises(SystemExit) as info:
+        cli.main()
+    assert info.value.code == 0
+    assert capsys.readouterr().out == "h(1) = 1\nk = h(2n+3) + 1 = 10506\n"
+    monkeypatch.setattr(sys, "argv", ["pictomata", "no-such-command"])
+    with pytest.raises(SystemExit) as info:
+        cli.main()
+    assert info.value.code == 2
+    assert "invalid choice: 'no-such-command'" in capsys.readouterr().err
+
+
+def test_module_runs_as_a_script():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-m", "pictomata.cli", "bound", "1"], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "h(1) = 1\nk = h(2n+3) + 1 = 10506\n", "")

@@ -257,9 +257,22 @@ def test_unary_products_keep_states_with_joined_names_apart():
             assert ce is None, (kind, serialize_automaton(a), serialize_automaton(b), ce.word.rows)
 
 
+def _digests(inputs) -> dict[str, str]:
+    """sha256 of each builder's written products over its calls, by name."""
+    out = {}
+    for build, calls in inputs.items():
+        digest = hashlib.sha256()
+        for args in calls:
+            digest.update(serialize_automaton(build(*args)).encode())
+        out[build.__name__] = digest.hexdigest()
+    return out
+
+
 #: sha256 of the written products, recorded before the unary row product
-#: was rewritten as one breadth-first walk.  A change that means to alter
-#: a construction's output updates its digest and says why in CHANGES.md.
+#: was rewritten as one breadth-first walk, so that the rewrite and every
+#: later one could show it kept the bytes.  A change that means to alter a
+#: construction's output updates its digest and says why in CHANGES.md.
+#: The tests compare whole dicts, so a failure names every moved digest.
 _PRODUCT_DIGESTS = {
     "to_ibr": "f46419de46ac4e7c763fefdd5dfde140290908bb72e731a2d5cc3c234de114cd",
     "border_normalize": "3e34433b2e7bb3ffb6f31cba0865aee03924a2b32bf0b3cde4bb84adea7baae9",
@@ -279,21 +292,20 @@ def test_construction_output_bytes_match_recorded_digests():
         diag_concat_nondet_2w: diag_pairs(),
         diag_concat_separated: separated_pairs(),
     }
-    for build, calls in inputs.items():
-        digest = hashlib.sha256()
-        for args in calls:
-            digest.update(serialize_automaton(build(*args)).encode())
-        assert digest.hexdigest() == _PRODUCT_DIGESTS[build.__name__], build.__name__
+    assert _digests(inputs) == _PRODUCT_DIGESTS
 
 
-#: sha256 of the products of seeded random pairs, recorded before the
-#: diagonal products became one breadth-first walk.  The corpus pairs
-#: above leave few states a choice of place, so these pin the state order.
+#: sha256 of the products of seeded random pairs.  The corpus pairs above
+#: leave few states a choice of place, so these pin the state order.  The
+#: unary digests were recorded before the diagonal products became one
+#: breadth-first walk; the diagonal ones when those products stopped
+#: sorting each state's edges and came to take them in generation order,
+#: which moved their states but kept their languages, names and counts.
 _RANDOM_PAIR_DIGESTS = {
     "unary_row_concat": "e18429132580ebb3a2c234ebfe7431c4746aac20ef53006e505a146576b71b11",
     "unary_col_concat": "d404745145ecec046b6af7e8efede21faeedee03a975fe2c1cd86d31cf4293b6",
-    "diag_concat_nondet_2w": "c7814ad6c3a29afac1afd73237f87210da5766ab32b9933d7afc905611c28744",
-    "diag_concat_separated": "a45c9952c56e43d1cb09426e0a0d38984491718eda5a0f8ef464923e1a1b6a60",
+    "diag_concat_nondet_2w": "af5547548a0bf105c996fd6b57381f8dc92b1712a8461ab3d9a38ed03ad8b13f",
+    "diag_concat_separated": "616caa68a5fb380b03da85bf84f054e7a463c2e42d8145f3954666e78dc53f90",
 }
 
 
@@ -310,11 +322,7 @@ def test_construction_output_bytes_on_random_pairs_match_recorded_digests():
         diag_concat_nondet_2w: pairs,
         diag_concat_separated: pairs,
     }
-    for build, calls in inputs.items():
-        digest = hashlib.sha256()
-        for args in calls:
-            digest.update(serialize_automaton(build(*args)).encode())
-        assert digest.hexdigest() == _RANDOM_PAIR_DIGESTS[build.__name__], build.__name__
+    assert _digests(inputs) == _RANDOM_PAIR_DIGESTS
 
 
 def test_diag_concat_matches_oracle_small():
