@@ -80,7 +80,8 @@ class Compiled:
     """
 
     __slots__ = (
-        "states", "index", "initial", "accept", "image", "live", "dead", "is2w", "is4w", "det", "reach", "legal",
+        "states", "index", "initial", "accept", "image", "live", "dead", "is2w", "is4w", "det", "reach",
+        "symbols", "legal",
     )
 
     def __init__(self, a: Automaton2D):
@@ -92,8 +93,10 @@ class Compiled:
         self.is2w = a.variant == "2W"
         self.is4w = a.variant == "4W"
         self.reach = frozenset(self.index[q] for q in boundary_reach(a))
+        #: The alphabet's symbols alone: what a concatenation's word or a row machine's row may hold.
+        self.symbols = frozenset(a.alphabet.symbols)
         #: Symbols a picture may hold: the alphabet's and ``#``.
-        self.legal = frozenset((*a.alphabet.symbols, BOUNDARY))
+        self.legal = self.symbols | {BOUNDARY}
         #: image[state index][symbol] = ((target index, row step, column step), ...)
         self.image: list[dict[str, tuple]] = [{} for _ in a.states]
         for (q, sym), img in a.delta.items():

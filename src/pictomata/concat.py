@@ -11,7 +11,8 @@ pair of factors yields a whole set of results over a non-unary alphabet.
 two *automaton* languages by enumerating split points and simulating
 each factor directly.  It deliberately shares no code with the automaton
 constructions elsewhere in this package: it is the ground truth they are
-tested against, one word at a time, and it keeps nothing between calls.
+tested against, one word at a time.  It keeps no verdict between calls;
+only each size's split table is kept, in ``_TABLES``.
 """
 
 import enum
@@ -19,7 +20,7 @@ from itertools import product
 
 from .automaton import Automaton2D, Compiled
 from .errors import AlphabetError, CapacityError, DimensionError
-from .picture import BOUNDARY, Alphabet, Picture, _trusted_picture
+from .picture import Alphabet, Picture, _trusted_picture
 from .simulate import _search, _two_way
 
 
@@ -51,6 +52,9 @@ def diag_concat_words(
 
     The top-right m x n' and bottom-left m' x n blocks range over every
     word on ``alphabet``; over a unary alphabet the result is a singleton.
+    Each result is ``row_concat(col_concat(w, x), col_concat(y, v))`` for
+    a top-right filler x and a bottom-left filler y, so it carries the
+    hash permission those two operations give it.
     ``cap`` guards the |alphabet|**(m*n' + m'*n) blow-up.  The check
     takes the power only up to the cap's bit length, which two or more
     symbols already raise past the cap, so it never builds the count.
@@ -59,19 +63,14 @@ def diag_concat_words(
     k = len(alphabet)
     if cap is not None and k ** min(free, cap.bit_length()) > cap:
         raise CapacityError(f"diagonal filler set of {k}**{free} members exceeds the cap of {cap}")
-    syms = alphabet.symbols
-    allow_hash = w.allow_hash or v.allow_hash
-    out = set()
-    for fill in product(syms, repeat=free):
-        top = fill[: w.m * v.n]
-        bottom = fill[w.m * v.n :]
-        rows = []
-        for i in range(w.m):
-            rows.append(w.rows[i] + "".join(top[i * v.n : (i + 1) * v.n]))
-        for i in range(v.m):
-            rows.append("".join(bottom[i * w.n : (i + 1) * w.n]) + v.rows[i])
-        out.add(Picture(tuple(rows), allow_hash=allow_hash))
-    return out
+
+    def fillers(m: int, n: int) -> list[Picture]:
+        rows = ["".join(row) for row in product(alphabet.symbols, repeat=n)]
+        return [Picture(block) for block in product(rows, repeat=m)]
+
+    tops = [col_concat(w, x) for x in fillers(w.m, v.n)]
+    bottoms = [col_concat(y, v) for y in fillers(v.m, w.n)]
+    return {row_concat(top, bottom) for top in tops for bottom in bottoms}
 
 
 # keyed by the kind's value, which hashes in C, unlike the member itself
@@ -128,7 +127,7 @@ def concat_membership(kind: ConcatKind, a: Automaton2D, b: Automaton2D, w: Pictu
         raise AlphabetError("factor machines must share one alphabet")
     ca, rows = a.compiled, w.rows
     cells = "".join(rows)
-    if BOUNDARY in cells or not ca.legal.issuperset(cells):
+    if not ca.symbols.issuperset(cells):
         raise AlphabetError(f"picture uses symbols {sorted(set(cells).difference(sa))} unknown to {a.name!r}")
     if not isinstance(kind, ConcatKind):
         raise ValueError(f"unknown concat kind {kind!r}")

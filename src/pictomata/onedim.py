@@ -32,7 +32,7 @@ from functools import cached_property
 from types import MappingProxyType
 
 from .automaton import Automaton2D, automaton_text, read_automaton_text
-from .errors import ModeError, PreconditionError, ToolkitError, VariantError
+from .errors import AlphabetError, ModeError, PreconditionError, ToolkitError, VariantError
 from .picture import BOUNDARY, Alphabet, Picture, read_text, write_text
 from .simulate import run_deterministic
 
@@ -246,14 +246,19 @@ def row_departure_oracle(
 
     Positional replay of the in-row dynamics: left/right moves walk the
     framed row, a downward move is the accepting event, anything else
-    (undefined, walking off the frame, looping) is not.
+    (undefined, walking off the frame, looping) is not.  Raises
+    ``AlphabetError`` on a row that holds a symbol outside the machine's
+    alphabet, ``#`` included, as :func:`simulate_1d` raises on the
+    restriction machine.
     """
     _check_row_machine(m2, entry_state, side, offset)
+    c = m2.compiled
+    if not c.symbols.issuperset(row):
+        raise AlphabetError(f"row uses symbols {sorted(set(row) - c.symbols)} outside the alphabet")
     n = len(row)
     pos = _entry_column(side, offset, n)
     if pos < 0 or pos > n + 1:
         return False
-    c = m2.compiled
     image, accept = c.image, c.accept
     tape = BOUNDARY + row + BOUNDARY
     q = c.index[entry_state]

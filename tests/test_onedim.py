@@ -11,6 +11,7 @@ from corpus import (
 )
 from pictomata import (
     Alphabet,
+    AlphabetError,
     Departure,
     ModeError,
     PreconditionError,
@@ -205,6 +206,22 @@ def test_row_restriction_agrees_with_oracle_short():
                         assert simulate_1d(n1, s) == row_departure_oracle(m, q, side, off, s), (
                             m.name, q, side, off, s,
                         )
+
+
+def test_the_row_oracle_and_the_row_machine_refuse_a_symbol_outside_the_alphabet():
+    # '#' included: the frame around a row is the oracle's, never the row's
+    for m in corpus_3w_det():
+        for q in m.states:
+            for side in ("left", "right"):
+                for off in range(1, len(m.states) + 2):
+                    n1 = row_restriction(m, q, side, off)
+                    for row in ("#", "01#", "2", "0120"):
+                        foreign = sorted(set(row) - set(m.alphabet.symbols))
+                        with pytest.raises(AlphabetError) as got:
+                            row_departure_oracle(m, q, side, off, row)
+                        assert str(got.value) == f"row uses symbols {foreign} outside the alphabet"
+                        with pytest.raises(ToolkitError, match="outside the alphabet"):
+                            simulate_1d(n1, row)
 
 
 def test_two_way_to_one_way_agreement():
@@ -528,3 +545,16 @@ def test_a_machine_of_unknown_kind_is_refused(call, message):
     with pytest.raises(ToolkitError) as got:
         call(a)
     assert type(got.value) is ToolkitError and str(got.value) == message
+
+
+def test_an_unknown_variant_is_refused_by_the_parser_and_the_cli(tmp_path, capsys):
+    text = _ends_zero_text().replace("variant 1D-2W", "variant 2W")
+    assert "variant 2W\n" in text
+    with pytest.raises(ToolkitError) as got:
+        parse_automaton_1d(text)
+    assert type(got.value) is ToolkitError and str(got.value) == "unknown 1D variant '2W'"
+    path, out = tmp_path / "two_way.aut", tmp_path / "out.aut"
+    path.write_text(text, encoding="utf-8")
+    assert dispatch(["to-oneway", str(path), "-o", str(out)], out=io.StringIO()) == 2
+    assert capsys.readouterr().err == "error: unknown 1D variant '2W'\n"
+    assert not out.exists()

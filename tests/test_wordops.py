@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from corpus import (
@@ -73,6 +75,33 @@ def test_diag_concat_block_layout():
         assert (p.m, p.n) == (3, 3)
         assert p.rows[0][:2] == "01"
         assert p.rows[1][2] == "1" and p.rows[2][2] == "1"
+
+
+def test_diag_concat_words_equals_its_definition():
+    # the (m+m') x (n+n') pictures, read off the enumeration, whose top-left
+    # m x n block is w and whose bottom-right m' x n' block is v: a seeded
+    # sample of factors per shape pair with m+m' <= 3, n+n' <= 4, and a
+    # unary case
+    rng = random.Random(0)
+    shapes = [(m, n, m2, n2) for m in (1, 2) for m2 in range(1, 4 - m) for n in (1, 2, 3) for n2 in range(1, 5 - n)]
+    cases = [(AB01, *shape) for shape in shapes for _ in range(3)] + [(Alphabet(("a",)), 1, 2, 2, 1)]
+    sized = {}
+    for alphabet, m, n, m2, n2 in cases:
+        w, v = (
+            picture_of(["".join(rng.choice(alphabet.symbols) for _ in range(cols)) for _ in range(rows)])
+            for rows, cols in ((m, n), (m2, n2))
+        )
+        height, width = m + m2, n + n2
+        if (alphabet, height, width) not in sized:
+            bounded = enumerate_pictures(alphabet, DimBounds(height, width))
+            sized[alphabet, height, width] = [p for p in bounded if (p.m, p.n) == (height, width)]
+        expected = {
+            p
+            for p in sized[alphabet, height, width]
+            if subpicture(p, 1, m, 1, n) == w and subpicture(p, m + 1, height, n + 1, width) == v
+        }
+        assert len(expected) == len(alphabet) ** (m * n2 + m2 * n)
+        assert diag_concat_words(w, v, alphabet) == expected, (w.rows, v.rows)
 
 
 def test_diag_concat_cap():
