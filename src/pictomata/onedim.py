@@ -22,7 +22,9 @@ built in code raises ``ToolkitError`` there, never a wrong verdict.
 The row-restriction construction turns one row's worth of a deterministic
 three-way picture machine into a two-way string machine: walk the head to
 the recorded entry column, then mirror the in-row moves, turning any
-downward move into acceptance.  Its ground truth is
+downward move into acceptance.  It keeps only the states on some path
+from its initial state to that accepting state; a run halts and rejects
+where it would leave them.  Its ground truth is
 :func:`row_departure_oracle`, which replays the same dynamics positionally
 with no automaton in between.
 """
@@ -251,8 +253,7 @@ def row_departure_oracle(
     alphabet, ``#`` included, as :func:`simulate_1d` raises on the
     restriction machine.
     """
-    _check_row_machine(m2, entry_state, side, offset)
-    c = m2.compiled
+    c, q = _check_row_machine(m2, entry_state, side, offset)
     if not c.symbols.issuperset(row):
         raise AlphabetError(f"row uses symbols {sorted(set(row) - c.symbols)} outside the alphabet")
     n = len(row)
@@ -261,7 +262,6 @@ def row_departure_oracle(
         return False
     image, accept = c.image, c.accept
     tape = BOUNDARY + row + BOUNDARY
-    q = c.index[entry_state]
     # There are |Q|·(n+2) configurations (state, column); a run that makes
     # that many steps without halting has repeated one, and so loops.
     for _ in range(len(c.states) * (n + 2)):
@@ -279,19 +279,23 @@ def row_departure_oracle(
     return False
 
 
-def _check_row_machine(m2: Automaton2D, entry_state: str, side: str, offset: int) -> None:
+def _check_row_machine(m2: Automaton2D, entry_state: str, side: str, offset: int) -> tuple:
+    """Check a row machine's arguments, then the machine itself; return its
+    compiled tables and the entry state's index in them."""
     if m2.mode != "det" or m2.variant != "3W":
         raise PreconditionError("row restriction is defined for det three-way machines")
-    if entry_state not in m2.states:
+    states = m2.states
+    if entry_state not in states:
         raise PreconditionError(f"unknown entry state {entry_state!r}")
     if side not in ("left", "right"):
         raise PreconditionError("side must be 'left' or 'right'")
-    n = len(m2.states)
+    n = len(states)
     if not 1 <= offset <= n + 1:
         raise PreconditionError(f"offset must lie in 1..{n + 1}")
     # Validates the machine on first use and is cached on it, so the
     # per-row oracle pays for validation once per machine, not per call.
-    m2.compiled
+    c = m2.compiled
+    return c, c.index[entry_state]
 
 
 def row_restriction(
@@ -304,8 +308,17 @@ def row_restriction(
     state on the right side) position the head at the recorded entry
     column, then one simulation state per picture-machine state mirrors
     the in-row moves, with every downward move redirected to a dedicated
-    accepting state.  With n picture states and offset <= n+1 this stays
-    within 2n+3 states.
+    accepting state, ``down``.  With n picture states and offset <= n+1
+    this stays within 2n+3 states.
+
+    Trim: of these, only the states that the initial state reaches and
+    that reach ``down`` in the transition graph are kept, in construction
+    order, with the transitions among them; the initial state and
+    ``down`` are always kept.  A run that would enter a dropped state
+    could never move down; it halts and rejects where it would have
+    entered it, with the same verdict.  A restriction whose initial
+    state has no path to ``down`` is those two states with no
+    transitions.
     """
     _check_row_machine(m2, entry_state, side, offset)
     syms = (*m2.alphabet.symbols, BOUNDARY)
@@ -344,15 +357,34 @@ def row_restriction(
             else:
                 delta[(sim(q), s)] = (sim(q2), d)
     states.append(ACC)
+    successors: dict = {}
+    predecessors: dict = {}
+    for (src, _), (dst, _) in delta.items():
+        successors.setdefault(src, set()).add(dst)
+        predecessors.setdefault(dst, set()).add(src)
+    on_path = _closure(initial, successors) & _closure(ACC, predecessors)
     return Automaton1D(
         f"{m2.name}_{side}{offset}_{entry_state}",
         TWO_WAY,
         m2.alphabet,
-        tuple(states),
+        tuple(q for q in states if q in on_path or q in (initial, ACC)),
         initial,
         (ACC,),
-        delta,
+        {key: move for key, move in delta.items() if key[0] in on_path and move[0] in on_path},
     )
+
+
+def _closure(start: str, edges: dict) -> set:
+    """``start`` and every state that ``edges`` (a state's neighbours)
+    lead to from it."""
+    seen = {start}
+    todo = [start]
+    while todo:
+        for nxt in edges.get(todo.pop(), ()):
+            if nxt not in seen:
+                seen.add(nxt)
+                todo.append(nxt)
+    return seen
 
 
 _BOT = ("b",)

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import io
 import random
 from itertools import product
@@ -224,6 +225,69 @@ def test_the_row_oracle_and_the_row_machine_refuse_a_symbol_outside_the_alphabet
                             simulate_1d(n1, row)
 
 
+def _entries(m2):
+    """Every (entry state, side, offset) a row restriction of m2 takes."""
+    return [
+        (q, side, off) for q in m2.states for side in ("left", "right") for off in range(1, len(m2.states) + 2)
+    ]
+
+
+def _random_row_machines(count):
+    rng = random.Random(31)
+    return [random_2d(rng, "3W", "det") for _ in range(count)]
+
+
+def _on_a_path(a: Automaton1D) -> set:
+    """The states of a two-way machine that lie on some path of its
+    transition graph from the initial state to the accepting one."""
+    reached, todo = {a.initial}, [a.initial]
+    while todo:
+        q = todo.pop()
+        for (src, _), (dst, _) in a.delta.items():
+            if src == q and dst not in reached:
+                reached.add(dst)
+                todo.append(dst)
+    reaching, todo = {a.accept}, [a.accept]
+    while todo:
+        q = todo.pop()
+        for (src, _), (dst, _) in a.delta.items():
+            if dst == q and src not in reaching:
+                reaching.add(src)
+                todo.append(src)
+    return reached & reaching
+
+
+def test_row_restrictions_keep_only_the_states_on_a_path_to_down():
+    # a state that no path from the initial state to `down` crosses is
+    # dropped with its transitions; a restriction whose initial state has
+    # no such path is that state and `down` alone
+    trivial = 0
+    for m2 in (*corpus_3w_det(), left_probe3w(), *_random_row_machines(300)):
+        for q, side, off in _entries(m2):
+            n1 = row_restriction(m2, q, side, off)
+            assert len(n1.states) <= 2 * len(m2.states) + 3
+            on_path = _on_a_path(n1)
+            if n1.initial in on_path:
+                ends = {end for (src, _), (dst, _) in n1.delta.items() for end in (src, dst)}
+                assert set(n1.states) == on_path >= ends, (m2.delta, q, side, off)
+            else:
+                assert (n1.states, dict(n1.delta)) == ((n1.initial, "down"), {}), (m2.delta, q, side, off)
+                trivial += 1
+    assert trivial  # the walk sees restrictions that accept nothing
+
+
+@pytest.mark.slow
+def test_row_restriction_agrees_with_oracle_on_random_machines():
+    # the corpus is checked by criterion 09 and the test above; these
+    # machines give the trim states off every path to drop
+    rows = [s for s in strings(7) if s]
+    for m2 in _random_row_machines(300):
+        for q, side, off in _entries(m2):
+            n1 = row_restriction(m2, q, side, off)
+            got = [simulate_1d(n1, row) for row in rows]
+            assert got == [row_departure_oracle(m2, q, side, off, row) for row in rows], (m2.delta, q, side, off)
+
+
 def test_two_way_to_one_way_agreement():
     for m in corpus_1d():
         ow = two_way_to_one_way(m)
@@ -266,6 +330,63 @@ def test_1d_serialization_round_trip():
     never = Automaton1D("never", TWO_WAY, AB, ("q0", "acc"), "q0", ("acc",), {})
     for ow in (two_way_to_one_way(corpus_1d()[0]), two_way_to_one_way(never)):
         assert parse_automaton_1d(serialize_automaton_1d(ow)) == ow
+
+
+def _digests(inputs) -> dict[str, str]:
+    """sha256 of each builder's written machines over its calls, by name."""
+    out = {}
+    for build, calls in inputs.items():
+        digest = hashlib.sha256()
+        for args in calls:
+            digest.update(serialize_automaton_1d(build(*args)).encode())
+        out[build.__name__] = digest.hexdigest()
+    return out
+
+
+def _random_1d(rng):
+    """A random two-way string machine over {0,1} with 2-4 states, the last one accepting."""
+    names = (*(f"s{i}" for i in range(rng.randint(1, 3))), "acc")
+    delta = {
+        (q, sym): (rng.choice(names), rng.choice("LR"))
+        for q in names[:-1]
+        for sym in ("0", "1", BOUNDARY)
+        if rng.random() < 0.85
+    }
+    return Automaton1D("r1d", TWO_WAY, AB, names, "s0", ("acc",), delta)
+
+
+#: sha256 of the written 1D machines, as in the construction digests of
+#: tests/test_constructions.py: a change that means to alter a
+#: construction's output updates its digest and says why in CHANGES.md.
+#: The row restriction's were recorded when it came to keep only the
+#: states on a path to `down`; the conversion's equal those of the code
+#: before that change, which left the conversion alone.
+_ONEDIM_DIGESTS = {
+    "row_restriction": "e03130b7e9d0dd020015958c411cf07d3fdd5b55777472f1bfa7646b53a13a19",
+    "two_way_to_one_way": "b3a785df3eaf398431a6132faafa1d67bb271e689a66144d028858c968d57df6",
+}
+
+_ONEDIM_RANDOM_DIGESTS = {
+    "row_restriction": "c1d99618b471b272f0ad5481b425e3898a9813af6b3a0cea6649bc64632c6dea",
+    "two_way_to_one_way": "6e398248fb3356aa8ef02b2c57d14f1c9b5af0f1a39ad9cb382ac5ffdee91cc6",
+}
+
+
+def test_onedim_output_bytes_match_recorded_digests():
+    inputs = {
+        row_restriction: [(m2, *entry) for m2 in (*corpus_3w_det(), left_probe3w()) for entry in _entries(m2)],
+        two_way_to_one_way: [(m,) for m in corpus_1d()],
+    }
+    assert _digests(inputs) == _ONEDIM_DIGESTS
+
+
+def test_onedim_output_bytes_on_random_machines_match_recorded_digests():
+    rng = random.Random(37)
+    inputs = {
+        row_restriction: [(m2, *entry) for m2 in _random_row_machines(100) for entry in _entries(m2)],
+        two_way_to_one_way: [(_random_1d(rng),) for _ in range(300)],
+    }
+    assert _digests(inputs) == _ONEDIM_RANDOM_DIGESTS
 
 
 def test_1d_machines_are_immutable():

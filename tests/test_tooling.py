@@ -1,9 +1,11 @@
 """Checks on the package's structure: the benchmark's view of it, read
 from ``bench/`` without importing the benchmark runner, a caller for
 every export, the separation of the split oracles from what they check,
-the one home of the split geometry, the one split loop behind both
-concatenation oracles, the one sweep-and-compare loop behind the bounded
-sweeps, the one breadth-first walk that builds the products, the one
+and of the row oracle from the row machine it checks
+(``test_the_row_oracle_reaches_nothing_it_checks``), the one home of the
+split geometry, the one split loop behind both concatenation oracles,
+the one sweep-and-compare loop behind the bounded sweeps, the one
+breadth-first walk that builds the products, the one
 module that encodes the step rule and the row transfer's states, the
 modules that run the searches
 (``test_only_the_verdict_layer_runs_the_searches``), the factors'
@@ -51,6 +53,7 @@ SLOW = {
     "test_acceptance.py::test_criterion_05_separated_diagonal",
     "test_constructions.py::test_split_separated_equals_its_definition",
     "test_oracle.py::test_flip_attack_flips_exactly_the_cells_some_accepting_run_avoids",
+    "test_onedim.py::test_row_restriction_agrees_with_oracle_on_random_machines",
     "test_simulation.py::test_two_way_kernel_equals_the_generic_search",
 }
 
@@ -166,6 +169,17 @@ def _uses_by_function(name):
     for path in sorted(PACKAGE.glob("*.py")):
         walk(ast.parse(path.read_text(encoding="utf-8")), None, path.stem)
     return uses
+
+
+def test_the_row_oracle_reaches_nothing_it_checks():
+    # onedim.row_departure_oracle is the ground truth for row_restriction
+    # and the string machines run on it, so neither it nor its helpers may
+    # reach them
+    oracle = {("onedim", f) for f in ("row_departure_oracle", "_check_row_machine", "_entry_column")}
+    assert ("onedim", "row_departure_oracle") in _uses_by_function("_check_row_machine")  # the walk sees them
+    for name in ("row_restriction", "simulate_1d", "Compiled1D", "two_way_to_one_way"):
+        assert _uses_by_function(name)  # the walk sees each one read
+        assert not _uses_by_function(name) & oracle, name
 
 
 def test_one_split_loop_behind_both_concat_oracles():
