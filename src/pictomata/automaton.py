@@ -103,7 +103,7 @@ class Compiled:
             # Sorted images keep run enumeration deterministic across
             # processes regardless of set iteration order.
             self.image[self.index[q]][sym] = tuple((self.index[q2], *MOVES[d]) for q2, d in sorted(img))
-        alive = _reaching(a)
+        alive = _closure(a.accept, ((q2, q) for (q, _), image in a.delta.items() for q2, _ in image))
         self.dead = frozenset(i for i, q in enumerate(a.states) if q not in alive)
         self.live = self.image
         if self.dead:
@@ -200,23 +200,23 @@ def boundary_reach(a: Automaton2D) -> set[str]:
     """States from which the accepting state is reachable by reading only
     boundary markers: the closure of {accept} backwards over ``#``
     transitions, whatever the variant."""
-    return _reaching(a, BOUNDARY)
+    return _closure(a.accept, ((q2, q) for (q, s), image in a.delta.items() if s == BOUNDARY for q2, _ in image))
 
 
-def _reaching(a: Automaton2D, symbol: str | None = None) -> set[str]:
-    """The closure of {accept} backwards over the transitions on
-    ``symbol``, or on every symbol when it is None."""
-    reach = {a.accept}
-    changed = True
-    while changed:
-        changed = False
-        for (q, sym), image in a.delta.items():
-            if (symbol is not None and sym != symbol) or q in reach:
-                continue
-            if any(q2 in reach for q2, _ in image):
-                reach.add(q)
-                changed = True
-    return reach
+def _closure(start: str, arcs) -> set[str]:
+    """``start`` and every state that the ``(state, next state)`` pairs
+    ``arcs`` lead to from it."""
+    edges: dict[str, set[str]] = {}
+    for q, q2 in arcs:
+        edges.setdefault(q, set()).add(q2)
+    seen = {start}
+    todo = [start]
+    while todo:
+        for nxt in edges.get(todo.pop(), ()):
+            if nxt not in seen:
+                seen.add(nxt)
+                todo.append(nxt)
+    return seen
 
 
 def require_valid(a: Automaton2D) -> None:

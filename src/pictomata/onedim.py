@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
 
-from .automaton import Automaton2D, automaton_text, read_automaton_text
+from .automaton import Automaton2D, _closure, automaton_text, read_automaton_text
 from .errors import AlphabetError, ModeError, PreconditionError, ToolkitError, VariantError
 from .picture import BOUNDARY, Alphabet, Picture, read_text, write_text
 from .simulate import run_deterministic
@@ -357,12 +357,8 @@ def row_restriction(
             else:
                 delta[(sim(q), s)] = (sim(q2), d)
     states.append(ACC)
-    successors: dict = {}
-    predecessors: dict = {}
-    for (src, _), (dst, _) in delta.items():
-        successors.setdefault(src, set()).add(dst)
-        predecessors.setdefault(dst, set()).add(src)
-    on_path = _closure(initial, successors) & _closure(ACC, predecessors)
+    arcs = [(src, dst) for (src, _), (dst, _) in delta.items()]
+    on_path = _closure(initial, arcs) & _closure(ACC, [(dst, src) for src, dst in arcs])
     return Automaton1D(
         f"{m2.name}_{side}{offset}_{entry_state}",
         TWO_WAY,
@@ -372,19 +368,6 @@ def row_restriction(
         (ACC,),
         {key: move for key, move in delta.items() if key[0] in on_path and move[0] in on_path},
     )
-
-
-def _closure(start: str, edges: dict) -> set:
-    """``start`` and every state that ``edges`` (a state's neighbours)
-    lead to from it."""
-    seen = {start}
-    todo = [start]
-    while todo:
-        for nxt in edges.get(todo.pop(), ()):
-            if nxt not in seen:
-                seen.add(nxt)
-                todo.append(nxt)
-    return seen
 
 
 _BOT = ("b",)

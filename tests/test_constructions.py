@@ -325,6 +325,18 @@ def test_construction_output_bytes_on_random_pairs_match_recorded_digests():
     assert _digests(inputs) == _RANDOM_PAIR_DIGESTS
 
 
+def test_to_ibr_output_bytes_on_random_machines_match_recorded_digest():
+    # the corpus pins to_ibr on 14 machines; these 400, det and nondet,
+    # pin what it reads from boundary_reach, which holds one to four of
+    # their states.  Recorded before boundary_reach came to share one closure
+    # with the dead states and the row-restriction trim.
+    rng = random.Random(32)
+    machines = [(random_2d(rng, "2W", rng.choice(("det", "nondet"))),) for _ in range(400)]
+    assert _digests({to_ibr: machines}) == {
+        "to_ibr": "564cdc0467e14d0fe16e0f5317512d47cd0220dd538aaa42f7795842f34ab603",
+    }
+
+
 def test_diag_concat_matches_oracle_small():
     bounds = DimBounds(3, 3)
     for a, b in diag_pairs():

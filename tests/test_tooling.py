@@ -5,7 +5,9 @@ and of the row oracle from the row machine it checks
 (``test_the_row_oracle_reaches_nothing_it_checks``), the one home of the
 split geometry, the one split loop behind both concatenation oracles,
 the one sweep-and-compare loop behind the bounded sweeps, the one
-breadth-first walk that builds the products, the one
+breadth-first walk that builds the products, the one reachability
+closure behind the border sets, the dead states and the row-restriction
+trim (``test_one_reachability_closure``), the one
 module that encodes the step rule and the row transfer's states, the
 modules that run the searches
 (``test_only_the_verdict_layer_runs_the_searches``), the factors'
@@ -209,6 +211,22 @@ def test_one_product_walk():
     # its states, and border_normalize's sweep state
     assert _uses_by_function("_walk") == {("construct", "unary_row_concat"), ("construct", "_diag_product")}
     assert _uses_by_function("_fresh") == {("construct", "_walk"), ("construct", "border_normalize")}
+
+
+def test_one_reachability_closure():
+    # automaton._closure is the one walk over a state graph's arcs: the
+    # border set is the closure of accept over the reversed '#' arcs,
+    # Compiled's states that are not dead the closure over every reversed
+    # arc, and a row restriction keeps the states both its initial
+    # state's closure and down's reversed one hold; onedim's read outside
+    # a function is the import
+    assert _uses_by_function("_closure") == {
+        ("automaton", "boundary_reach"),
+        ("automaton", "Compiled"),
+        ("onedim", None),
+        ("onedim", "row_restriction"),
+    }
+    assert not _uses_by_function("_reaching")
 
 
 def test_only_simulate_encodes_the_step_rule():
