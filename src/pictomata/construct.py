@@ -402,55 +402,49 @@ _X_FAMILY = re.compile(r"thm9-X\((\d+)\)")
 _X_FAMILY_MAX_K = 8
 
 
+#: The named witness machines, each deterministic over {0,1}: name ->
+#: (variant, states with the initial first and ``acc`` last, moves).
+#: ``first-row-zeros`` and ``top-left-one`` are the two-way witnesses;
+#: ``thm9-A`` and ``thm9-B`` the three-way factors of the diagonal gadget.
+_WITNESSES = {
+    "first-row-zeros": ("2W", ("q0", "acc"), (("q0", "0", "q0", "R"), ("q0", BOUNDARY, "acc", "R"))),
+    "top-left-one": ("2W", ("q0", "acc"), (("q0", "1", "acc", "R"),)),
+    "thm9-A": ("3W", ("q0", "q1", "q2", "acc"), (
+        ("q0", "0", "q0", "R"),
+        ("q0", BOUNDARY, "q1", "L"),
+        ("q1", "0", "q2", "D"),
+        ("q2", BOUNDARY, "acc", "D"),
+    )),
+    "thm9-B": ("3W", ("p0", "p1", "p2", "p3", "p4", "p5", "p6", "p7", "acc"), (
+        ("p0", "1", "p1", "R"),
+        ("p1", "0", "p1", "R"),
+        ("p1", BOUNDARY, "p2", "L"),
+        ("p2", "0", "p3", "D"),
+        ("p2", "1", "p3", "D"),
+        ("p3", "0", "p3", "L"),
+        ("p3", BOUNDARY, "p4", "D"),
+        ("p4", BOUNDARY, "p5", "R"),
+        ("p5", "0", "p5", "R"),
+        ("p5", BOUNDARY, "p6", "L"),
+        ("p6", "0", "p7", "D"),
+        ("p7", BOUNDARY, "acc", "D"),
+    )),
+}
+
+
 def build_witness(name: str):
     """Named witness machines and word families used by the non-closure
     arguments.
 
     ``first-row-zeros`` and ``top-left-one`` are the two-way witnesses over
     {0,1}; ``thm9-A`` and ``thm9-B`` are the deterministic three-way
-    factor machines of the four-row diagonal gadget, and ``thm9-X(k)``
-    is that gadget's word family of dimension 4 x 2k.
+    factor machines of the four-row diagonal gadget, all four built from
+    ``_WITNESSES``, and ``thm9-X(k)`` is that gadget's word family of
+    dimension 4 x 2k.
     """
-    ab01 = Alphabet(("0", "1"))
-    if name == "first-row-zeros":
-        return Automaton2D(
-            name, "2W", "det", ab01, ("q0", "acc"), "q0", "acc",
-            make_delta([("q0", "0", "q0", "R"), ("q0", BOUNDARY, "acc", "R")]),
-        )
-    if name == "top-left-one":
-        return Automaton2D(
-            name, "2W", "det", ab01, ("q0", "acc"), "q0", "acc",
-            make_delta([("q0", "1", "acc", "R")]),
-        )
-    if name == "thm9-A":
-        return Automaton2D(
-            name, "3W", "det", ab01, ("q0", "q1", "q2", "acc"), "q0", "acc",
-            make_delta([
-                ("q0", "0", "q0", "R"),
-                ("q0", BOUNDARY, "q1", "L"),
-                ("q1", "0", "q2", "D"),
-                ("q2", BOUNDARY, "acc", "D"),
-            ]),
-        )
-    if name == "thm9-B":
-        return Automaton2D(
-            name, "3W", "det", ab01,
-            ("p0", "p1", "p2", "p3", "p4", "p5", "p6", "p7", "acc"), "p0", "acc",
-            make_delta([
-                ("p0", "1", "p1", "R"),
-                ("p1", "0", "p1", "R"),
-                ("p1", BOUNDARY, "p2", "L"),
-                ("p2", "0", "p3", "D"),
-                ("p2", "1", "p3", "D"),
-                ("p3", "0", "p3", "L"),
-                ("p3", BOUNDARY, "p4", "D"),
-                ("p4", BOUNDARY, "p5", "R"),
-                ("p5", "0", "p5", "R"),
-                ("p5", BOUNDARY, "p6", "L"),
-                ("p6", "0", "p7", "D"),
-                ("p7", BOUNDARY, "acc", "D"),
-            ]),
-        )
+    if name in _WITNESSES:
+        variant, states, moves = _WITNESSES[name]
+        return Automaton2D(name, variant, "det", Alphabet(("0", "1")), states, states[0], "acc", make_delta(moves))
     match = _X_FAMILY.fullmatch(name)
     if match:
         # int() refuses a k of more than 4,300 digits; a k with more digits

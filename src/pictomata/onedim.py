@@ -164,12 +164,12 @@ def simulate_1d(a: Automaton1D, s: str) -> bool:
     loop and the interval covers the loop's length, the run meets it
     again, within about twice the loop's length of entering it.
 
-    Raises ``ToolkitError`` on a malformed machine or on a symbol outside
-    the alphabet.
+    Raises ``ToolkitError`` on a malformed machine, and its subclass
+    ``AlphabetError`` on a symbol outside the alphabet.
     """
     c = a.compiled
     if not c.legal.issuperset(s):
-        raise ToolkitError(f"string uses symbols {sorted(set(s) - c.legal)} outside the alphabet")
+        raise AlphabetError(f"string uses symbols {sorted(set(s) - c.legal)} outside the alphabet")
     step = c.step
     q = c.initial
     accept = c.accept

@@ -29,6 +29,10 @@ steps them from ``Compiled.image`` on its own framed tape, as the ground
 truth for :func:`~pictomata.onedim.row_restriction`, so it shares no
 code with this module.
 
+Each entry point that runs a machine on a picture opens with one
+prologue, :func:`check_input`, which checks the picture's symbols and
+returns the compiled tables that the entry point runs on.
+
 Everything here is a pure function of (automaton, picture), and every run
 terminates: the configuration space has at most |Q|*((m+2)(n+2)+1)
 elements and deterministic runs stop at the first repeated configuration.
@@ -68,14 +72,15 @@ class RunResult:
         return self.kind == ACCEPTED
 
 
-def check_input(a: Automaton2D, w: Picture) -> None:
-    """Reject pictures that use symbols outside the machine's alphabet;
-    ``#`` cells pass, since a picture holds them only when built with
-    ``allow_hash``."""
-    ok = a.compiled.legal
+def check_input(a: Automaton2D, w: Picture) -> Compiled:
+    """The machine's compiled tables, once ``w`` uses no symbol outside
+    its alphabet; ``#`` cells pass, since a picture holds them only when
+    built with ``allow_hash``.  A malformed machine raises first."""
+    comp = a.compiled
     cells = "".join(w.rows)
-    if not ok.issuperset(cells):
-        raise AlphabetError(f"picture uses symbols {sorted(set(cells) - ok)} unknown to {a.name!r}")
+    if not comp.legal.issuperset(cells):
+        raise AlphabetError(f"picture uses symbols {sorted(set(cells) - comp.legal)} unknown to {a.name!r}")
+    return comp
 
 
 def _step(comp: Compiled, rows, r0: int, c0: int, m: int, n: int, si: int, r: int, c: int):
@@ -113,8 +118,7 @@ def _to_triple(comp: Compiled, cfg: Configuration) -> tuple[int, int, int]:
 
 def accepts(a: Automaton2D, w: Picture) -> bool:
     """True iff some run from (initial, (1,1)) reaches the accepting state."""
-    check_input(a, w)
-    comp = a.compiled
+    comp = check_input(a, w)
     return (_two_way if comp.is2w else _search)(comp, w.rows, -1, -1, w.m, w.n)
 
 
@@ -222,8 +226,7 @@ def run_deterministic(a: Automaton2D, w: Picture) -> RunResult:
     """
     if a.mode != "det":
         raise ModeError("run_deterministic requires a det-mode machine")
-    comp = a.compiled
-    check_input(a, w)
+    comp = check_input(a, w)
     cur = (comp.initial, 1, 1)
     seen = {cur}
     trace = [_to_config(comp, cur)]
@@ -250,8 +253,7 @@ def accepting_runs(a: Automaton2D, w: Picture, limit: int | None = None) -> list
     configuration on the current path, so run length is not bounded by
     the interpreter's recursion limit.
     """
-    comp = a.compiled
-    check_input(a, w)
+    comp = check_input(a, w)
     rows, m, n = w.rows, w.m, w.n
     found: list[RunTrace] = []
     if limit is not None and limit <= 0:
@@ -288,8 +290,7 @@ def replay_accepts(a: Automaton2D, w: Picture, trace: RunTrace) -> bool:
     state the machine lacks is no step."""
     if not trace:
         return False
-    comp = a.compiled
-    check_input(a, w)
+    comp = check_input(a, w)
     first = trace[0]
     if first.state != a.initial or first.loc != (1, 1):
         return False
@@ -316,8 +317,7 @@ def format_trace(w: Picture, trace: RunTrace, verdict: str) -> str:
 
 def first_accepting_trace(a: Automaton2D, w: Picture) -> RunTrace | None:
     """The trace ``accepting_runs(a, w, limit=1)`` returns, in polynomial time."""
-    check_input(a, w)
-    return _first_trace(a.compiled, w.rows, w.m, w.n, set())
+    return _first_trace(check_input(a, w), w.rows, w.m, w.n, set())
 
 
 def _first_trace(comp: Compiled, rows, m: int, n: int, blocked: set) -> RunTrace | None:

@@ -76,6 +76,19 @@ def test_simulate_rejects_foreign_symbols():
         simulate_1d(a, "02")
 
 
+def test_simulate_1d_raises_an_alphabet_error_on_a_foreign_symbol():
+    # as its siblings do for the same fault: row_departure_oracle,
+    # check_input and concat_membership; '#' is the frame's, never the
+    # string's
+    two_way = corpus_1d()[0]
+    for a in (two_way, two_way_to_one_way(two_way)):
+        for s, foreign in (("02", ["2"]), ("0#", ["#"]), ("a0b", ["a", "b"])):
+            with pytest.raises(ToolkitError) as got:
+                simulate_1d(a, s)
+            assert type(got.value) is AlphabetError, (a.kind, s)
+            assert str(got.value) == f"string uses symbols {foreign} outside the alphabet"
+
+
 def test_downward_departures_sweeper():
     m = boustro3w()
     w = picture_of(["000", "000"])

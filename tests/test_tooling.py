@@ -7,9 +7,11 @@ split geometry, the one split loop behind both concatenation oracles,
 the one sweep-and-compare loop behind the bounded sweeps, the one
 breadth-first walk that builds the products, the one reachability
 closure behind the border sets, the dead states and the row-restriction
-trim (``test_one_reachability_closure``), the one
-module that encodes the step rule and the row transfer's states, the
-modules that run the searches
+trim (``test_one_reachability_closure``), the one input check that
+hands the simulate entry points their compiled tables and the one table
+of named witnesses (``test_one_input_check_and_one_witness_table``),
+the one module that encodes the step rule and the row transfer's
+states, the modules that run the searches
 (``test_only_the_verdict_layer_runs_the_searches``), the factors'
 border sets, which replace an IBR machine in every product, the
 README's library example, run as written, the README's CLI block, one
@@ -227,6 +229,24 @@ def test_one_reachability_closure():
         ("onedim", "row_restriction"),
     }
     assert not _uses_by_function("_reaching")
+
+
+def test_one_input_check_and_one_witness_table():
+    # simulate.check_input compiles the machine, checks the picture and
+    # returns the compiled tables, so no entry point reads them itself;
+    # RowTransfer checks no picture.  construct.build_witness builds its
+    # four named machines from _WITNESSES with one Automaton2D call
+    assert {use for use in _uses_by_function("compiled") if use[0] == "simulate"} == {
+        ("simulate", "check_input"),
+        ("simulate", "RowTransfer"),
+    }
+    tree = ast.parse((PACKAGE / "construct.py").read_text(encoding="utf-8"))
+    (builder,) = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "build_witness"]
+    calls = [
+        node for node in ast.walk(builder)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "Automaton2D"
+    ]
+    assert len(calls) == 1
 
 
 def test_only_simulate_encodes_the_step_rule():

@@ -72,7 +72,8 @@ PICTURES = {
 #: Automaton files that fail: ``bad`` parses but moves left in a 2W
 #: machine, ``garbage`` does not parse.
 BAD_MACHINES = {
-    "bad": "automaton bad\nvariant 2W\nmode det\nalphabet 0\nstates q0 acc\ninitial q0\naccept acc\nq0 0 -> q0 L\n",
+    "bad": "automaton bad\nvariant 2W\nmode det\nalphabet 0\nstates q0 acc\n"
+    "initial q0\naccept acc\nq0 0 -> q0 L\n",
     "garbage": "automaton\n",
 }
 
@@ -116,13 +117,11 @@ def _stems(pairs):
 
 def _calls(machines):
     """Every argv of the transcript, in order."""
-    names = list(machines)
-    pics = list(PICTURES)
-    aut = [f"{s}.aut" for s in names]
+    aut = [f"{stem}.aut" for stem in machines]
     calls = []
     calls += [["validate", f] for f in [*aut, "bad.aut", "garbage.aut", "missing.aut", "ends_zero.1d"]]
     for f in [*aut, "bad.aut", "garbage.aut"]:
-        for p in pics:
+        for p in PICTURES:
             calls += [["run", f, f"{p}.pic"], ["run", f, f"{p}.pic", "--trace"]]
         calls.append(["run", f, "hash.pic", "--allow-hash", "--trace"])
     calls.append(["run", "first-row-zeros.aut", "missing.pic"])
@@ -138,20 +137,21 @@ def _calls(machines):
 
     calls += [["construct", "ibr", f, "-o", "ibr.aut"] for f in [*aut, "bad.aut"]]
     calls.append(["construct", "ibr", aut[0], aut[1], "-o", "ibr.aut"])
-    products = {}
-    binary = [("top-left-one", "first-row-zeros"), ("descend3w", "top-left-one"), ("bad", "bad")]
+    products = {}  # the built products, by file: (kind, factor stems)
+    refused = [("top-left-one", "first-row-zeros"), ("descend3w", "top-left-one"), ("bad", "bad")]
     for kind, pairs in (
-        ("unary-row", _stems(unary_pairs()) + binary),
-        ("unary-col", _stems(unary_pairs()) + binary),
-        ("diag", _stems(diag_pairs() + separated_pairs()) + [("r2Wnondet", "r2Wdet")] + binary),
-        ("diag-sep", _stems(diag_pairs() + separated_pairs()) + [("r2Wdet", "r2Wdet_")] + binary),
+        ("unary-row", _stems(unary_pairs())),
+        ("unary-col", _stems(unary_pairs())),
+        ("diag", _stems(diag_pairs() + separated_pairs()) + [("r2Wnondet", "r2Wdet")]),
+        ("diag-sep", _stems(diag_pairs() + separated_pairs()) + [("r2Wdet", "r2Wdet_")]),
     ):
         for i, (a, b) in enumerate(pairs):
             out = f"{kind}-{i}.aut"
             calls.append(["construct", kind, f"{a}.aut", f"{b}.aut", "-o", out])
             products[out] = (kind, a, b)
-    for name in ("first-row-zeros", "top-left-one", "thm9-A", "thm9-B", "thm9-X(2)", "thm9-X(0)", "thm9-X(99)", "nope"):
-        calls.append(["construct", "witness", name, "-o", "witness.out"])
+        calls += [["construct", kind, f"{a}.aut", f"{b}.aut", "-o", "refused.aut"] for a, b in refused]
+    witnesses = ("first-row-zeros", "top-left-one", "thm9-A", "thm9-B", "thm9-X(2)", "thm9-X(0)", "thm9-X(99)", "nope")
+    calls += [["construct", "witness", name, "-o", "witness.out"] for name in witnesses]
     calls.append(["construct", "witness", "thm9-A", "thm9-B", "-o", "witness.out"])
 
     binary_2w = ["first-row-zeros", "top-left-one", "universal01", "one_row01", "spray01", "staircase01", "loopy01"]
@@ -199,8 +199,11 @@ def _calls(machines):
 
     for f in [f"{a.name}.1d" for a in corpus_1d()] + rowsim[::3]:
         calls.append(["to-oneway", f, "-o", "oneway.1d"])
-        calls.append(["to-oneway", "oneway.1d", "-o", "again.1d"])
-    calls += [["to-oneway", "missing.1d", "-o", "oneway.1d"], ["to-oneway", "first-row-zeros.aut", "-o", "oneway.1d"]]
+    calls += [
+        ["to-oneway", "oneway.1d", "-o", "again.1d"],
+        ["to-oneway", "missing.1d", "-o", "again.1d"],
+        ["to-oneway", "first-row-zeros.aut", "-o", "again.1d"],
+    ]
 
     calls += [["bound", str(n)] for n in (*range(7), 40, 683, 684, -1)]
     return calls
@@ -214,7 +217,7 @@ def digests() -> dict:
     """Write the fixtures into the current directory, run every call and
     return each verb's entry: ``{"calls", "exit", "sha256"}``."""
     calls = _calls(_write_fixtures())
-    hashes, counts, statuses = {}, Counter(), {}
+    hashes, statuses = {}, {}
     for argv in calls:
         written = argv[argv.index("-o") + 1] if "-o" in argv else None
         if written and os.path.exists(written):
@@ -229,12 +232,12 @@ def digests() -> dict:
         verb = _verb(argv)
         record = json.dumps([argv, status, out.getvalue(), err.getvalue(), data.hex()])
         hashes.setdefault(verb, hashlib.sha256()).update(record.encode() + b"\n")
-        counts[verb] += 1
         statuses.setdefault(verb, Counter())[str(status)] += 1
-    return {
-        verb: {"calls": counts[verb], "exit": dict(sorted(statuses[verb].items())), "sha256": h.hexdigest()}
-        for verb, h in sorted(hashes.items())
-    }
+    entries = {}
+    for verb, h in sorted(hashes.items()):
+        exits = statuses[verb]
+        entries[verb] = {"calls": sum(exits.values()), "exit": dict(sorted(exits.items())), "sha256": h.hexdigest()}
+    return entries
 
 
 if __name__ == "__main__":
