@@ -143,6 +143,8 @@ def validate(a: Automaton2D) -> list[str]:
     if a.variant not in VARIANT_DIRS:
         bad.append(f"unknown variant {a.variant!r}")
         return bad
+    if not isinstance(a.alphabet, Alphabet):
+        return [f"alphabet {a.alphabet!r} is not an Alphabet"]
     if a.mode not in MODES:
         bad.append(f"unknown mode {a.mode!r}")
     if len(set(a.states)) != len(a.states):

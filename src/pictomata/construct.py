@@ -30,7 +30,7 @@ Conventions used by the product constructions below:
 
 import enum
 import re
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from itertools import product
 
 from .automaton import Automaton2D, boundary_reach, make_delta, require_valid, transpose_automaton
@@ -125,24 +125,17 @@ class CaseTag(enum.Enum):
     RIGHT_RIGHT = "c4"
 
 
-@dataclass(frozen=True)
-class _CaseCfg:
-    first: str          # which machine's down-phase opens a round
-    guesser: str | None  # machine whose bottom border is guessed mid-word
-    phase2: str | None   # machine simulated alone after the guess
-    verify: str          # head direction whose border read closes the run
-
-
-#: Keyed by the CaseTag value that opens the case's state names.
-_CASES: dict[str, _CaseCfg] = {
-    tag.value: _CaseCfg(*fields)
-    for tag, fields in (
-        (CaseTag.BOTTOM_RIGHT, ("A", "A", "B", "R")),
-        (CaseTag.RIGHT_BOTTOM, ("A", "B", "A", "R")),
-        (CaseTag.BOTTOM_BOTTOM_BEFORE, ("B", "B", "A", "D")),
-        (CaseTag.BOTTOM_BOTTOM_AFTER, ("A", "A", "B", "D")),
-        (CaseTag.RIGHT_RIGHT, ("A", None, None, "R")),
-    )
+#: Keyed by the CaseTag value that opens the case's state names: the
+#: machine whose down-phase opens a round, the machine whose bottom border
+#: is guessed mid-word, the machine simulated alone after the guess (no
+#: guess and no such machine in the right-right case), and the head
+#: direction whose border read closes the run.
+_CASES: dict[str, tuple[str, str | None, str | None, str]] = {
+    CaseTag.BOTTOM_RIGHT.value: ("A", "A", "B", "R"),
+    CaseTag.RIGHT_BOTTOM.value: ("A", "B", "A", "R"),
+    CaseTag.BOTTOM_BOTTOM_BEFORE.value: ("B", "B", "A", "D"),
+    CaseTag.BOTTOM_BOTTOM_AFTER.value: ("A", "A", "B", "D"),
+    CaseTag.RIGHT_RIGHT.value: ("A", None, None, "R"),
 }
 
 
@@ -161,19 +154,19 @@ def _border_set(bn: Automaton2D) -> set[str]:
     return boundary_reach(bn) - {bn.accept}
 
 
-def _turn_successors(cfg: _CaseCfg, turn: str) -> tuple[str, ...]:
-    first, second = ("Ad", "Bd") if cfg.first == "A" else ("Bd", "Ad")
+def _turn_successors(opener: str, turn: str) -> tuple[str, ...]:
+    first, second = ("Ad", "Bd") if opener == "A" else ("Bd", "Ad")
     return (second, "J") if turn == second else (first, second, "J")
 
 
 _ACCEPT = ("ok",)
 
 
-def _walk(initial: tuple, accept: tuple, edges):
+def _walk(name: str, mode: str, alphabet: Alphabet, initial: tuple, accept: tuple, edges) -> Automaton2D:
     """Breadth-first walk of a product over the (symbol, next state, move)
     triples of ``edges(state)``; see the module docstring.  Returns the
-    state names in the order first reached, ``accept`` last, and the
-    transitions."""
+    two-way product, its states named in the order first reached,
+    ``accept`` last."""
     names = {initial: "|".join(initial), accept: "|".join(accept)}
     taken = set(names.values())
     order = [initial]
@@ -189,7 +182,8 @@ def _walk(initial: tuple, accept: tuple, edges):
                 taken.add(dst)
                 order.append(nxt)
             entries.append((src, s, dst, move))
-    return (*(names[s] for s in order), names[accept]), make_delta(entries)
+    states = (*(names[s] for s in order), names[accept])
+    return Automaton2D(name, "2W", mode, alphabet, states, names[initial], names[accept], make_delta(entries))
 
 
 def unary_row_concat(a: Automaton2D, b: Automaton2D) -> Automaton2D:
@@ -235,27 +229,27 @@ def unary_row_concat(a: Automaton2D, b: Automaton2D) -> Automaton2D:
             # The initial state carries the first move of every case, with any
             # of the three turn positions as the starting point (down-phases
             # may be empty); the right-right case instead opens with its slack row.
-            for tag, cfg in _CASES.items():
-                for t0 in _turn_successors(cfg, "J"):
+            for tag, (opener, *_) in _CASES.items():
+                for t0 in _turn_successors(opener, "J"):
                     if tag == right_right:
                         yield sym, (tag, t0, a1.initial, b1.initial), "D"
                     else:
                         yield from edges((tag, t0, a1.initial, b1.initial))
             return
         tag, phase, qs = state[0], state[1], state[2:]
-        cfg = _CASES[tag]
+        opener, guesser, phase2, verify = _CASES[tag]
         if phase == "chk":
             yield BOUNDARY, _ACCEPT, "D"
         elif phase == "p2":
-            mz = a1 if cfg.phase2 == "A" else b1
+            mz = a1 if phase2 == "A" else b1
             for q2, d in sorted(mz.image(qs[0], sym)):
                 yield sym, (tag, "p2", q2), d
-                if d == cfg.verify and q2 in border[cfg.phase2]:
+                if d == verify and q2 in border[phase2]:
                     yield sym, (tag, "chk"), d
         elif phase == "J":
             for qa2 in moves["A"].get((qs[0], "R"), ()):
                 for qb2 in moves["B"].get((qs[1], "R"), ()):
-                    for t2 in _turn_successors(cfg, "J"):
+                    for t2 in _turn_successors(opener, "J"):
                         yield sym, (tag, t2, qa2, qb2), "R"
                     if tag == right_right and qa2 in border["A"] and qb2 in border["B"]:
                         yield sym, (tag, "chk"), "R"
@@ -264,15 +258,12 @@ def unary_row_concat(a: Automaton2D, b: Automaton2D) -> Automaton2D:
             qx, other = (qs[0], qs[1]) if x == "A" else (qs[1], qs[0])
             for q2 in moves[x].get((qx, "D"), ()):
                 na, nb = (q2, other) if x == "A" else (other, q2)
-                for t2 in _turn_successors(cfg, phase):
+                for t2 in _turn_successors(opener, phase):
                     yield sym, (tag, t2, na, nb), "D"
-                if cfg.guesser == x and q2 in border[x]:
+                if guesser == x and q2 in border[x]:
                     yield sym, (tag, "p2", other), "D"
 
-    states, delta = _walk(INIT, _ACCEPT, edges)
-    return Automaton2D(
-        f"{a.name}_row_{b.name}", "2W", "nondet", a.alphabet, states, states[0], states[-1], delta
-    )
+    return _walk(f"{a.name}_row_{b.name}", "nondet", a.alphabet, INIT, _ACCEPT, edges)
 
 
 def unary_col_concat(a: Automaton2D, b: Automaton2D) -> Automaton2D:
@@ -317,10 +308,7 @@ def _diag_product(a: Automaton2D, b: Automaton2D, tag: str, mode: str, crossings
         if kind in starters:
             yield from second(b1.initial, syms)
 
-    states, delta = _walk(initial, _ACCEPT, edges)
-    return Automaton2D(
-        f"{a.name}_{tag}_{b.name}", "2W", mode, a.alphabet, states, states[0], states[-1], delta
-    )
+    return _walk(f"{a.name}_{tag}_{b.name}", mode, a.alphabet, initial, _ACCEPT, edges)
 
 
 def diag_concat_nondet_2w(a: Automaton2D, b: Automaton2D) -> Automaton2D:

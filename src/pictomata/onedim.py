@@ -128,6 +128,8 @@ def _problems(a: Automaton1D) -> list[str]:
     built in code, which can also hold entries of the wrong shape."""
     if a.kind not in (TWO_WAY, ONE_WAY):
         return [f"unknown kind {a.kind!r}"]
+    if not isinstance(a.alphabet, Alphabet):
+        return [f"alphabet {a.alphabet!r} is not an Alphabet"]
     bad = []
     states = tuple(a.states)
     if len(set(states)) != len(states):
@@ -327,6 +329,8 @@ def row_restriction(
     def sim(q: str) -> str:
         return f"m|{q}"
 
+    prefix, move = ("w", "R") if side == "left" else ("b", "L")
+    walk = [f"{prefix}{t}" for t in range(1, offset)] + [sim(entry_state)]
     states: list[str] = []
     delta: dict = {}
     if side == "right":
@@ -334,9 +338,6 @@ def row_restriction(
         states.append("seek")
         for s in m2.alphabet:
             delta[("seek", s)] = ("seek", "R")
-    prefix, move = ("w", "R") if side == "left" else ("b", "L")
-    walk = [f"{prefix}{t}" for t in range(1, offset)] + [sim(entry_state)]
-    if side == "right":
         delta[("seek", BOUNDARY)] = (walk[0], "L")
     for src, dst in zip(walk, walk[1:]):
         states.append(src)
@@ -391,17 +392,16 @@ def two_way_to_one_way(a: Automaton1D) -> Automaton1D:
 
     def through(table: tuple, start, x: str):
         """Outcome of arriving at a fresh cell x in state start, with the
-        consumed prefix's behaviour summarised by table."""
+        consumed prefix's behaviour summarised by table.  Each pass either
+        returns or moves to another state on the same cell, so |Q| passes
+        without a return have repeated a state, and the deterministic run
+        loops from there."""
         if start in (_BOT, _ACC):
             return start
         q = start
-        seen = set()
-        while True:
+        for _ in state_range:
             if q == accept:
                 return _ACC
-            if q in seen:
-                return _BOT
-            seen.add(q)
             move = step[q].get(x)
             if move is None:
                 return _BOT
@@ -414,6 +414,7 @@ def two_way_to_one_way(a: Automaton1D) -> Automaton1D:
             if entry in (_BOT, _ACC):
                 return entry
             q = entry
+        return _BOT
 
     # The left frame marker has nothing behind it: a step left from it dies.
     frame = tuple(through((_BOT,) * len(state_range), q, BOUNDARY) for q in state_range)

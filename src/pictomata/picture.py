@@ -29,11 +29,13 @@ class Alphabet:
     symbols: tuple[str, ...]
 
     def __post_init__(self):
+        if not isinstance(self.symbols, tuple):
+            raise AlphabetError(f"alphabet symbols must be a tuple of strings, not {self.symbols!r}")
         if not self.symbols:
             raise AlphabetError("alphabet must be nonempty")
         seen = set()
         for s in self.symbols:
-            if len(s) != 1 or not s.isprintable():
+            if not isinstance(s, str) or len(s) != 1 or not s.isprintable():
                 raise AlphabetError(f"bad symbol {s!r}: need one printable character")
             if s == BOUNDARY:
                 raise AlphabetError("'#' is reserved for the boundary marker")
@@ -56,7 +58,7 @@ class Alphabet:
 class Picture:
     """Immutable rectangular word.
 
-    ``rows`` holds one string per row; all rows have equal, nonzero length.
+    ``rows`` is a tuple of row strings, all of equal, nonzero length.
     ``allow_hash`` permits ``#`` cells (used only for layouts in which the
     factors of a diagonal concatenation are separated by boundary markers);
     it is a construction-time permission, not part of picture identity, so
@@ -71,21 +73,26 @@ class Picture:
     n: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        if not isinstance(self.rows, tuple):
+            raise WindowError(f"picture rows must be a tuple of strings, not {self.rows!r}")
         if not self.rows:
             raise WindowError("picture must have at least one row")
-        width = len(self.rows[0])
-        if width == 0:
-            raise WindowError("picture must have at least one column")
-        for r in self.rows:
-            if len(r) != width:
-                raise WindowError("picture rows must all have equal length")
-            if r.isprintable() and (self.allow_hash or BOUNDARY not in r):
-                continue
-            for ch in r:  # only to name the first bad cell
-                if not ch.isprintable():
-                    raise AlphabetError(f"unprintable cell {ch!r}")
-                if ch == BOUNDARY and not self.allow_hash:
-                    raise AlphabetError("'#' cell needs allow_hash")
+        try:  # a row that is no string fails len() or isprintable()
+            width = len(self.rows[0])
+            if width == 0:
+                raise WindowError("picture must have at least one column")
+            for r in self.rows:
+                if len(r) != width:
+                    raise WindowError("picture rows must all have equal length")
+                if r.isprintable() and (self.allow_hash or BOUNDARY not in r):
+                    continue
+                for ch in r:  # only to name the first bad cell
+                    if not ch.isprintable():
+                        raise AlphabetError(f"unprintable cell {ch!r}")
+                    if ch == BOUNDARY and not self.allow_hash:
+                        raise AlphabetError("'#' cell needs allow_hash")
+        except (TypeError, AttributeError):
+            raise WindowError(f"picture rows must be a tuple of strings, not {self.rows!r}") from None
         fields = self.__dict__
         fields["m"] = len(self.rows)
         fields["n"] = width

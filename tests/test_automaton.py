@@ -83,6 +83,17 @@ def test_validate_names_a_malformed_entry_and_accepts_refuses_it(entries, proble
     assert str(got.value) == "invalid automaton 'm': " + "; ".join(problems)
 
 
+def test_a_machine_whose_alphabet_is_not_an_alphabet_is_refused():
+    # a machine built in code with a plain tuple of symbols: validate
+    # reports it, and the compiled tables raise on it
+    a = dataclasses.replace(first_row_zeros(), alphabet=("0", "1"))
+    assert validate(a) == ["alphabet ('0', '1') is not an Alphabet"]
+    with pytest.raises(ToolkitError) as got:
+        accepts(a, picture_of(["0"]))
+    assert type(got.value) is ToolkitError
+    assert str(got.value) == "invalid automaton 'first-row-zeros': alphabet ('0', '1') is not an Alphabet"
+
+
 def test_witness_is_well_formed():
     assert validate(first_row_zeros()) == []
 

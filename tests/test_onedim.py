@@ -89,6 +89,17 @@ def test_simulate_1d_raises_an_alphabet_error_on_a_foreign_symbol():
             assert str(got.value) == f"string uses symbols {foreign} outside the alphabet"
 
 
+def test_simulate_1d_refuses_a_machine_whose_alphabet_is_not_an_alphabet():
+    # a machine built in code with a plain tuple of symbols, of either kind
+    two_way = corpus_1d()[0]
+    for a in (two_way, two_way_to_one_way(two_way)):
+        b = dataclasses.replace(a, alphabet=("0", "1"))
+        with pytest.raises(ToolkitError) as got:
+            simulate_1d(b, "01")
+        assert type(got.value) is ToolkitError, a.kind
+        assert str(got.value) == f"invalid 1D automaton {a.name!r}: alphabet ('0', '1') is not an Alphabet"
+
+
 def test_downward_departures_sweeper():
     m = boustro3w()
     w = picture_of(["000", "000"])

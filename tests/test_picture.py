@@ -200,8 +200,22 @@ def test_sizes_stay_out_of_identity_and_repr():
         (lambda: Picture(("", "")), WindowError, "picture must have at least one column"),
         (lambda: picture_of(["01"]).cell(0, 1), OutOfBandError, "cell (0,1) outside 1x2 word"),
         (lambda: picture_of(["01"]).cell(1, 3), OutOfBandError, "cell (1,3) outside 1x2 word"),
+        # records built in code with the wrong container type
+        (lambda: Picture("0101"), WindowError, "picture rows must be a tuple of strings, not '0101'"),
+        (lambda: Picture(["01"]), WindowError, "picture rows must be a tuple of strings, not ['01']"),
+        (lambda: Picture((1,)), WindowError, "picture rows must be a tuple of strings, not (1,)"),
+        (lambda: Picture((b"01",)), WindowError, "picture rows must be a tuple of strings, not (b'01',)"),
+        (lambda: Picture(("01", 5)), WindowError, "picture rows must be a tuple of strings, not ('01', 5)"),
+        (lambda: Alphabet("01"), AlphabetError, "alphabet symbols must be a tuple of strings, not '01'"),
+        (lambda: Alphabet(["0", "1"]), AlphabetError, "alphabet symbols must be a tuple of strings, not ['0', '1']"),
+        (lambda: Alphabet((b"0",)), AlphabetError, "bad symbol b'0': need one printable character"),
+        (lambda: Alphabet(("0", 1)), AlphabetError, "bad symbol 1: need one printable character"),
     ],
-    ids=["long-symbol", "unprintable-symbol", "no-rows", "empty-row", "empty-rows", "cell-above", "cell-right"],
+    ids=[
+        "long-symbol", "unprintable-symbol", "no-rows", "empty-row", "empty-rows", "cell-above", "cell-right",
+        "str-rows", "list-rows", "int-row", "bytes-row", "int-second-row",
+        "str-symbols", "list-symbols", "bytes-symbol", "int-symbol",
+    ],
 )
 def test_picture_preconditions_raise_their_errors(call, error, message):
     with pytest.raises(error) as got:

@@ -10,6 +10,9 @@ closure behind the border sets, the dead states and the row-restriction
 trim (``test_one_reachability_closure``), the one input check that
 hands the simulate entry points their compiled tables and the one table
 of named witnesses (``test_one_input_check_and_one_witness_table``),
+the one place that builds each product machine, cases held as plain
+tuples and a conversion that keeps no visited set
+(``test_one_product_builder_and_plain_records``),
 the one module that encodes the step rule and the row transfer's
 states, the modules that run the searches
 (``test_only_the_verdict_layer_runs_the_searches``), the factors'
@@ -18,9 +21,10 @@ README's library example, run as written, the README's CLI block, one
 line per subcommand, the CLI's options, each declared once
 (``test_each_cli_option_is_declared_once``), the table of live
 moves, read only by the verdict paths
-(``test_only_the_verdict_paths_read_the_live_table``), and the ``slow``
+(``test_only_the_verdict_paths_read_the_live_table``), the ``slow``
 marker, on a fixed list of tests that README names
-(``test_the_slow_marker_is_on_a_fixed_list``)."""
+(``test_the_slow_marker_is_on_a_fixed_list``), and the size count of
+``tests/size.py``, over every module (``test_the_size_count_lists_every_module``)."""
 
 import argparse
 import ast
@@ -29,6 +33,8 @@ import importlib.util
 import inspect
 import random
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -249,6 +255,32 @@ def test_one_input_check_and_one_witness_table():
     assert len(calls) == 1
 
 
+def test_one_product_builder_and_plain_records():
+    # construct._walk builds every product machine, so besides it only the
+    # normal forms and the witness table call Automaton2D; the run-shape
+    # cases of the unary row product are plain tuples, not a dataclass;
+    # and two_way_to_one_way caps each crossing at |Q| passes instead of
+    # keeping a set of the states it has seen
+    tree = ast.parse((PACKAGE / "construct.py").read_text(encoding="utf-8"))
+    builders = set()
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name) and sub.func.id == "Automaton2D":
+                    builders.add(node.name)
+    assert builders == {"to_ibr", "border_normalize", "_walk", "build_witness"}
+    classes = [node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+    assert "CaseTag" in [node.name for node in classes]  # the walk sees the classes that are there
+    assert not [d for node in classes for d in node.decorator_list if "dataclass" in ast.unparse(d)]
+    tree = ast.parse((PACKAGE / "onedim.py").read_text(encoding="utf-8"))
+    (convert,) = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "two_way_to_one_way"]
+    assert not [
+        node for node in ast.walk(convert)
+        if isinstance(node, (ast.Set, ast.SetComp))
+        or (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in ("set", "frozenset"))
+    ]
+
+
 def test_only_simulate_encodes_the_step_rule():
     # simulate._step defines one step, and simulate._search, its 2W
     # kernel and RowTransfer.step apply the same rule inline, pinned to it
@@ -383,3 +415,15 @@ def test_the_slow_marker_is_on_a_fixed_list():
     assert marked == SLOW
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     assert all(f"`{name.partition('::')[2]}`" in readme for name in SLOW)
+
+
+def test_the_size_count_lists_every_module():
+    # the script prints a header, one line per module and the totals; its
+    # line count of each module is the file's, as `wc -l` reads it
+    script = ROOT / "tests" / "size.py"
+    out = subprocess.run([sys.executable, str(script)], capture_output=True, text=True, check=True).stdout
+    *rows, total = [line.split() for line in out.splitlines()[1:]]
+    files = sorted(PACKAGE.glob("*.py"))
+    assert [name for name, _, _ in rows] == [path.name for path in files]
+    assert [int(lines) for _, lines, _ in rows] == [path.read_bytes().count(b"\n") for path in files]
+    assert total[:2] == ["total", str(sum(int(lines) for _, lines, _ in rows))]
