@@ -78,6 +78,7 @@ from pictomata import (
     RowTransfer,
     RunResult,
     ToolkitError,
+    accepting_runs,
     accepts,
     border_normalize,
     build_witness,
@@ -91,6 +92,7 @@ from pictomata import (
     enumerate_pictures,
     equivalent_up_to,
     first_accepting_trace,
+    flip_attack,
     language_up_to,
     refute,
     replay_accepts,
@@ -424,6 +426,25 @@ def _runs(t, machines):
                     t("RowTransfer.verdicts", transfer.verdicts, prefix, rows)
 
 
+def _evidence(t, machines):
+    """accepting_runs, at small limits and up to 3x3, and flip_attack,
+    against a target that rejects every word and against the next
+    machine over the same alphabet."""
+    for a in [*machines, _INVALID]:
+        pictures = [*enumerate_pictures(a.alphabet, DimBounds(2, 2)), *_ODD_PICTURES]
+        for w in pictures:
+            for limit in (None, 0, 1, 2):
+                t("accepting_runs", accepting_runs, a, w, limit)
+        for w in [*enumerate_pictures(a.alphabet, DimBounds(3, 3))][30::7]:
+            t("accepting_runs", accepting_runs, a, w, 3)
+    for a, b in zip(machines, machines[1:] + machines[:1]):
+        target = b if b.alphabet == a.alphabet else a
+        for w in [*enumerate_pictures(a.alphabet, DimBounds(2, 3)), *_ODD_PICTURES]:
+            t("flip_attack", flip_attack, a, w, lambda w: False)
+            t("flip_attack", flip_attack, a, w, lambda w, b=target: accepts(b, w))
+    t("flip_attack", flip_attack, _INVALID, _ODD_PICTURES[0], lambda w: False)
+
+
 def _sweeps(t, machines):
     """language_up_to, equivalent_up_to and refute."""
     bounds = DimBounds(2, 3)
@@ -539,7 +560,7 @@ def library_digests() -> dict:
     one's entry: ``{"calls", "raised", "sha256"}``."""
     t = _Transcript()
     machines = _library_machines()
-    for part in (_runs, _sweeps, _words, _constructions, _onedim):
+    for part in (_runs, _evidence, _sweeps, _words, _constructions, _onedim):
         part(t, machines)
     return t.entries()
 
