@@ -321,8 +321,12 @@ def serialize_automaton(a: Automaton2D) -> str:
     Each (state, symbol) pair is written as one line per move of its
     image, so an empty image would leave no line and be read back as an
     absent entry: such a machine raises ``ToolkitError``, naming the
-    first pair.  Any other machine is written, valid or not.
+    first pair, and so does one whose alphabet is not an
+    :class:`Alphabet`, named as :func:`validate` names it.  Any other
+    machine is written, valid or not.
     """
+    if not isinstance(a.alphabet, Alphabet):
+        raise ToolkitError(f"cannot write automaton {a.name!r}: alphabet {a.alphabet!r} is not an Alphabet")
     empty = [key for key, image in a.delta.items() if not image]
     if empty:
         q, sym = min(empty)

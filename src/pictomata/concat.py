@@ -18,7 +18,7 @@ only each size's split table is kept, in ``_TABLES``.
 import enum
 from itertools import product
 
-from .automaton import Automaton2D, Compiled
+from .automaton import Automaton2D, Compiled, require_valid
 from .errors import AlphabetError, CapacityError, DimensionError
 from .picture import Alphabet, Picture, _trusted_picture
 from .simulate import _search, _two_way
@@ -113,16 +113,22 @@ def concat_membership(kind: ConcatKind, a: Automaton2D, b: Automaton2D, w: Pictu
     the other two corners unconstrained.  Words too small to split are
     simply not members.
 
-    The checks come first, in this order: the factors read the same set
-    of symbols, a compiles, w's cells lie in that set, and the kind is a
-    :class:`ConcatKind`.  A ``#`` cell raises ``AlphabetError`` whatever
-    ``w.allow_hash`` says: L(a) and L(b) contain no word with one, so
-    neither does their concatenation.  Then b is compiled, so a factor b
-    that fails to compile raises before any split is tried, and
+    The checks come first, in this order: each factor's alphabet is an
+    :class:`~pictomata.picture.Alphabet`, a's first, the factors read the
+    same set of symbols, a compiles, w's cells lie in that set, and the
+    kind is a :class:`ConcatKind`.  A ``#`` cell raises ``AlphabetError``
+    whatever ``w.allow_hash`` says: L(a) and L(b) contain no word with
+    one, so neither does their concatenation.  Then b is compiled, so a
+    factor b that fails to compile raises before any split is tried, and
     :func:`_split_search` decides w as a group of one, with no check
     repeated: every block lies inside w, and its symbols are among w's.
     """
-    sa, sb = a.alphabet.symbols, b.alphabet.symbols
+    try:
+        sa, sb = a.alphabet.symbols, b.alphabet.symbols
+    except AttributeError:  # an alphabet that is not an Alphabet, which validate names
+        require_valid(a)
+        require_valid(b)
+        raise
     if sa != sb and set(sa) != set(sb):  # a set costs ~7x a tuple compare
         raise AlphabetError("factor machines must share one alphabet")
     ca, rows = a.compiled, w.rows

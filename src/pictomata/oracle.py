@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import product
 
-from .automaton import Automaton2D
+from .automaton import Automaton2D, require_valid
 from .concat import ConcatKind, _split_search, concat_membership
 from .errors import AlphabetError, CapacityError, PreconditionError
 from .picture import Alphabet, Picture, _trusted_picture
@@ -210,9 +210,9 @@ def flip_attack(
     in row-major order that some accepting run avoids, and each
     alternative symbol in alphabet order, the flipped word is still
     accepted; if the target rejects it, that word is a counterexample.
-    Whether a run avoids the cell is one polynomial search with the
-    cell's configurations blocked, and the first run it finds is the
-    evidence.
+    Whether a run avoids the cell is one walk, linear in the
+    configurations, with the cell's configurations blocked, and the first
+    run it finds is the evidence.
     """
     if not accepts(candidate, w):
         raise PreconditionError("flip_attack needs a word the candidate accepts")
@@ -247,8 +247,15 @@ def check_same_symbols(candidate: Automaton2D, target: Automaton2D) -> None:
     """Raise ``AlphabetError`` unless the two machines read the same set
     of symbols.  A sweep enumerates the candidate's alphabet alone, so a
     candidate over fewer symbols than its target would never meet a word
-    holding the others and could pass for equivalent."""
-    mine, theirs = set(candidate.alphabet.symbols), set(target.alphabet.symbols)
+    holding the others and could pass for equivalent.  A machine whose
+    alphabet is not an :class:`Alphabet` raises ``ToolkitError`` first,
+    the candidate before the target."""
+    try:
+        mine, theirs = set(candidate.alphabet.symbols), set(target.alphabet.symbols)
+    except AttributeError:  # an alphabet that is not an Alphabet, which validate names
+        require_valid(candidate)
+        require_valid(target)
+        raise
     if mine != theirs:
         raise AlphabetError(
             f"candidate {candidate.name!r} reads symbols {sorted(mine)},"

@@ -20,10 +20,15 @@ every band position outside the window, so no bordered band or block
 picture is built.  It has four encodings, and ``tests/test_simulation.py``
 pins the others to the first, :func:`_step`, the one-step definition
 behind traces, replay and :func:`run_deterministic`.  :func:`_search`,
-the one depth-first loop behind every reachability question, its 2W
-kernel :func:`_two_way` and :meth:`RowTransfer.step` apply the rule
-inline: their searches are mostly a few steps long, and a call per step
-would cost more than the step.  One replay of a row's moves lives
+the one depth-first loop behind every verdict, its 2W kernel
+:func:`_two_way` and :meth:`RowTransfer.step` apply the rule inline:
+their searches are mostly a few steps long, and a call per step would
+cost more than the step.  The traces step through :func:`_step`:
+:func:`accepting_runs` walks every repetition-free run, and
+:func:`_first_trace`, behind :func:`first_accepting_trace` and
+``oracle.flip_attack``, walks in the same order but enters each
+configuration once, adding it to the caller's ``blocked`` set; both
+callers pass a fresh one.  One replay of a row's moves lives
 elsewhere on purpose: :func:`~pictomata.onedim.row_departure_oracle`
 steps them from ``Compiled.image`` on its own framed tape, as the ground
 truth for :func:`~pictomata.onedim.row_restriction`, so it shares no
@@ -122,25 +127,17 @@ def accepts(a: Automaton2D, w: Picture) -> bool:
     return (_two_way if comp.is2w else _search)(comp, w.rows, -1, -1, w.m, w.n)
 
 
-def _search(comp: Compiled, rows, r0: int, c0: int, m: int, n: int, start=None, seen=None) -> bool:
+def _search(comp: Compiled, rows, r0: int, c0: int, m: int, n: int) -> bool:
     """Depth-first search for a run of the m x n window (as in :func:`_step`)
-    from ``start`` that reaches the accepting state.
-
-    ``start`` defaults to the initial configuration.  A caller's ``seen``
-    set holds configurations the run must not enter (``start`` must not be
-    among them), accepting ones included; the search adds every
-    configuration it enters.  It meets the successors of :func:`_step` in
-    their order, so it searches as a loop over :func:`_step` would.
+    from the initial configuration that reaches the accepting state.  It
+    meets the successors of :func:`_step` in their order, so it searches
+    as a loop over :func:`_step` would.
     """
-    if start is None:
-        start = (comp.initial, 1, 1)
+    start = (comp.initial, 1, 1)
     accept = comp.accept
     if start[0] == accept:
         return True
-    if seen is None:
-        seen = {start}
-    else:
-        seen.add(start)
+    seen = {start}
     image, sink = comp.image, not comp.is4w
     m1, n1 = m + 1, n + 1
     todo = [start]
@@ -168,10 +165,9 @@ def _search(comp: Compiled, rows, r0: int, c0: int, m: int, n: int, start=None, 
 
 
 def _two_way(comp: Compiled, rows, r0: int, c0: int, m: int, n: int) -> bool:
-    """:func:`_search` from the initial configuration with no ``seen``
-    set, for a 2W machine, on the window's cells alone; :func:`accepts`
-    and the split loop of ``concat`` pick it once per call from
-    ``comp.is2w``.
+    """:func:`_search` for a 2W machine, on the window's cells alone;
+    :func:`accepts` and the split loop of ``concat`` pick it once per call
+    from ``comp.is2w``.
 
     A 2W head moves only down and right, so a move past row m or column n
     takes it to the frame or the escape sink, where it reads ``#`` for
@@ -316,7 +312,8 @@ def format_trace(w: Picture, trace: RunTrace, verdict: str) -> str:
 
 
 def first_accepting_trace(a: Automaton2D, w: Picture) -> RunTrace | None:
-    """The trace ``accepting_runs(a, w, limit=1)`` returns, in polynomial time."""
+    """The trace ``accepting_runs(a, w, limit=1)`` returns, in time linear
+    in the configurations."""
     return _first_trace(check_input(a, w), w.rows, w.m, w.n, set())
 
 
@@ -325,46 +322,30 @@ def _first_trace(comp: Compiled, rows, m: int, n: int, blocked: set) -> RunTrace
     on the m x n picture ``rows``, among the runs that enter no
     configuration of ``blocked``; None if there is no such run.
 
-    That search descends into the first successor, in :func:`_step`
-    order, that is not on the current path and accepts or can still reach
-    acceptance without touching the path; every subtree it tries before
-    that one it leaves empty-handed.  So this walk extends the path by
-    that successor directly, deciding "can still reach" with one
-    :func:`_search` per candidate, or with none when no later successor is
-    left to choose instead (the path's end can reach acceptance, so its
-    last candidate must).  The path joins ``blocked``, and so does every
-    configuration a failed search entered: the path only grows, so such a
-    configuration stays unable to reach acceptance.  ``blocked`` is the
-    caller's and grows accordingly.
+    It is that search, except that every configuration it enters joins
+    ``blocked`` for good, so it enters each one once.  That drops no
+    trace it would find first: a configuration the search has left
+    without accepting cannot accept under a later path, since the route
+    it would need leaves through a configuration that was on the path
+    then, and that configuration's own subtree, searched since, would
+    have found the route.  ``blocked`` is the caller's and grows
+    accordingly.
     """
-    start = (comp.initial, 1, 1)
-    if start in blocked or not _search(comp, rows, -1, -1, m, n, start, set(blocked)):
-        return None
-
-    def reaches(s) -> bool:
-        seen = set(blocked)
-        if _search(comp, rows, -1, -1, m, n, s, seen):
-            return True
-        blocked.update(seen)
-        return False
-
-    path = [start]
-    blocked.add(start)
-    while path[-1][0] != comp.accept:
-        succ = _step(comp, rows, -1, -1, m, n, *path[-1])
-        for k, t in enumerate(succ):
-            if t in blocked:
-                continue
-            if t[0] != comp.accept:
-                rivals = any(u != t and u not in blocked for u in succ[k + 1 :])
-                if rivals and not reaches(t):
-                    continue
-            path.append(t)
-            blocked.add(t)
-            break
+    path: list = []
+    pending = [iter(((comp.initial, 1, 1),))]  # a root whose one successor is the start
+    while pending:
+        for nxt in pending[-1]:
+            if nxt not in blocked:
+                path.append(nxt)
+                if nxt[0] == comp.accept:
+                    return tuple(_to_config(comp, t) for t in path)
+                blocked.add(nxt)
+                pending.append(iter(_step(comp, rows, -1, -1, m, n, *nxt)))
+                break
         else:
-            raise AssertionError("internal error: the path lost its way to acceptance")
-    return tuple(_to_config(comp, t) for t in path)
+            pending.pop()
+            del path[-1:]  # the root's pop finds the path empty
+    return None
 
 
 class RowTransfer:

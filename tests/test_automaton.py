@@ -6,20 +6,24 @@ from hypothesis import given, settings, strategies as st
 from corpus import AB01, UNARY, corpus_2w, first_row_zeros, top_left_one, u_all_rows, u_one_row
 from pictomata import (
     Automaton2D,
+    ConcatKind,
     DimBounds,
     ToolkitError,
     VariantError,
     accepts,
+    concat_membership,
     enumerate_pictures,
     make_delta,
     parse_automaton,
     picture_of,
+    refute,
     serialize_automaton,
     transpose,
     transpose_automaton,
     unary_col_concat,
     validate,
 )
+from pictomata.oracle import check_same_symbols
 
 
 def test_validate_illegal_direction_for_variant():
@@ -92,6 +96,33 @@ def test_a_machine_whose_alphabet_is_not_an_alphabet_is_refused():
         accepts(a, picture_of(["0"]))
     assert type(got.value) is ToolkitError
     assert str(got.value) == "invalid automaton 'first-row-zeros': alphabet ('0', '1') is not an Alphabet"
+
+
+_TUPLED = dataclasses.replace(first_row_zeros(), alphabet=("0", "1"))
+_NOT_AN_ALPHABET = "'first-row-zeros': alphabet ('0', '1') is not an Alphabet"
+_INVALID_TUPLED = "invalid automaton " + _NOT_AN_ALPHABET
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: serialize_automaton(_TUPLED), "cannot write automaton " + _NOT_AN_ALPHABET),
+        (lambda: concat_membership(ConcatKind.ROW, _TUPLED, top_left_one(), picture_of(["0"])), _INVALID_TUPLED),
+        (lambda: concat_membership(ConcatKind.COL, top_left_one(), _TUPLED, picture_of(["0"])), _INVALID_TUPLED),
+        (lambda: refute(top_left_one(), ConcatKind.ROW, _TUPLED, top_left_one(), DimBounds(1, 1)), _INVALID_TUPLED),
+        (lambda: check_same_symbols(_TUPLED, top_left_one()), _INVALID_TUPLED),
+        (lambda: check_same_symbols(top_left_one(), _TUPLED), _INVALID_TUPLED),
+    ],
+    ids=["serialize_automaton", "concat_membership-a", "concat_membership-b", "refute", "check_same_symbols-candidate",
+         "check_same_symbols-target"],
+)
+def test_a_tuple_alphabet_is_named_where_its_symbols_are_read(call, message):
+    # these read alphabet.symbols before any check of the machine runs;
+    # each names the alphabet, as validate does, never an AttributeError
+    with pytest.raises(ToolkitError) as got:
+        call()
+    assert type(got.value) is ToolkitError
+    assert str(got.value) == message
 
 
 def test_witness_is_well_formed():

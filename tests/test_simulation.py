@@ -41,7 +41,15 @@ from pictomata import (
     replay_accepts,
     run_deterministic,
 )
-from pictomata.simulate import ACCEPTED, REJECTED_LOOP, REJECTED_UNDEFINED, _search, _step, _two_way
+from pictomata.simulate import (
+    ACCEPTED,
+    REJECTED_LOOP,
+    REJECTED_UNDEFINED,
+    _first_trace,
+    _search,
+    _step,
+    _two_way,
+)
 
 
 def cfg(state, loc):
@@ -428,14 +436,30 @@ def test_first_accepting_trace_is_polynomial_on_spray_words():
     assert first_accepting_trace(a, picture_of(["0" * k] * k)) is None
 
 
-def _closure_search(comp, rows, r0, c0, m, n, start, seen):
+def test_a_blocked_cell_keeps_the_first_trace_that_avoids_it():
+    # _first_trace is the depth-first search of accepting_runs with every
+    # configuration it enters marked; blocking a cell prunes the subtrees
+    # that enter it and keeps the order of the rest, so it finds the
+    # first trace of accepting_runs that never visits the cell
+    for a in corpus_2w() + corpus_3w_det() + corpus_edge_walkers():
+        comp = a.compiled
+        for w in enumerate_pictures(a.alphabet, DimBounds(2, 3)):
+            runs = accepting_runs(a, w)
+            for pos in w.positions():
+                cell = {(si, *pos) for si in range(len(comp.states))}
+                got = _first_trace(comp, w.rows, w.m, w.n, cell)
+                want = next((run for run in runs if all(c.loc != pos for c in run)), None)
+                assert got == want, (a.name, w.rows, pos)
+
+
+def _closure_search(comp, rows, r0, c0, m, n):
     """What :func:`_search` decides, as a plain breadth-first closure over
-    :func:`_step`: whether ``start`` reaches an accepting configuration
-    without entering ``seen``, to which it adds every configuration it
-    enters."""
+    :func:`_step`: whether the initial configuration reaches an accepting
+    one."""
+    start = (comp.initial, 1, 1)
     if start[0] == comp.accept:
         return True
-    seen.add(start)
+    seen = {start}
     layer = [start]
     while layer:
         below = []
@@ -459,13 +483,10 @@ def _closure_search(comp, rows, r0, c0, m, n, start, seen):
 @settings(max_examples=300, deadline=None)
 def test_search_equals_a_closure_over_step(seed, variant, mode):
     # _search applies the step rule inline; it must decide what the rule
-    # decides, and a failed search must leave the caller's set holding
-    # exactly what the closure entered (_first_trace and flip_attack
-    # block those configurations)
+    # decides, on whole pictures and on windows
     rng = random.Random(seed)
     a = random_2d(rng, variant, mode)
     comp = a.compiled
-    states = range(len(comp.states))
     for _ in range(10):
         big_m, big_n = rng.randint(1, 4), rng.randint(1, 4)
         rows = tuple("".join(rng.choice("01") for _ in range(big_n)) for _ in range(big_m))
@@ -474,21 +495,10 @@ def test_search_equals_a_closure_over_step(seed, variant, mode):
         else:  # a window, offset whenever it is smaller than the picture
             m, n = rng.randint(1, big_m), rng.randint(1, big_n)
             r0, c0 = rng.randint(-1, big_m - m - 1), rng.randint(-1, big_n - n - 1)
-        band = [(si, r, c) for si in states for r in range(m + 2) for c in range(n + 2)]
-        band += [(si, -1, -1) for si in states]
-        start = None if rng.random() < 0.3 else rng.choice(band)
-        begin = (comp.initial, 1, 1) if start is None else start
-        blocked = None
-        if rng.random() < 0.6:
-            blocked = {t for t in rng.sample(band, rng.randint(0, len(band) // 3)) if t != begin}
-        fused = None if blocked is None else set(blocked)
-        plain = set() if blocked is None else set(blocked)
-        verdict = _closure_search(comp, rows, r0, c0, m, n, begin, plain)
-        assert _search(comp, rows, r0, c0, m, n, start, fused) == verdict
-        if comp.is2w and start is None and blocked is None:  # a verdict's search
+        verdict = _closure_search(comp, rows, r0, c0, m, n)
+        assert _search(comp, rows, r0, c0, m, n) == verdict
+        if comp.is2w:
             assert _two_way(comp, rows, r0, c0, m, n) == verdict
-        if fused is not None and not verdict:
-            assert fused == plain
 
 
 def _kernel_cases(alphabet):
@@ -520,14 +530,13 @@ def _kernel_cases(alphabet):
 
 
 def _assert_kernel_is_the_generic_search(a, cases):
-    # passing start forces the generic search; it reads a window as it
-    # reads the block copied out (test_search_equals_a_closure_over_step
-    # pins it on windows), so it runs once per distinct block
+    # the generic search reads a window as it reads the block copied out
+    # (test_search_equals_a_closure_over_step pins it on windows), so it
+    # runs once per distinct block
     blocks, windows = cases
     comp = a.compiled
     assert comp.is2w
-    start = (comp.initial, 1, 1)
-    generic = [_search(comp, b, -1, -1, len(b), len(b[0]), start) for b in blocks]
+    generic = [_search(comp, b, -1, -1, len(b), len(b[0])) for b in blocks]
     got = [_two_way(comp, *window) for window, _ in windows]
     want = [generic[k] for _, k in windows]
     if got != want:

@@ -14,7 +14,8 @@ the one place that builds each product machine, cases held as plain
 tuples and a conversion that keeps no visited set
 (``test_one_product_builder_and_plain_records``),
 the one module that encodes the step rule and the row transfer's
-states, the modules that run the searches
+states, the modules that run the searches, and inside ``simulate`` only
+``accepts``, so that no trace path runs one
 (``test_only_the_verdict_layer_runs_the_searches``), the factors'
 border sets, which replace an IBR machine in every product, the
 README's library example, run as written, the README's CLI block, one
@@ -307,8 +308,10 @@ def test_only_simulate_encodes_the_step_rule():
 def test_only_the_verdict_layer_runs_the_searches():
     # simulate defines _search and its 2W kernel _two_way; concat's split
     # loop runs both, and oracle's 4W sweep runs _search, and no other
-    # module runs either
+    # module runs either.  Inside simulate only accepts runs _search: no
+    # trace path runs a search, since _first_trace is its own walk
     assert {module for module, _ in _uses_by_function("_search")} == {"simulate", "concat", "oracle"}
+    assert {use for use in _uses_by_function("_search") if use[0] == "simulate"} == {("simulate", "accepts")}
     assert {module for module, _ in _uses_by_function("_two_way")} == {"simulate", "concat"}
 
 

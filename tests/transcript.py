@@ -429,7 +429,7 @@ def _runs(t, machines):
 def _evidence(t, machines):
     """accepting_runs, at small limits and up to 3x3, and flip_attack,
     against a target that rejects every word and against the next
-    machine over the same alphabet."""
+    machine, or the machine itself when the next reads other symbols."""
     for a in [*machines, _INVALID]:
         pictures = [*enumerate_pictures(a.alphabet, DimBounds(2, 2)), *_ODD_PICTURES]
         for w in pictures:
